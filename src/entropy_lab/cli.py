@@ -28,10 +28,11 @@ from .estimators import estimate_all
 from .evaluate import COVERAGE_METHODS, CoverageConfig, coverage_study, t_test_ordered_means
 from .intervals import BootConfig, McmcConfig, aci, boot_p, boot_t, gci_umvue, hpd_mcmc
 from .model import Loss, TwoSampleData, load_paired_csv, load_samples, suff_stats, two_sample_data
-from .risk import DEFAULT_ESTIMATORS, SimConfig, simulate_risk
+from .risk import DEFAULT_ESTIMATORS, SimConfig, risk_csv, simulate_risk
 
 _PAPER_RISK_N = (8, 15, 21, 26)
-_ALL_LOSSES = (("l1", None), ("linex", -3.0), ("linex", -2.0), ("linex", 2.0), ("linex", 4.0))
+_ALL_LOSSES = (Loss.squared_error(), Loss.linex(-3.0), Loss.linex(-2.0), Loss.linex(2.0),
+               Loss.linex(4.0))
 
 
 class _UsageError(Exception):
@@ -72,10 +73,19 @@ def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _write_output(args, argv: list[str], text: str, config: dict, seed: int) -> None:
+    """``text`` to ``--out`` next to its manifest, or to stdout without one."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    out = Path(args.out)
+    out.write_text(text)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), argv, config, seed,
+                    [str(out)])
+
+
 def _load_data(args) -> TwoSampleData:
     if getattr(args, "dataset", None):
-        if args.dataset != "boeing":
-            raise DataError(f"unknown dataset {args.dataset!r}; only 'boeing' is built in")
         return boeing()
     if getattr(args, "csv", None):
         return load_paired_csv(args.csv)
@@ -93,9 +103,7 @@ def _loss_from(args) -> Loss:
 
 
 def _losses_from(args) -> list[Loss]:
-    if args.loss == "all":
-        return [Loss.squared_error() if k == "l1" else Loss.linex(a) for k, a in _ALL_LOSSES]
-    return [_loss_from(args)]
+    return list(_ALL_LOSSES) if args.loss == "all" else [_loss_from(args)]
 
 
 def _int_list(text: str) -> list[int]:
@@ -125,13 +133,9 @@ def _cmd_estimate(args, argv) -> int:
     for label, a1, kind, value in rows:
         print(f"{label:8s} {a1:6s} {kind:15s} {value:.6f}")
     if args.out:
-        out = Path(args.out)
-        with open(out, "w") as fh:
-            fh.write(f"loss,a1,estimator,{head}\n")
-            for label, a1, kind, value in rows:
-                fh.write(f"{label},{a1},{kind},{value!r}\n")
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), argv,
-                        {"command": "estimate", "entropy": args.entropy}, 0, [str(out)])
+        text = f"loss,a1,estimator,{head}\n" + "".join(
+            f"{label},{a1},{kind},{value!r}\n" for label, a1, kind, value in rows)
+        _write_output(args, argv, text, {"command": "estimate", "entropy": args.entropy}, 0)
     return 0
 
 
@@ -156,26 +160,13 @@ def _cmd_risk(args, argv) -> int:
         e += step
     loss = _loss_from(args)
     estimators = tuple(args.estimators.split(",")) if args.estimators else DEFAULT_ESTIMATORS
-    lines = ["n,eta,loss,a1,estimator,risk,stderr,bias,rri"]
-    for n in n_values:
-        cfg = SimConfig(n=n, eta_grid=tuple(etas), loss=loss, replications=reps,
-                        master_seed=seed, estimators=estimators,
-                        baseline=args.baseline, threads=args.threads)
-        res = simulate_risk(cfg)
-        a1 = "" if loss.a1 is None else repr(loss.a1)
-        for c in res.cells:
-            lines.append(f"{n},{c.eta!r},{loss.label},{a1},{c.estimator},"
-                         f"{c.risk!r},{c.stderr!r},{c.bias!r},{c.rri!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text)
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), argv,
-                        {"command": "risk", "n": n_values, "reps": reps,
-                         "etas": etas, "loss": loss.label, "a1": loss.a1,
-                         "baseline": args.baseline}, seed, [str(out)])
-    else:
-        sys.stdout.write(text)
+    results = [simulate_risk(SimConfig(n=n, eta_grid=tuple(etas), loss=loss, replications=reps,
+                                       master_seed=seed, estimators=estimators,
+                                       baseline=args.baseline, threads=args.threads))
+               for n in n_values]
+    _write_output(args, argv, risk_csv(results),
+                  {"command": "risk", "n": n_values, "reps": reps, "etas": etas,
+                   "loss": loss.label, "a1": loss.a1, "baseline": args.baseline}, seed)
     return 0
 
 
@@ -197,11 +188,8 @@ def _cmd_ci(args, argv) -> int:
     payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(payload)
     if args.out:
-        out = Path(args.out)
-        out.write_text(payload)
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), argv,
-                        {"command": "ci", "method": args.method, "level": level},
-                        seed, [str(out)])
+        _write_output(args, argv, payload,
+                      {"command": "ci", "method": args.method, "level": level}, seed)
     return 0
 
 
@@ -219,21 +207,9 @@ def _cmd_coverage(args, argv) -> int:
         outer_reps=outer, level=args.level, master_seed=seed,
         gci_draws=gci_draws, boot_k=boot_k, mcmc_n=mcmc_n,
         mcmc_burnin=mcmc_burnin, threads=args.threads)
-    result = coverage_study(cfg)
-    if args.out:
-        result.to_csv(args.out)
-        out = Path(args.out)
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), argv,
-                        {"command": "coverage", "outer": outer, "n": list(cfg.n_grid),
-                         "methods": list(cfg.methods), "level": args.level},
-                        seed, [str(out)])
-    else:
-        print("method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed")
-        for r in result.rows:
-            inner = {"aci": 0, "gci": gci_draws, "boot-p": boot_k,
-                     "boot-t": boot_k, "hpd": mcmc_n}[r.method]
-            print(f"{r.method},{r.n},{args.level!r},{r.cp!r},{r.cp_stderr!r},"
-                  f"{r.al!r},{r.pcd!r},{outer},{inner},{seed}")
+    _write_output(args, argv, coverage_study(cfg).csv_text(),
+                  {"command": "coverage", "outer": outer, "n": list(cfg.n_grid),
+                   "methods": list(cfg.methods), "level": args.level}, seed)
     return 0
 
 
@@ -292,9 +268,8 @@ def _cmd_reproduce(args, argv) -> int:
     path = tables / "point_estimates_boeing.csv"
     with open(path, "w") as fh:
         fh.write("loss,a1,estimator,tau,entropy\n")
-        for kind, a1 in _ALL_LOSSES:
-            loss = Loss.squared_error() if kind == "l1" else Loss.linex(a1)
-            lbl = "" if a1 is None else repr(float(a1))
+        for loss in _ALL_LOSSES:
+            lbl = "" if loss.a1 is None else repr(loss.a1)
             for rep in estimate_all(st, loss):
                 fh.write(f"{loss.label},{lbl},{rep.kind},{rep.value!r},{rep.entropy_value!r}\n")
     outputs.append(str(path))
@@ -326,31 +301,20 @@ def _cmd_reproduce(args, argv) -> int:
     etas = tuple(round(0.0 + step * i, 10) for i in range(int(5.0 / step) + 1))
     for label, loss in (("l1", Loss.squared_error()), ("linex_am3", Loss.linex(-3.0))):
         path = tables / f"risk_rri_{label}.csv"
-        with open(path, "w") as fh:
-            fh.write("n,eta,loss,a1,estimator,risk,stderr,bias,rri\n")
-            for n in risk_n:
-                cfg = SimConfig(n=n, eta_grid=etas, loss=loss, replications=reps,
-                                master_seed=seed + 10, threads=args.threads)
-                res = simulate_risk(cfg)
-                a1 = "" if loss.a1 is None else repr(loss.a1)
-                for c in res.cells:
-                    fh.write(f"{n},{c.eta!r},{loss.label},{a1},{c.estimator},"
-                             f"{c.risk!r},{c.stderr!r},{c.bias!r},{c.rri!r}\n")
+        path.write_text(risk_csv([
+            simulate_risk(SimConfig(n=n, eta_grid=etas, loss=loss, replications=reps,
+                                    master_seed=seed + 10, threads=args.threads))
+            for n in risk_n]))
         outputs.append(str(path))
 
     # restricted-MLE improvement relative to the MLE
     path = tables / "rmle_rri_l1.csv"
-    with open(path, "w") as fh:
-        fh.write("n,eta,loss,a1,estimator,risk,stderr,bias,rri\n")
-        for n in (5, 8, 12, 18) if paper else (5, 8):
-            cfg = SimConfig(n=n, eta_grid=etas, loss=Loss.squared_error(),
-                            replications=reps, master_seed=seed + 20,
-                            estimators=("mle", "rmle"), baseline="mle",
-                            threads=args.threads)
-            res = simulate_risk(cfg)
-            for c in res.cells:
-                fh.write(f"{n},{c.eta!r},l1,,{c.estimator},"
-                         f"{c.risk!r},{c.stderr!r},{c.bias!r},{c.rri!r}\n")
+    path.write_text(risk_csv([
+        simulate_risk(SimConfig(n=n, eta_grid=etas, loss=Loss.squared_error(),
+                                replications=reps, master_seed=seed + 20,
+                                estimators=("mle", "rmle"), baseline="mle",
+                                threads=args.threads))
+        for n in ((5, 8, 12, 18) if paper else (5, 8))]))
     outputs.append(str(path))
 
     # coverage study

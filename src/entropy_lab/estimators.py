@@ -20,8 +20,10 @@ for the restricted-MLE family, inflates it when W is negative:
 * ``pitman_clipped``   clips any additive term at the conditional-median
                        target, improving Pitman closeness for every eta >= 0.
 
-Scalar functions operate on a single ``SuffStats``; the Monte Carlo engine
-uses the vectorized builders returned by :func:`resolve_estimator`.
+Each rule is defined once, as a vectorized function of arrays (ln S, W)
+returned by :func:`resolve_estimator`.  The single-dataset functions
+(``baee`` ... ``pitman_clipped``, :func:`estimate_all`) evaluate the same
+rule on a batch of one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,11 +51,6 @@ from .numerics.quadrature import DEFAULT_QUAD, QuadSpec
 
 VectorFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-ESTIMATOR_NAMES = (
-    "baee", "umvue", "mle", "rmle", "stein",
-    "improved_mle", "improved_rmle", "bz", "pitman",
-)
-
 
 def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
     """T(w) = ln sqrt(1 + n w^2 / 2), the conditional scale correction."""
@@ -69,7 +67,7 @@ def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
 #
 #     J_k(a, y) = int_0^y t^(-1/2) (2+t)^(-a) ln^k(2+t) dt,  y = n absw^2,
 #
-# with a = n - 1/2.  The generic route solves the defining first-order
+# with a = n - 1/2.  bz_r0_defining solves the defining first-order
 # condition directly by quadrature against the erf-weighted conditional
 # density of S^2 and is kept as an independent cross-check.
 
@@ -90,15 +88,13 @@ def bz_r0(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> flo
         j0 = integrate_J(a, y, 0, spec)
         j1 = integrate_J(a, y, 1, spec)
         return -0.5 * (digamma(a) + math.log(4.0) - j1 / j0)
-    if loss.kind == "linex":
-        a1 = loss.a1
-        a_shift = a + 0.5 * a1
-        if a_shift <= 0.0:
-            raise DomainError(f"linex r0 needs (2n - 1 + a1)/2 > 0 (n={n}, a1={a1})")
-        num = ln_gamma(a) + math.log(integrate_J(a, y, 0, spec))
-        den = 0.5 * a1 * math.log(4.0) + ln_gamma(a_shift) + math.log(integrate_J(a_shift, y, 0, spec))
-        return (num - den) / a1
-    return bz_r0_defining(absw, n, loss, spec)
+    a1 = loss.a1
+    a_shift = a + 0.5 * a1
+    if a_shift <= 0.0:
+        raise DomainError(f"linex r0 needs (2n - 1 + a1)/2 > 0 (n={n}, a1={a1})")
+    num = ln_gamma(a) + math.log(integrate_J(a, y, 0, spec))
+    den = 0.5 * a1 * math.log(4.0) + ln_gamma(a_shift) + math.log(integrate_J(a_shift, y, 0, spec))
+    return (num - den) / a1
 
 
 def bz_r0_defining(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
@@ -193,14 +189,19 @@ def bz_table(n: int, loss: Loss, points: int = 800, y_cap: float = 1600.0) -> Bz
 # ---------------------------------------------------------------------------
 
 
-def median_ln_v_eta0(w: float, n: int) -> float:
-    """Median of ln(S^2/sigma^2) given W = w at eta = 0.
+@cache
+def _ln_chi2_median(df: int) -> float:
+    return math.log(chi_square_quantile(df, 0.5))
+
+
+def median_ln_v_eta0(w, n: int):
+    """Median of ln(S^2/sigma^2) given W = w at eta = 0, for a number or an
+    array of w.
 
     The conditional law is Gamma((2n-1)/2, scale 2/(1 + n w^2/2)), so the
     median shifts by -ln(1 + n w^2/2) relative to w = 0.
     """
-    med = chi_square_quantile(2 * n - 1, 0.5)
-    return math.log(med) - math.log1p(0.5 * n * w * w)
+    return _ln_chi2_median(2 * n - 1) - np.log1p(0.5 * n * np.square(w))
 
 
 def conditional_median(w: float, eta: float, n: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
@@ -253,209 +254,75 @@ def conditional_median(w: float, eta: float, n: int, spec: QuadSpec = DEFAULT_QU
 
 
 # ---------------------------------------------------------------------------
-# scalar estimators
+# the rules: arrays (ln S, W) -> ln S + phi(W), constants bound by _BUILDERS
 # ---------------------------------------------------------------------------
 
 
-def baee(st: SuffStats, loss: Loss) -> float:
-    """Best affine equivariant estimator ln(S) + d0; constant risk."""
-    return math.log(st.s) + d0(loss, st.n)
+def _mle_shift(n: int) -> float:
+    return -0.5 * math.log(2.0 * n)
 
 
-def umvue(st: SuffStats) -> float:
-    """Unbiased estimator; identical to ``baee`` under squared error."""
-    return math.log(st.s) + d0(Loss.squared_error(), st.n)
+def _clip(w: np.ndarray, phi, cap, floor) -> np.ndarray:
+    """phi capped at ``cap`` where W > 0 and floored at ``floor`` where
+    W < 0; W = 0 keeps phi."""
+    return np.where(w > 0.0, np.minimum(phi, cap), np.where(w < 0.0, np.maximum(phi, floor), phi))
 
 
-def mle(st: SuffStats) -> float:
-    return math.log(st.s) - 0.5 * math.log(2.0 * st.n)
+def _shift_rule(lns, w, c: float):
+    """ln(S) + c: baee (c = d0), umvue (d0 under squared error), mle."""
+    return lns + c
 
 
-def rmle(st: SuffStats) -> float:
+def _rmle_rule(lns, w, n: int):
     """Restricted MLE: equals the MLE when W >= 0, otherwise absorbs the
     squared mean gap into the scale estimate."""
-    out = mle(st)
-    if st.w < 0.0:
-        out += 0.5 * math.log1p(0.5 * st.n * st.w * st.w)
-    return out
+    return lns + _mle_shift(n) + np.where(w < 0.0, _shrink_term(w, n), 0.0)
 
 
-def stein(st: SuffStats, loss: Loss) -> float:
-    """Hard-threshold improvement on ``baee``: min/max of d0 against
-    m0 + T(w) by the sign of W."""
-    c_d0 = d0(loss, st.n)
-    if st.w == 0.0:
-        return math.log(st.s) + c_d0
-    arm = m0(loss, st.n) + 0.5 * math.log1p(0.5 * st.n * st.w * st.w)
-    pick = min(c_d0, arm) if st.w > 0.0 else max(c_d0, arm)
-    return math.log(st.s) + pick
+def _switch_rule(lns, w, c: float, c_m0: float, n: int):
+    """Hard threshold: min/max of the constant c against m0 + T(w) by the
+    sign of W.  stein uses c = d0, improved_mle the MLE shift."""
+    arm = c_m0 + _shrink_term(w, n)
+    return lns + _clip(w, c, arm, arm)
 
 
-def improved_mle(st: SuffStats, loss: Loss) -> float:
-    c = -0.5 * math.log(2.0 * st.n)
-    if st.w == 0.0:
-        return math.log(st.s) + c
-    arm = m0(loss, st.n) + 0.5 * math.log1p(0.5 * st.n * st.w * st.w)
-    pick = min(c, arm) if st.w > 0.0 else max(c, arm)
-    return math.log(st.s) + pick
+def _improved_rmle_rule(lns, w, c_m0: float, n: int):
+    """The hard threshold applied to the restricted-MLE term."""
+    t = _shrink_term(w, n)
+    arm = c_m0 + t
+    return lns + _clip(w, _mle_shift(n) + np.where(w < 0.0, t, 0.0), arm, arm)
 
 
-def improved_rmle(st: SuffStats, loss: Loss) -> float:
-    c = -0.5 * math.log(2.0 * st.n)
-    if st.w == 0.0:
-        return math.log(st.s) + c
-    t = 0.5 * math.log1p(0.5 * st.n * st.w * st.w)
-    arm = m0(loss, st.n) + t
-    pick = min(c, arm) if st.w > 0.0 else max(c + t, arm)
-    return math.log(st.s) + pick
+def _bz_rule(lns, w, r0: Callable[[np.ndarray], np.ndarray]):
+    """Smooth shrinkage ln(S) + r0(|W|); ``r0`` is the exact solver or its
+    interpolating table."""
+    return lns + r0(np.abs(w))
 
 
-def brewster_zidek(st: SuffStats, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Smooth improvement on ``baee``: ln(S) + r0(|W|)."""
-    return math.log(st.s) + bz_r0(abs(st.w), st.n, loss, spec)
-
-
-def pitman_clipped(st: SuffStats, loss: Loss, base: Callable[[float], float] | None = None,
-                   *, upper_at: Callable[[float], float] | None = None,
-                   lower_at: Callable[[float], float] | None = None) -> float:
-    """Clip an additive term at the eta = 0 conditional-median target.
-
-    With t(w) = -median[ln sqrt(V) | W = w, eta = 0], the estimate is capped
-    at ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
-    conditional median is monotone in eta, the clipped estimator is closer
-    to tau in the generalized Pitman sense for every eta >= 0, whatever
-    bowl-shaped loss is used for the comparison.  ``base`` defaults to the
-    equivariant constant d0(loss); ``upper_at``/``lower_at`` override the
-    per-side clip targets (as functions of w, in additive-term space).
-    """
-    phi = d0(loss, st.n) if base is None else float(base(st.w))
-    w = st.w
-    if w == 0.0:
-        return math.log(st.s) + phi
-    target = -0.5 * median_ln_v_eta0(w, st.n)
-    if w > 0.0:
-        bound = target if upper_at is None else float(upper_at(w))
-        phi = min(phi, bound)
-    else:
-        bound = target if lower_at is None else float(lower_at(w))
-        phi = max(phi, bound)
-    return math.log(st.s) + phi
-
-
-# ---------------------------------------------------------------------------
-# vectorized builders for the Monte Carlo engine
-# ---------------------------------------------------------------------------
-
-
-def _build_baee(n: int, loss: Loss) -> VectorFn:
-    c = d0(loss, n)
-
-    def fn(lns, w):
-        return lns + c
-
-    return fn
-
-
-def _build_umvue(n: int, loss: Loss) -> VectorFn:
-    c = d0(Loss.squared_error(), n)
-
-    def fn(lns, w):
-        return lns + c
-
-    return fn
-
-
-def _build_mle(n: int, loss: Loss) -> VectorFn:
-    c = -0.5 * math.log(2.0 * n)
-
-    def fn(lns, w):
-        return lns + c
-
-    return fn
-
-
-def _build_rmle(n: int, loss: Loss) -> VectorFn:
-    c = -0.5 * math.log(2.0 * n)
-
-    def fn(lns, w):
-        return lns + c + np.where(w < 0.0, _shrink_term(w, n), 0.0)
-
-    return fn
-
-
-def _switch(base_term: np.ndarray, arm: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.where(w > 0.0, np.minimum(base_term, arm),
-                    np.where(w < 0.0, np.maximum(base_term, arm), base_term))
-
-
-def _build_stein(n: int, loss: Loss) -> VectorFn:
-    c_d0 = d0(loss, n)
-    c_m0 = m0(loss, n)
-
-    def fn(lns, w):
-        arm = c_m0 + _shrink_term(w, n)
-        return lns + _switch(np.full_like(np.asarray(w, dtype=float), c_d0), arm, w)
-
-    return fn
-
-
-def _build_improved_mle(n: int, loss: Loss) -> VectorFn:
-    c = -0.5 * math.log(2.0 * n)
-    c_m0 = m0(loss, n)
-
-    def fn(lns, w):
-        arm = c_m0 + _shrink_term(w, n)
-        return lns + _switch(np.full_like(np.asarray(w, dtype=float), c), arm, w)
-
-    return fn
-
-
-def _build_improved_rmle(n: int, loss: Loss) -> VectorFn:
-    c = -0.5 * math.log(2.0 * n)
-    c_m0 = m0(loss, n)
-
-    def fn(lns, w):
-        t = _shrink_term(w, n)
-        arm = c_m0 + t
-        return lns + np.where(w > 0.0, np.minimum(c, arm),
-                              np.where(w < 0.0, np.maximum(c + t, arm), c))
-
-    return fn
-
-
-def _build_bz(n: int, loss: Loss) -> VectorFn:
-    table = bz_table(n, loss)
-
-    def fn(lns, w):
-        return lns + table(np.abs(w))
-
-    return fn
-
-
-def _build_pitman(n: int, loss: Loss) -> VectorFn:
-    c_d0 = d0(loss, n)
-    c_med = math.log(chi_square_quantile(2 * n - 1, 0.5))
-
-    def fn(lns, w):
-        target = -0.5 * (c_med - np.log1p(0.5 * n * np.square(w)))
-        phi = np.where(w > 0.0, np.minimum(c_d0, target),
-                       np.where(w < 0.0, np.maximum(c_d0, target), c_d0))
-        return lns + phi
-
-    return fn
+def _pitman_rule(lns, w, c: float, n: int, base=None, upper_at=None, lower_at=None):
+    """Clip the additive term c at the eta = 0 conditional-median target
+    t(w) = -median[ln sqrt(V) | W = w, eta = 0]; ``base``, ``upper_at`` and
+    ``lower_at`` (functions of an array of W) replace c and the per-side
+    targets."""
+    target = -0.5 * median_ln_v_eta0(w, n)
+    phi = c if base is None else base(w)
+    cap = target if upper_at is None else upper_at(w)
+    floor = target if lower_at is None else lower_at(w)
+    return lns + _clip(w, phi, cap, floor)
 
 
 _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
-    "baee": _build_baee,
-    "umvue": _build_umvue,
-    "mle": _build_mle,
-    "rmle": _build_rmle,
-    "stein": _build_stein,
-    "improved_mle": _build_improved_mle,
-    "improved_rmle": _build_improved_rmle,
-    "bz": _build_bz,
-    "pitman": _build_pitman,
+    "baee": lambda n, loss: partial(_shift_rule, c=d0(loss, n)),
+    "umvue": lambda n, loss: partial(_shift_rule, c=d0(Loss.squared_error(), n)),
+    "mle": lambda n, loss: partial(_shift_rule, c=_mle_shift(n)),
+    "rmle": lambda n, loss: partial(_rmle_rule, n=n),
+    "stein": lambda n, loss: partial(_switch_rule, c=d0(loss, n), c_m0=m0(loss, n), n=n),
+    "improved_mle": lambda n, loss: partial(_switch_rule, c=_mle_shift(n), c_m0=m0(loss, n), n=n),
+    "improved_rmle": lambda n, loss: partial(_improved_rmle_rule, c_m0=m0(loss, n), n=n),
+    "bz": lambda n, loss: partial(_bz_rule, r0=bz_table(n, loss)),
+    "pitman": lambda n, loss: partial(_pitman_rule, c=d0(loss, n), n=n),
 }
+ESTIMATOR_NAMES = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -493,7 +360,7 @@ def resolve_estimator(spec, n: int, loss: Loss) -> tuple[str, VectorFn]:
 
 
 # ---------------------------------------------------------------------------
-# dominance checking and reporting
+# dominance checking
 # ---------------------------------------------------------------------------
 
 
@@ -557,8 +424,74 @@ def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# reporting
+# single datasets: each rule on a batch of one
 # ---------------------------------------------------------------------------
+
+
+def _batch_of_one(rule: VectorFn, st: SuffStats) -> float:
+    return float(rule(np.array([math.log(st.s)]), np.array([st.w]))[0])
+
+
+def _estimate(name: str, st: SuffStats, loss: Loss) -> float:
+    return _batch_of_one(_BUILDERS[name](st.n, loss), st)
+
+
+def baee(st: SuffStats, loss: Loss) -> float:
+    """Best affine equivariant estimator ln(S) + d0; constant risk."""
+    return _estimate("baee", st, loss)
+
+
+def umvue(st: SuffStats) -> float:
+    """Unbiased estimator; identical to ``baee`` under squared error."""
+    return _estimate("umvue", st, Loss.squared_error())
+
+
+def mle(st: SuffStats) -> float:
+    return _estimate("mle", st, Loss.squared_error())
+
+
+def rmle(st: SuffStats) -> float:
+    """Restricted MLE: equals the MLE when W >= 0, otherwise absorbs the
+    squared mean gap into the scale estimate."""
+    return _estimate("rmle", st, Loss.squared_error())
+
+
+def stein(st: SuffStats, loss: Loss) -> float:
+    """Hard-threshold improvement on ``baee``: min/max of d0 against
+    m0 + T(w) by the sign of W."""
+    return _estimate("stein", st, loss)
+
+
+def improved_mle(st: SuffStats, loss: Loss) -> float:
+    return _estimate("improved_mle", st, loss)
+
+
+def improved_rmle(st: SuffStats, loss: Loss) -> float:
+    return _estimate("improved_rmle", st, loss)
+
+
+def brewster_zidek(st: SuffStats, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
+    """Smooth improvement on ``baee``: ln(S) + r0(|W|), with the exact r0."""
+    r0 = np.vectorize(lambda absw: bz_r0(absw, st.n, loss, spec), otypes=[float])
+    return _batch_of_one(partial(_bz_rule, r0=r0), st)
+
+
+def pitman_clipped(st: SuffStats, loss: Loss, base: Callable | None = None,
+                   *, upper_at: Callable | None = None,
+                   lower_at: Callable | None = None) -> float:
+    """Clip an additive term at the eta = 0 conditional-median target.
+
+    With t(w) = -median[ln sqrt(V) | W = w, eta = 0], the estimate is capped
+    at ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
+    conditional median is monotone in eta, the clipped estimator is closer
+    to tau in the generalized Pitman sense for every eta >= 0, whatever
+    bowl-shaped loss is used for the comparison.  ``base`` defaults to the
+    equivariant constant d0(loss); ``upper_at``/``lower_at`` override the
+    per-side clip targets.  All three are functions of an array of W values,
+    in additive-term space.
+    """
+    return _batch_of_one(partial(_pitman_rule, c=d0(loss, st.n), n=st.n, base=base,
+                                 upper_at=upper_at, lower_at=lower_at), st)
 
 
 @dataclass(frozen=True)
@@ -569,21 +502,11 @@ class EstimateReport:
     entropy_value: float
 
 
-def _report(kind: str, loss: Loss, value: float) -> EstimateReport:
-    return EstimateReport(kind=kind, loss=loss, value=value,
-                          entropy_value=entropy_of_log_sigma(value))
-
-
 def estimate_all(st: SuffStats, loss: Loss) -> list[EstimateReport]:
-    """All point estimators on one dataset, in canonical order."""
-    return [
-        _report("baee", loss, baee(st, loss)),
-        _report("umvue", loss, umvue(st)),
-        _report("mle", loss, mle(st)),
-        _report("rmle", loss, rmle(st)),
-        _report("stein", loss, stein(st, loss)),
-        _report("improved_mle", loss, improved_mle(st, loss)),
-        _report("improved_rmle", loss, improved_rmle(st, loss)),
-        _report("bz", loss, brewster_zidek(st, loss)),
-        _report("pitman", loss, pitman_clipped(st, loss)),
-    ]
+    """All point estimators on one dataset, in canonical order.  bz uses the
+    exact r0, so no lookup table is built."""
+    reports = []
+    for name in ESTIMATOR_NAMES:
+        value = brewster_zidek(st, loss) if name == "bz" else _estimate(name, st, loss)
+        reports.append(EstimateReport(name, loss, value, entropy_of_log_sigma(value)))
+    return reports

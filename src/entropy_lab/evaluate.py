@@ -12,16 +12,24 @@ so results do not depend on the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError
-from .intervals import McmcConfig, run_variance_chains
-from .numerics import f_cdf, kolmogorov_sf, std_normal_cdf, std_normal_quantile, student_t_cdf
+from .intervals import (
+    McmcConfig,
+    aci_bounds,
+    boot_bounds,
+    chen_shao_hpd,
+    gci_bounds,
+    run_variance_chains,
+)
+from .model import batch_suff_stats
+from .numerics import f_cdf, kolmogorov_sf, std_normal_cdf, student_t_cdf
 from .numerics.rng import RngStream
+from .risk import map_blocks
 
 COVERAGE_METHODS = ("aci", "gci", "boot-p", "boot-t", "hpd")
 
@@ -79,98 +87,69 @@ class CoverageResult:
                 return r
         raise KeyError((method, n))
 
-    def to_csv(self, path: str | Path) -> None:
+    def csv_text(self) -> str:
+        """CSV text of the rows, header first."""
         cfg = self.config
-        with open(path, "w") as fh:
-            fh.write("method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed\n")
-            for r in self.rows:
-                inner = {"aci": 0, "gci": cfg.gci_draws, "boot-p": cfg.boot_k,
-                         "boot-t": cfg.boot_k, "hpd": cfg.mcmc_n}[r.method]
-                fh.write(f"{r.method},{r.n},{cfg.level!r},{r.cp!r},{r.cp_stderr!r},"
-                         f"{r.al!r},{r.pcd!r},{cfg.outer_reps},{inner},{cfg.master_seed}\n")
+        inner_reps = {"aci": 0, "gci": cfg.gci_draws, "boot-p": cfg.boot_k,
+                      "boot-t": cfg.boot_k, "hpd": cfg.mcmc_n}
+        return "method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed\n" + "".join(
+            f"{r.method},{r.n},{cfg.level!r},{r.cp!r},{r.cp_stderr!r},{r.al!r},{r.pcd!r},"
+            f"{cfg.outer_reps},{inner_reps[r.method]},{cfg.master_seed}\n" for r in self.rows)
 
-
-def _stream_index(ni: int, block: int, slot: int) -> int:
-    return (ni << 28) | (block << 3) | slot
+    def to_csv(self, path: str | Path) -> None:
+        Path(path).write_text(self.csv_text())
 
 
 def coverage_study(cfg: CoverageConfig) -> CoverageResult:
-    """Run the CP/AL/PCD study over the configured n grid and methods."""
+    """Run the CP/AL/PCD study over the configured n grid and methods.
+
+    Each block of outer replications goes, as sufficient statistics, to the
+    batched interval functions that the single-dataset intervals call on a
+    batch of one; this function keys the streams and tallies the results.
+    Both bootstrap methods come from one set of resamples.
+    """
     rows = []
     tau = math.log(cfg.sigma)
-    alpha = 1.0 - cfg.level
-    z_half = std_normal_quantile(0.5 * (1.0 + cfg.level))
     nblocks = (cfg.outer_reps + cfg.block_size - 1) // cfg.block_size
 
     for ni, n in enumerate(cfg.n_grid):
         def one_block(ib: int, n=n, ni=ni):
+            def stream(slot: int) -> np.random.Generator:
+                return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
+
             b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
-            gen = RngStream(cfg.master_seed, _stream_index(ni, ib, _SLOT_DATA)).generator
-            z = cfg.sigma * gen.standard_normal((b, 2 * n))
-            x1 = z[:, :n]
-            x2 = z[:, n:]
-            m1 = x1.mean(axis=1)
-            m2 = x2.mean(axis=1)
-            d1 = x1 - m1[:, None]
-            d2 = x2 - m2[:, None]
-            s2 = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", d2, d2)
+            m1, m2, ss1, ss2 = batch_suff_stats(
+                cfg.sigma * stream(_SLOT_DATA).standard_normal((b, 2 * n)), n)
+            s2 = ss1 + ss2
             lns = 0.5 * np.log(s2)
             container: dict[str, tuple[int, float, int]] = {}
 
-            def record(method: str, lower: np.ndarray, upper: np.ndarray) -> None:
+            def record(method: str, lower: np.ndarray, upper: np.ndarray,
+                       length: np.ndarray) -> None:
+                if method not in cfg.methods:
+                    return
                 ok = np.isfinite(lower) & np.isfinite(upper)
                 contains = ok & (lower <= tau) & (tau <= upper)
-                length = np.where(ok, upper - lower, 0.0)
-                container[method] = (int(contains.sum()), float(length.sum()),
-                                    int(b - ok.sum()))
+                container[method] = (int(contains.sum()), float(np.where(ok, length, 0.0).sum()),
+                                     int(b - ok.sum()))
 
             if "aci" in cfg.methods:
-                center = lns - 0.5 * math.log(2.0 * n)
-                half = z_half / (2.0 * math.sqrt(n))
-                record("aci", center - half, center + half)
+                record("aci", *aci_bounds(lns, n, cfg.level))
             if "gci" in cfg.methods:
-                g = RngStream(cfg.master_seed, _stream_index(ni, ib, _SLOT_GCI)).generator
-                v = g.chisquare(2 * (n - 1), (b, cfg.gci_draws))
-                piv = lns[:, None] - 0.5 * np.log(v)
-                lo, hi = np.quantile(piv, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
-                record("gci", lo, hi)
+                record("gci", *gci_bounds(lns, n, cfg.level, cfg.gci_draws, stream(_SLOT_GCI)))
             if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
-                g = RngStream(cfg.master_seed, _stream_index(ni, ib, _SLOT_BOOT)).generator
-                zb = g.standard_normal((b, cfg.boot_k, 2 * n))
-                b1 = zb[:, :, :n] - zb[:, :, :n].mean(axis=2, keepdims=True)
-                b2 = zb[:, :, n:] - zb[:, :, n:].mean(axis=2, keepdims=True)
-                ssz = np.einsum("ijk,ijk->ij", b1, b1) + np.einsum("ijk,ijk->ij", b2, b2)
-                sigma_hat2 = s2 / (2.0 * n)
-                etas = 0.5 * np.log(sigma_hat2[:, None] * ssz / (2.0 * n))
-                lo, hi = np.quantile(etas, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
-                if "boot-p" in cfg.methods:
-                    record("boot-p", lo, hi)
-                if "boot-t" in cfg.methods:
-                    eta_hat = 0.5 * np.log(sigma_hat2)
-                    length = hi - lo
-                    lower_t = 2.0 * eta_hat - hi
-                    record("boot-t", lower_t, lower_t + length)
+                pct, stud, _ = boot_bounds(s2, n, cfg.level, cfg.boot_k, stream(_SLOT_BOOT))
+                record("boot-p", *pct)
+                record("boot-t", *stud)
             if "hpd" in cfg.methods:
-                g = RngStream(cfg.master_seed, _stream_index(ni, ib, _SLOT_MCMC)).generator
-                ss1 = np.einsum("ij,ij->i", d1, d1)
-                ss2 = np.einsum("ij,ij->i", d2, d2)
-                mc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin)
-                theta, _, _ = run_variance_chains(m1, m2, ss1, ss2, n, mc, g)
-                theta = np.sort(theta, axis=0)
-                m = theta.shape[0]
-                offset = int(math.floor(cfg.level * m))
-                widths = theta[offset:, :] - theta[:m - offset, :]
-                ridx = np.argmin(widths, axis=0)
-                cols = np.arange(b)
-                record("hpd", theta[ridx, cols], theta[ridx + offset, cols])
+                theta, _, _ = run_variance_chains(
+                    m1, m2, ss1, ss2, n, McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin),
+                    stream(_SLOT_MCMC))
+                lower, upper = chen_shao_hpd(np.sort(theta, axis=0), cfg.level)
+                record("hpd", lower, upper, upper - lower)
             return container
 
-        if cfg.threads <= 1:
-            partials = [one_block(i) for i in range(nblocks)]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-                partials = list(ex.map(one_block, range(nblocks)))
-
+        partials = map_blocks(nblocks, one_block, cfg.threads)
         for method in cfg.methods:
             contains = sum(p[method][0] for p in partials)
             length = sum(p[method][1] for p in partials)

@@ -7,6 +7,12 @@ which fixes both the asymptotic interval and the studentizing constant of
 the bootstrap-t.  The generalized pivot ln(s) - ln(V)/2 with V chi-square
 2(n-1) is exact: its observed value is tau itself, so coverage matches the
 nominal level at every n.
+
+Each method is one function over arrays of statistics (``aci_bounds``,
+``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and
+``chen_shao_hpd``).  The coverage study calls it on blocks of replications;
+``aci`` ... ``hpd_mcmc`` call it on a batch of one and add input floors and
+diagnostics.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, DomainError
-from .model import SuffStats, TwoSampleData, suff_stats
+from .estimators import mle
+from .model import SuffStats, TwoSampleData, batch_suff_stats, suff_stats
 from .numerics import std_normal_quantile
 from .numerics.rng import RngStream
 
@@ -80,24 +86,44 @@ def _check_level(level: float) -> float:
     return level
 
 
+def _result(method: str, level: float, bounds, diagnostics: dict) -> IntervalResult:
+    lower, upper, length = (float(v[0]) for v in bounds)
+    return IntervalResult(method, lower, upper, level, length, diagnostics)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic interval
 # ---------------------------------------------------------------------------
+
+
+def aci_bounds(lns: np.ndarray, n: int, level: float):
+    """The asymptotic interval for each ln(S)."""
+    center = lns - 0.5 * math.log(2.0 * n)
+    half = std_normal_quantile(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
+    lower, upper = center - half, center + half
+    return lower, upper, upper - lower
 
 
 def aci(data: TwoSampleData, level: float = 0.95) -> IntervalResult:
     """ln(sigma_hat_MLE) +/- z_{(1+level)/2} / (2 sqrt(n))."""
     level = _check_level(level)
     st = suff_stats(data)
-    center = 0.5 * math.log(st.s2 / (2.0 * st.n))
-    half = std_normal_quantile(0.5 * (1.0 + level)) / (2.0 * math.sqrt(st.n))
-    return IntervalResult("aci", center - half, center + half, level, 2.0 * half,
-                          {"center": center})
+    return _result("aci", level, aci_bounds(np.array([math.log(st.s)]), st.n, level),
+                   {"center": mle(st)})
 
 
 # ---------------------------------------------------------------------------
 # generalized pivot interval
 # ---------------------------------------------------------------------------
+
+
+def gci_bounds(lns: np.ndarray, n: int, level: float, draws: int, gen: np.random.Generator):
+    """Pivot quantiles over ``draws`` chi-square draws for each ln(s)."""
+    v = gen.chisquare(2 * (n - 1), (len(lns), draws))
+    pivot = lns[:, None] - 0.5 * np.log(v)
+    alpha = 1.0 - level
+    lower, upper = np.quantile(pivot, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
+    return lower, upper, upper - lower
 
 
 def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
@@ -112,13 +138,9 @@ def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
     level = _check_level(level)
     if draws < 1000:
         raise DomainError(f"gci needs at least 1000 pivot draws, got {draws}")
-    gen = RngStream(seed, 0).generator
-    v = gen.chisquare(2 * (st.n - 1), draws)
-    t = math.log(st.s) - 0.5 * np.log(v)
-    alpha = 1.0 - level
-    lower, upper = np.quantile(t, [0.5 * alpha, 1.0 - 0.5 * alpha])
-    return IntervalResult("gci", float(lower), float(upper), level,
-                          float(upper - lower), {"draws": draws})
+    bounds = gci_bounds(np.array([math.log(st.s)]), st.n, level, draws,
+                        RngStream(seed, 0).generator)
+    return _result("gci", level, bounds, {"draws": draws})
 
 
 # ---------------------------------------------------------------------------
@@ -126,68 +148,73 @@ def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap_log_sigmas(st: SuffStats, K: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
-    """K parametric-resample estimates ln(sigma_hat*) from the fitted model.
+def _bootstrap_log_sigmas(s2: np.ndarray, n: int, K: int,
+                          gen: np.random.Generator) -> tuple[np.ndarray, int]:
+    """(B, K) parametric-resample estimates ln(sigma_hat*), K per pooled
+    sum of squares in ``s2``, and the number of redraws.
 
     Resampling normal data and reducing to the pooled sum of squares only
     needs the deviations, so means are never added.  Degenerate resamples
     (zero pooled scatter) are redrawn, at most 10 times.
     """
-    n = st.n
-    sigma_hat2 = st.s2 / (2.0 * n)
-    z = gen.standard_normal((K, 2 * n))
-    d1 = z[:, :n] - z[:, :n].mean(axis=1, keepdims=True)
-    d2 = z[:, n:] - z[:, n:].mean(axis=1, keepdims=True)
-    ssz = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", d2, d2)
+    def pooled_ss(shape: tuple) -> np.ndarray:
+        _, _, ss1, ss2 = batch_suff_stats(gen.standard_normal(shape + (2 * n,)), n)
+        return ss1 + ss2
+
+    ssz = pooled_ss((len(s2), K))
     redraws = 0
     for _ in range(10):
-        bad = np.flatnonzero(ssz <= 0.0)
-        if bad.size == 0:
+        bad = np.nonzero(ssz <= 0.0)
+        if bad[0].size == 0:
             break
-        redraws += int(bad.size)
-        z = gen.standard_normal((bad.size, 2 * n))
-        d1 = z[:, :n] - z[:, :n].mean(axis=1, keepdims=True)
-        d2 = z[:, n:] - z[:, n:].mean(axis=1, keepdims=True)
-        ssz[bad] = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", d2, d2)
+        redraws += int(bad[0].size)
+        ssz[bad] = pooled_ss((bad[0].size,))
     else:
         raise DataError("bootstrap: degenerate resamples persisted after 10 redraws")
-    return 0.5 * np.log(sigma_hat2 * ssz / (2.0 * n)), redraws
+    sigma_hat2 = s2 / (2.0 * n)
+    return 0.5 * np.log(sigma_hat2[:, None] * ssz / (2.0 * n)), redraws
+
+
+def boot_bounds(s2: np.ndarray, n: int, level: float, K: int, gen: np.random.Generator):
+    """Percentile and studentized intervals from one set of K resamples per
+    pooled sum of squares; returns (percentile, studentized, redraws).
+
+    With the constant standard error 1/(2 sqrt(n)) the studentized interval
+    eta_hat - se * [T_(1-alpha/2), T_(alpha/2)] is the percentile interval
+    reflected about eta_hat: both have the length q_hi - q_lo, while the
+    studentized coverage matches the exact pivot, not the resampling law.
+    """
+    etas, redraws = _bootstrap_log_sigmas(s2, n, K, gen)
+    alpha = 1.0 - level
+    q_lo, q_hi = np.quantile(etas, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
+    length = q_hi - q_lo
+    eta_hat = 0.5 * np.log(s2 / (2.0 * n))
+    lower_t = 2.0 * eta_hat - q_hi
+    return (q_lo, q_hi, length), (lower_t, lower_t + length, length), redraws
+
+
+def _boot(data: TwoSampleData, level: float,
+          cfg: BootConfig) -> tuple[IntervalResult, IntervalResult]:
+    level = _check_level(level)
+    st = suff_stats(data)
+    pct, stud, redraws = boot_bounds(np.array([st.s2]), st.n, level, cfg.K,
+                                     RngStream(cfg.seed, 0).generator)
+    diag = {"K": cfg.K, "redraws": redraws}
+    return (_result("boot-p", level, pct, diag),
+            _result("boot-t", level, stud, {**diag, "se": 0.5 / math.sqrt(st.n)}))
 
 
 def boot_p(data: TwoSampleData, level: float = 0.95,
            cfg: BootConfig = BootConfig()) -> IntervalResult:
     """Percentile interval of the resampled ln(sigma_hat*)."""
-    level = _check_level(level)
-    st = suff_stats(data)
-    gen = RngStream(cfg.seed, 0).generator
-    etas, redraws = _bootstrap_log_sigmas(st, cfg.K, gen)
-    alpha = 1.0 - level
-    lower, upper = np.quantile(etas, [0.5 * alpha, 1.0 - 0.5 * alpha])
-    return IntervalResult("boot-p", float(lower), float(upper), level,
-                          float(upper - lower), {"K": cfg.K, "redraws": redraws})
+    return _boot(data, level, cfg)[0]
 
 
 def boot_t(data: TwoSampleData, level: float = 0.95,
            cfg: BootConfig = BootConfig()) -> IntervalResult:
-    """Studentized interval with the constant standard error 1/(2 sqrt(n)).
-
-    T_k = (eta*_k - eta_hat) / se, and the interval is
-    eta_hat - se * [T_(1-alpha/2), T_(alpha/2)]; with a constant se this is
-    the percentile interval reflected about eta_hat, so its length equals
-    the percentile length exactly on shared resamples while the coverage
-    matches the exact pivot rather than the biased resampling law.
-    """
-    level = _check_level(level)
-    st = suff_stats(data)
-    gen = RngStream(cfg.seed, 0).generator
-    etas, redraws = _bootstrap_log_sigmas(st, cfg.K, gen)
-    eta_hat = 0.5 * math.log(st.s2 / (2.0 * st.n))
-    alpha = 1.0 - level
-    q_lo, q_hi = np.quantile(etas, [0.5 * alpha, 1.0 - 0.5 * alpha])
-    length = float(q_hi - q_lo)
-    lower = float(2.0 * eta_hat - q_hi)
-    return IntervalResult("boot-t", lower, lower + length, level, length,
-                          {"K": cfg.K, "redraws": redraws, "se": 0.5 / math.sqrt(st.n)})
+    """Studentized interval with the constant standard error 1/(2 sqrt(n));
+    same resamples and length as ``boot_p`` at the same config."""
+    return _boot(data, level, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +248,16 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
 
     Means are drawn exactly from their normal conditionals; beta moves by a
     random-walk proposal targeting the inverse-gamma conditional with shape
-    n and scale SS(mu1, mu2)/2.  Returns (theta, acceptance, proposal_sd)
-    where theta[k, j] = ln(sigma)_k for chain j after burn-in.
+    n and scale SS(mu1, mu2)/2.  A mean drawn about its sample mean adds
+    beta z^2 to SS wherever that mean lies, so only ss1 + ss2 enters.
+    Returns (theta, acceptance, proposal_sd) where theta[k, j] = ln(sigma)_k
+    for chain j after burn-in.
     """
-    x1bar = np.atleast_1d(np.asarray(x1bar, dtype=float))
-    x2bar = np.atleast_1d(np.asarray(x2bar, dtype=float))
-    ss1 = np.atleast_1d(np.asarray(ss1, dtype=float))
-    ss2 = np.atleast_1d(np.asarray(ss2, dtype=float))
-    B = len(x1bar)
-    ss0 = ss1 + ss2
+    ss0 = np.atleast_1d(np.asarray(ss1, dtype=float) + np.asarray(ss2, dtype=float))
+    B = len(ss0)
     beta = ss0 / (2.0 * (n - 1))          # pooled sample variance start
     if cfg.proposal_sd is None:
         prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * math.sqrt(n))
-        prop_sd = np.asarray(prop_sd, dtype=float).copy()
     else:
         prop_sd = np.full(B, float(cfg.proposal_sd))
     M = cfg.N - cfg.N0
@@ -284,27 +308,27 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
     st = suff_stats(data)
-    n = st.n
     ss1 = float(((data.sample1 - st.mean1) ** 2).sum())
     ss2 = float(((data.sample2 - st.mean2) ** 2).sum())
     gen = RngStream(cfg.seed, 0).generator
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]),
-        np.array([ss1]), np.array([ss2]), n, cfg, gen)
-    draws = np.sort(theta[:, 0])
-    lower, upper = chen_shao_hpd(draws, level)
+        np.array([ss1]), np.array([ss2]), st.n, cfg, gen)
     rate = float(acc[0])
     diag = {"acceptance_rate": rate, "ess": _autocorr_ess(theta[:, 0]),
-            "draws": len(draws), "proposal_sd": float(prop_sd[0])}
+            "draws": len(theta), "proposal_sd": float(prop_sd[0])}
     if not 0.05 <= rate <= 0.7:
         diag["acceptance_warning"] = True
         warnings.warn(f"MH acceptance rate {rate:.3f} outside [0.05, 0.7]",
                       RuntimeWarning, stacklevel=2)
-    return IntervalResult("hpd", lower, upper, level, upper - lower, diag)
+    lower, upper = chen_shao_hpd(np.sort(theta, axis=0), level)
+    return _result("hpd", level, (lower, upper, upper - lower), diag)
 
 
-def chen_shao_hpd(sorted_draws: Sequence[float], level: float) -> tuple[float, float]:
-    """Shortest sliding-window interval over sorted posterior draws.
+def chen_shao_hpd(sorted_draws, level: float):
+    """Shortest sliding-window interval over posterior draws sorted
+    ascending along the first axis; a 2-d array gives one interval per
+    column.
 
     With M draws and window offset floor(level * M), the start index
     minimizing the window width is chosen; widths within a 1e-12 relative
@@ -315,13 +339,14 @@ def chen_shao_hpd(sorted_draws: Sequence[float], level: float) -> tuple[float, f
     m = len(draws)
     if m < 100:
         raise DomainError(f"need at least 100 draws for an HPD interval, got {m}")
-    if np.any(np.diff(draws) < 0.0):
+    if np.any(np.diff(draws, axis=0) < 0.0):
         raise DomainError("draws must be sorted ascending")
     offset = int(math.floor(level * m))
     if offset < 1 or offset >= m:
         raise DomainError(f"level {level} leaves no valid window for M={m}")
     widths = draws[offset:] - draws[:m - offset]
-    wmin = float(widths.min())
-    tol = 1e-12 * max(abs(wmin), 1.0)
-    r = int(np.flatnonzero(widths <= wmin + tol)[0])
-    return float(draws[r]), float(draws[r + offset])
+    wmin = widths.min(axis=0)
+    tol = 1e-12 * np.maximum(np.abs(wmin), 1.0)
+    r = np.expand_dims(np.argmax(widths <= wmin + tol, axis=0), 0)
+    return (np.take_along_axis(draws, r, axis=0)[0],
+            np.take_along_axis(draws, r + offset, axis=0)[0])

@@ -105,6 +105,19 @@ def suff_stats(data: TwoSampleData) -> SuffStats:
     return SuffStats(n=n, mean1=mean1, mean2=mean2, s2=ss, s=s, w=(mean2 - mean1) / s)
 
 
+def batch_suff_stats(z: np.ndarray, n: int):
+    """Sufficient reduction of paired samples laid out along the last axis
+    (sample 1, then sample 2, n values each): the two means and the two
+    within-sample sums of squares, one per leading index."""
+    x1 = z[..., :n]
+    x2 = z[..., n:]
+    m1 = x1.mean(axis=-1)
+    m2 = x2.mean(axis=-1)
+    d1 = x1 - m1[..., None]
+    d2 = x2 - m2[..., None]
+    return m1, m2, np.einsum("...j,...j->...", d1, d1), np.einsum("...j,...j->...", d2, d2)
+
+
 # ---------------------------------------------------------------------------
 # loss functions
 # ---------------------------------------------------------------------------
@@ -186,8 +199,8 @@ def gamma_shift_root(loss: Loss, shape: float, bracket: float = 8.0) -> float:
     """Solve E[L'(ln sqrt(U) + c)] = 0 for U ~ Gamma(shape, scale 2) by
     quadrature and bisection-safeguarded root finding.
 
-    Works for any object exposing ``deriv``; used directly for losses
-    without a closed form and as a cross-check for those with one.
+    Works for any object exposing ``deriv``; kept as an independent check
+    of the closed forms in :func:`d0` and :func:`m0`.
     """
     if shape <= 0:
         raise DomainError(f"gamma shape must be positive, got {shape}")
@@ -206,34 +219,28 @@ def gamma_shift_root(loss: Loss, shape: float, bracket: float = 8.0) -> float:
     return find_root(expectation, -bracket, bracket, tol=1e-12)
 
 
-def d0(loss: Loss, n: int) -> float:
-    """Shift constant of the best affine equivariant estimator ln(S) + d0."""
+def _gamma_shift(loss: Loss, n: int, shape: float) -> float:
+    """Closed form of the shift solving E[L'(ln sqrt(U) + c)] = 0 for
+    U ~ Gamma(shape, scale 2)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if loss.kind == SQUARED_ERROR:
-        return -0.5 * (math.log(2.0) + digamma(n - 1.0))
-    if loss.kind == LINEX:
-        a1 = loss.a1
-        if n - 1.0 + 0.5 * a1 <= 0.0:
-            raise DomainError(f"linex d0 needs n - 1 + a1/2 > 0 (n={n}, a1={a1})")
-        return -(0.5 * a1 * math.log(2.0) + ln_gamma(n - 1.0 + 0.5 * a1) - ln_gamma(n - 1.0)) / a1
-    return gamma_shift_root(loss, n - 1.0)
+        return -0.5 * (math.log(2.0) + digamma(shape))
+    a1 = loss.a1
+    if shape + 0.5 * a1 <= 0.0:
+        raise DomainError(f"linex shift needs shape + a1/2 > 0 (n={n}, a1={a1})")
+    return -(0.5 * a1 * math.log(2.0) + ln_gamma(shape + 0.5 * a1) - ln_gamma(shape)) / a1
+
+
+def d0(loss: Loss, n: int) -> float:
+    """Shift constant of the best affine equivariant estimator ln(S) + d0."""
+    return _gamma_shift(loss, n, n - 1.0)
 
 
 def m0(loss: Loss, n: int) -> float:
     """Conditional shrinkage target: the shift solving the same first-order
     condition under Gamma((2n-1)/2, scale 2)."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    shape = 0.5 * (2.0 * n - 1.0)
-    if loss.kind == SQUARED_ERROR:
-        return -0.5 * (math.log(2.0) + digamma(shape))
-    if loss.kind == LINEX:
-        a1 = loss.a1
-        if shape + 0.5 * a1 <= 0.0:
-            raise DomainError(f"linex m0 needs (2n - 1 + a1)/2 > 0 (n={n}, a1={a1})")
-        return -(0.5 * a1 * math.log(2.0) + ln_gamma(shape + 0.5 * a1) - ln_gamma(shape)) / a1
-    return gamma_shift_root(loss, shape)
+    return _gamma_shift(loss, n, 0.5 * (2.0 * n - 1.0))
 
 
 # ---------------------------------------------------------------------------

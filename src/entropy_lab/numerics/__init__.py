@@ -2,7 +2,7 @@
 and deterministic random streams."""
 
 from .quadrature import DEFAULT_QUAD, QuadSpec, adaptive_quad, integrate_J
-from .rng import DISTRIBUTIONS, RngStream, sample
+from .rng import RngStream
 from .roots import find_root
 from .special import (
     EULER_GAMMA,
@@ -24,7 +24,6 @@ from .special import (
 
 __all__ = [
     "DEFAULT_QUAD",
-    "DISTRIBUTIONS",
     "EULER_GAMMA",
     "QuadSpec",
     "RngStream",
@@ -40,7 +39,6 @@ __all__ = [
     "reg_inc_beta",
     "reg_lower_gamma",
     "reg_upper_gamma",
-    "sample",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DomainError
-
 _MASK64 = (1 << 64) - 1
-
-DISTRIBUTIONS = ("uniform01", "std_normal", "gamma", "chi_square")
 
 
 @dataclass
@@ -38,43 +34,3 @@ class RngStream:
             key = [self.master_seed & _MASK64, self.stream_index & _MASK64]
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
-
-    def reset(self) -> None:
-        """Rewind the stream to the start of its sequence."""
-        self._gen = None
-
-    def draw(self, dist: str, size=None, *, shape: float | None = None,
-             scale: float | None = None, df: float | None = None):
-        """Draw from one of the supported distributions.
-
-        ``size=None`` returns a python float and advances the stream; an
-        integer size returns an ndarray.
-        """
-        gen = self.generator
-        if dist == "uniform01":
-            out = gen.random(size)
-        elif dist == "std_normal":
-            out = gen.standard_normal(size)
-        elif dist == "gamma":
-            if shape is None or scale is None:
-                raise DomainError("gamma draws need shape and scale")
-            if not (shape > 0 and scale > 0):
-                raise DomainError(f"gamma parameters must be positive, got shape={shape}, scale={scale}")
-            out = gen.gamma(shape, scale, size)
-        elif dist == "chi_square":
-            if df is None:
-                raise DomainError("chi_square draws need df")
-            if not df > 0:
-                raise DomainError(f"chi_square df must be positive, got {df}")
-            out = gen.chisquare(df, size)
-        else:
-            raise DomainError(f"unknown distribution {dist!r}; expected one of {DISTRIBUTIONS}")
-        if size is None:
-            return float(out)
-        return out
-
-
-def sample(dist: str, stream: RngStream, *, shape: float | None = None,
-           scale: float | None = None, df: float | None = None) -> float:
-    """Single draw from ``dist``, advancing ``stream``."""
-    return stream.draw(dist, None, shape=shape, scale=scale, df=df)

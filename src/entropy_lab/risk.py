@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .estimators import resolve_estimator
-from .model import Loss
+from .model import Loss, batch_suff_stats
 from .numerics import digamma, ln_gamma, trigamma
 from .numerics.rng import RngStream
 
@@ -94,31 +94,25 @@ class SimResult:
         raise KeyError((estimator, eta))
 
     def to_csv(self, path: str | Path) -> None:
-        a1 = "" if self.loss.a1 is None else repr(self.loss.a1)
-        with open(path, "w") as fh:
-            fh.write("n,eta,loss,a1,estimator,risk,stderr,bias,rri\n")
-            for c in self.cells:
-                fh.write(f"{self.n},{c.eta!r},{self.loss.label},{a1},{c.estimator},"
-                         f"{c.risk!r},{c.stderr!r},{c.bias!r},{c.rri!r}\n")
+        Path(path).write_text(risk_csv([self]))
 
 
-def _map_blocks(nblocks: int, fn, threads: int) -> list:
+def risk_csv(results) -> str:
+    """CSV text of the cells of one or more results, header first."""
+    lines = ["n,eta,loss,a1,estimator,risk,stderr,bias,rri\n"]
+    for res in results:
+        a1 = "" if res.loss.a1 is None else repr(res.loss.a1)
+        lines.extend(f"{res.n},{c.eta!r},{res.loss.label},{a1},{c.estimator},"
+                     f"{c.risk!r},{c.stderr!r},{c.bias!r},{c.rri!r}\n" for c in res.cells)
+    return "".join(lines)
+
+
+def map_blocks(nblocks: int, fn, threads: int) -> list:
+    """[fn(0), ..., fn(nblocks - 1)], on ``threads`` worker threads."""
     if threads <= 1:
         return [fn(i) for i in range(nblocks)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, range(nblocks)))
-
-
-def _suff_from_normals(z: np.ndarray, n: int):
-    """Row-wise sufficient statistics of paired standard-normal samples."""
-    x1 = z[:, :n]
-    x2 = z[:, n:]
-    m1 = x1.mean(axis=1)
-    m2 = x2.mean(axis=1)
-    d1 = x1 - m1[:, None]
-    d2 = x2 - m2[:, None]
-    s2 = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", d2, d2)
-    return m1, m2, s2
 
 
 def simulate_risk(cfg: SimConfig) -> SimResult:
@@ -141,7 +135,8 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
         b = min(cfg.block_size, cfg.replications - ib * cfg.block_size)
         gen = RngStream(cfg.master_seed, ib).generator
         z = gen.standard_normal((b, 2 * n))
-        m1, m2, s2 = _suff_from_normals(z, n)
+        m1, m2, ss1, ss2 = batch_suff_stats(z, n)
+        s2 = ss1 + ss2
         lns = 0.5 * np.log(s2)
         s = np.sqrt(s2)
         sum_l = np.zeros((ne, nt))
@@ -170,7 +165,7 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
                 sum_lb[e, t] = (lvals[e] * lb).sum()
         return sum_l, sum_l2, sum_d, sum_d2, sum_lb
 
-    partials = _map_blocks(nblocks, one_block, cfg.threads)
+    partials = map_blocks(nblocks, one_block, cfg.threads)
     sum_l = np.sum([p[0] for p in partials], axis=0)
     sum_l2 = np.sum([p[1] for p in partials], axis=0)
     sum_d = np.sum([p[2] for p in partials], axis=0)
@@ -275,14 +270,15 @@ def gpc_estimate(est1, est2, loss: Loss, n: int, eta: float, reps: int,
         b = min(block_size, reps - ib * block_size)
         gen = RngStream(seed, ib).generator
         z = gen.standard_normal((b, 2 * n))
-        m1, m2, s2 = _suff_from_normals(z, n)
+        m1, m2, ss1, ss2 = batch_suff_stats(z, n)
+        s2 = ss1 + ss2
         lns = 0.5 * np.log(s2)
         w = (m2 - m1 + shift) / np.sqrt(s2)
         l1 = loss.value(fn1(lns, w))
         l2 = loss.value(fn2(lns, w))
         return int((l1 < l2).sum()), int((l1 == l2).sum())
 
-    partials = _map_blocks(nblocks, one_block, threads)
+    partials = map_blocks(nblocks, one_block, threads)
     n_less = sum(p[0] for p in partials)
     n_tie = sum(p[1] for p in partials)
     p = (n_less + 0.5 * n_tie) / reps

@@ -159,6 +159,21 @@ class TestCoverage:
         assert abs(float(gci["cp"]) - 0.95) < 0.05
 
 
+@pytest.mark.parametrize("argv", [
+    ("risk", "--n", "6,8", "--eta-to", "0.5", "--eta-step", "0.5", "--reps", "500",
+     "--loss", "linex", "--a1", "-3", "--seed", "4"),
+    ("coverage", "--methods", "aci,boot-p,boot-t", "--n", "6", "--outer", "50",
+     "--boot-k", "100", "--seed", "4"),
+])
+def test_stdout_matches_out_file(capsys, tmp_path, argv):
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "table.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_text() == printed
+
+
 def _norm_manifest(path: Path) -> dict:
     m = json.loads(path.read_text())
     m.pop("command", None)

@@ -10,6 +10,7 @@ from scipy import stats
 import entropy_lab as el
 from entropy_lab.errors import DomainError
 from entropy_lab.estimators import (
+    _TABLE_CACHE,
     TabulatedEstimator,
     bz_table,
     median_ln_v_eta0,
@@ -257,7 +258,10 @@ class TestEquivariance:
 
 
 class TestScalarVectorAgreement:
-    def test_all_estimators(self, boeing_stats, l1, linex_m3):
+    def test_all_estimators(self, l1, linex_m3):
+        # the single-dataset functions are the rules on a batch of one, so
+        # they equal the rules on a whole block exactly; bz differs only
+        # because the block interpolates the r0 table
         scalar = {
             "baee": el.baee, "umvue": lambda st, loss: el.umvue(st),
             "mle": lambda st, loss: el.mle(st), "rmle": lambda st, loss: el.rmle(st),
@@ -265,12 +269,28 @@ class TestScalarVectorAgreement:
             "improved_rmle": el.improved_rmle, "bz": el.brewster_zidek,
             "pitman": el.pitman_clipped,
         }
+        rng = np.random.default_rng(21)
+        s = rng.uniform(0.2, 40.0, 60)
+        w = np.concatenate([rng.normal(0.0, 0.6, 57), [0.0, 1e-9, -1e-9]])
+        stats_ = [SuffStats(n=6, mean1=0.0, mean2=wv * sv, s2=sv * sv, s=sv, w=wv)
+                  for sv, wv in zip(s, w)]
+        lns = np.array([math.log(sv) for sv in s])
         for loss in (l1, linex_m3):
             for name, fn_scalar in scalar.items():
                 _, fn = resolve_estimator(name, 6, loss)
-                vec = float(fn(np.array(math.log(boeing_stats.s)), np.array(boeing_stats.w)))
-                tol = 2e-6 if name == "bz" else 1e-10  # bz vector path interpolates
-                assert vec == pytest.approx(fn_scalar(boeing_stats, loss), abs=tol), (name, loss)
+                got = [fn_scalar(st, loss) for st in stats_]
+                if name == "bz":
+                    np.testing.assert_allclose(fn(lns, w), got, rtol=0.0, atol=2e-6)
+                else:
+                    assert fn(lns, w).tolist() == got, (name, loss)
+
+    def test_estimate_all_builds_no_table(self, linex_m3):
+        st = el.suff_stats(el.two_sample_data([1.0, 4.0, 2.5, 7.0, 3.0, 9.5, 2.0],
+                                              [2.0, 6.0, 3.5, 8.0, 5.0, 9.0, 4.0]))
+        before = dict(_TABLE_CACHE)
+        bz = next(r.value for r in el.estimate_all(st, linex_m3) if r.kind == "bz")
+        assert _TABLE_CACHE == before
+        assert bz == el.brewster_zidek(st, linex_m3)
 
     def test_unknown_name(self, l1):
         with pytest.raises(DomainError):

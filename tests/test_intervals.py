@@ -102,13 +102,21 @@ class TestBootstrapPair:
         st = el.suff_stats(data)
         gen = RngStream(4, 0).generator
         from entropy_lab.intervals import _bootstrap_log_sigmas
-        etas, _ = _bootstrap_log_sigmas(st, 4000, gen)
+        etas, _ = _bootstrap_log_sigmas(np.array([st.s2]), n, 4000, gen)
         shifted = etas - 0.5 * math.log(st.s2 / (2 * n))  # center at sigma_hat = 1
         assert shifted.mean() < 0.0
 
     def test_k_floor(self, boeing_data):
         with pytest.raises(DomainError):
             el.BootConfig(K=1, seed=0)
+
+    def test_coverage_lengths_equal_exactly(self):
+        # boot-t is boot-p reflected on the same resamples, so the summed
+        # lengths agree to the last bit
+        cfg = el.CoverageConfig(n_grid=(10,), methods=("boot-p", "boot-t"),
+                                outer_reps=128, boot_k=3000, master_seed=12)
+        res = el.coverage_study(cfg)
+        assert res.row("boot-p", 10).al == res.row("boot-t", 10).al
 
     def test_coverage_ordering_smoke(self):
         cfg = el.CoverageConfig(n_grid=(10,), methods=("boot-p", "boot-t"),

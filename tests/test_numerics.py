@@ -22,7 +22,6 @@ from entropy_lab.numerics import (
     ln_gamma,
     reg_inc_beta,
     reg_lower_gamma,
-    sample,
     std_normal_cdf,
     std_normal_quantile,
     student_t_cdf,
@@ -224,53 +223,35 @@ class TestFindRoot:
 
 class TestRngStream:
     def test_bit_identical_replay(self):
-        a = RngStream(1234, 7).draw("std_normal", 1000)
-        b = RngStream(1234, 7).draw("std_normal", 1000)
+        a = RngStream(1234, 7).generator.standard_normal(1000)
+        b = RngStream(1234, 7).generator.standard_normal(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(1234, 7).draw("uniform01", 100)
-        b = RngStream(1234, 8).draw("uniform01", 100)
-        c = RngStream(1235, 7).draw("uniform01", 100)
+        a = RngStream(1234, 7).generator.random(100)
+        b = RngStream(1234, 8).generator.random(100)
+        c = RngStream(1235, 7).generator.random(100)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_scalar_sample_advances(self):
-        s = RngStream(9, 0)
-        x1 = sample("uniform01", s)
-        x2 = sample("uniform01", s)
-        assert x1 != x2
-        s2 = RngStream(9, 0)
-        assert sample("uniform01", s2) == x1
-
     def test_chi_square_moments(self):
-        draws = RngStream(42, 0).draw("chi_square", 1_000_000, df=10)
+        draws = RngStream(42, 0).generator.chisquare(10, 1_000_000)
         assert draws.mean() == pytest.approx(10.0, abs=0.02)
         assert draws.var() == pytest.approx(20.0, abs=0.3)
 
     def test_gamma_moments(self):
-        draws = RngStream(42, 1).draw("gamma", 1_000_000, shape=5.5, scale=2.0)
+        draws = RngStream(42, 1).generator.gamma(5.5, 2.0, 1_000_000)
         assert draws.mean() == pytest.approx(11.0, abs=0.02)
 
     def test_gamma_small_shape(self):
-        draws = RngStream(42, 2).draw("gamma", 200_000, shape=0.3, scale=1.0)
+        draws = RngStream(42, 2).generator.gamma(0.3, 1.0, 200_000)
         assert draws.mean() == pytest.approx(0.3, abs=0.01)
 
     def test_normal_ks(self):
-        draws = RngStream(7, 3).draw("std_normal", 1_000_000)
+        draws = RngStream(7, 3).generator.standard_normal(1_000_000)
         d = stats.kstest(draws, "norm").statistic
         assert d < 0.002
 
     def test_uniform_range(self):
-        u = RngStream(5, 0).draw("uniform01", 10_000)
+        u = RngStream(5, 0).generator.random(10_000)
         assert (u >= 0.0).all() and (u < 1.0).all()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"dist": "gamma", "shape": -1.0, "scale": 2.0},
-        {"dist": "gamma", "shape": 1.0},
-        {"dist": "chi_square", "df": 0.0},
-        {"dist": "nope"},
-    ])
-    def test_invalid_params(self, kwargs):
-        with pytest.raises(DomainError):
-            RngStream(1, 0).draw(**kwargs)
