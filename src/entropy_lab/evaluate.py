@@ -138,7 +138,7 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
             if "gci" in cfg.methods:
                 record("gci", *gci_bounds(lns, n, cfg.level, cfg.gci_draws, stream(_SLOT_GCI)))
             if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
-                pct, stud, _ = boot_bounds(s2, n, cfg.level, cfg.boot_k, stream(_SLOT_BOOT))
+                pct, stud = boot_bounds(s2, n, cfg.level, cfg.boot_k, stream(_SLOT_BOOT))
                 record("boot-p", *pct)
                 record("boot-t", *stud)
             if "hpd" in cfg.methods:

@@ -6,7 +6,10 @@ Fisher information gives Var(ln sigma_hat) = 1/(4n) for the pooled model,
 which fixes both the asymptotic interval and the studentizing constant of
 the bootstrap-t.  The generalized pivot ln(s) - ln(V)/2 with V chi-square
 2(n-1) is exact: its observed value is tau itself, so coverage matches the
-nominal level at every n.
+nominal level at every n.  The parametric bootstrap uses the same law: by
+Cochran's theorem a normal resample's pooled sum of squares is
+sigma_hat^2 times a chi-square with 2(n-1) df, so each resample is one
+chi-square draw.
 
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DomainError
 from .estimators import mle
-from .model import SuffStats, TwoSampleData, batch_suff_stats, suff_stats
+from .model import SuffStats, TwoSampleData, suff_stats
 from .numerics import std_normal_quantile
 from .numerics.rng import RngStream
 
@@ -149,57 +152,46 @@ def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
 
 
 def _bootstrap_log_sigmas(s2: np.ndarray, n: int, K: int,
-                          gen: np.random.Generator) -> tuple[np.ndarray, int]:
+                          gen: np.random.Generator) -> np.ndarray:
     """(B, K) parametric-resample estimates ln(sigma_hat*), K per pooled
-    sum of squares in ``s2``, and the number of redraws.
+    sum of squares in ``s2``.
 
-    Resampling normal data and reducing to the pooled sum of squares only
-    needs the deviations, so means are never added.  Degenerate resamples
-    (zero pooled scatter) are redrawn, at most 10 times.
+    A resample is two normal samples of size n with variance
+    sigma_hat^2 = s2 / (2n), and it enters only through its pooled sum of
+    squares, which by Cochran's theorem is sigma_hat^2 times a chi-square
+    with 2(n-1) df.  So one (B, K) chi-square draw stands for the (B, K, 2n)
+    normal resample; it is positive almost surely.
     """
-    def pooled_ss(shape: tuple) -> np.ndarray:
-        _, _, ss1, ss2 = batch_suff_stats(gen.standard_normal(shape + (2 * n,)), n)
-        return ss1 + ss2
-
-    ssz = pooled_ss((len(s2), K))
-    redraws = 0
-    for _ in range(10):
-        bad = np.nonzero(ssz <= 0.0)
-        if bad[0].size == 0:
-            break
-        redraws += int(bad[0].size)
-        ssz[bad] = pooled_ss((bad[0].size,))
-    else:
-        raise DataError("bootstrap: degenerate resamples persisted after 10 redraws")
+    ssz = gen.chisquare(2 * (n - 1), (len(s2), K))
     sigma_hat2 = s2 / (2.0 * n)
-    return 0.5 * np.log(sigma_hat2[:, None] * ssz / (2.0 * n)), redraws
+    return 0.5 * np.log(sigma_hat2[:, None] * ssz / (2.0 * n))
 
 
 def boot_bounds(s2: np.ndarray, n: int, level: float, K: int, gen: np.random.Generator):
     """Percentile and studentized intervals from one set of K resamples per
-    pooled sum of squares; returns (percentile, studentized, redraws).
+    pooled sum of squares; returns (percentile, studentized).
 
     With the constant standard error 1/(2 sqrt(n)) the studentized interval
     eta_hat - se * [T_(1-alpha/2), T_(alpha/2)] is the percentile interval
     reflected about eta_hat: both have the length q_hi - q_lo, while the
     studentized coverage matches the exact pivot, not the resampling law.
     """
-    etas, redraws = _bootstrap_log_sigmas(s2, n, K, gen)
+    etas = _bootstrap_log_sigmas(s2, n, K, gen)
     alpha = 1.0 - level
     q_lo, q_hi = np.quantile(etas, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
     length = q_hi - q_lo
     eta_hat = 0.5 * np.log(s2 / (2.0 * n))
     lower_t = 2.0 * eta_hat - q_hi
-    return (q_lo, q_hi, length), (lower_t, lower_t + length, length), redraws
+    return (q_lo, q_hi, length), (lower_t, lower_t + length, length)
 
 
 def _boot(data: TwoSampleData, level: float,
           cfg: BootConfig) -> tuple[IntervalResult, IntervalResult]:
     level = _check_level(level)
     st = suff_stats(data)
-    pct, stud, redraws = boot_bounds(np.array([st.s2]), st.n, level, cfg.K,
-                                     RngStream(cfg.seed, 0).generator)
-    diag = {"K": cfg.K, "redraws": redraws}
+    pct, stud = boot_bounds(np.array([st.s2]), st.n, level, cfg.K,
+                            RngStream(cfg.seed, 0).generator)
+    diag = {"K": cfg.K}
     return (_result("boot-p", level, pct, diag),
             _result("boot-t", level, stud, {**diag, "se": 0.5 / math.sqrt(st.n)}))
 
