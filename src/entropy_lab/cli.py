@@ -21,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .datasets import boeing
 from .errors import DataError, EntropyLabError
@@ -67,6 +69,7 @@ def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
         "config": config,
         "master_seed": seed,
         "library_version": __version__,
+        "numpy_version": np.__version__,
         "timestamp": _timestamp(),
         "outputs": outputs,
     }

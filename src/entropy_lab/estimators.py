@@ -42,6 +42,7 @@ from .model import Loss, SuffStats, d0, entropy_of_log_sigma, m0
 from .numerics import (
     adaptive_quad,
     chi_square_quantile,
+    cumulative_J,
     digamma,
     find_root,
     integrate_J,
@@ -72,6 +73,22 @@ def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
 # density of S^2 and is kept as an independent cross-check.
 
 
+def _r0_closed_form(n: int, loss: Loss, J: Callable[[float, int], np.ndarray]):
+    """r0 from the kernel integrals.  ``J(a, k)`` returns J_k(a, y) at the
+    points wanted, a number or an array, so one closed form serves a single
+    |W| and a whole grid."""
+    a = n - 0.5
+    if loss.kind == "squared_error":
+        return -0.5 * (digamma(a) + math.log(4.0) - J(a, 1) / J(a, 0))
+    a1 = loss.a1
+    a_shift = a + 0.5 * a1
+    if a_shift <= 0.0:
+        raise DomainError(f"linex r0 needs (2n - 1 + a1)/2 > 0 (n={n}, a1={a1})")
+    num = ln_gamma(a) + np.log(J(a, 0))
+    den = 0.5 * a1 * math.log(4.0) + ln_gamma(a_shift) + np.log(J(a_shift, 0))
+    return (num - den) / a1
+
+
 def bz_r0(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Smooth shrinkage shift at |W| = absw; continuous limits m0 at 0 and
     d0 at infinity."""
@@ -82,19 +99,8 @@ def bz_r0(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> flo
         raise DomainError(f"need n >= 2, got {n}")
     if absw == 0.0:
         return m0(loss, n)
-    a = n - 0.5
     y = n * absw * absw
-    if loss.kind == "squared_error":
-        j0 = integrate_J(a, y, 0, spec)
-        j1 = integrate_J(a, y, 1, spec)
-        return -0.5 * (digamma(a) + math.log(4.0) - j1 / j0)
-    a1 = loss.a1
-    a_shift = a + 0.5 * a1
-    if a_shift <= 0.0:
-        raise DomainError(f"linex r0 needs (2n - 1 + a1)/2 > 0 (n={n}, a1={a1})")
-    num = ln_gamma(a) + math.log(integrate_J(a, y, 0, spec))
-    den = 0.5 * a1 * math.log(4.0) + ln_gamma(a_shift) + math.log(integrate_J(a_shift, y, 0, spec))
-    return (num - den) / a1
+    return float(_r0_closed_form(n, loss, lambda a, k: integrate_J(a, y, k, spec)))
 
 
 def bz_r0_defining(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
@@ -137,8 +143,12 @@ class BzTable:
 
     The grid is uniform in ln(1 + n w^2) out to y_cap, where r0 has
     saturated at d0 to well below Monte Carlo resolution; larger |w| clamp
-    to the last node.  Linear interpolation error on the default grid is
-    below 1e-7, negligible against simulation noise.
+    to the last node.  The node values are the closed form of
+    :func:`bz_r0` on kernel integrals from one cumulative quadrature pass
+    over the grid.  Linear interpolation error on the default grid,
+    measured at grid midpoints, grows with n: about 4e-7 at n = 3, 1.2e-6 at
+    n = 8 and 5.4e-6 at n = 26, far below Monte Carlo standard errors
+    (about 3e-4).
     """
 
     def __init__(self, n: int, loss: Loss, points: int = 800, y_cap: float = 1600.0):
@@ -148,10 +158,10 @@ class BzTable:
         self.loss = loss
         x = np.linspace(0.0, math.log1p(y_cap), points)
         y = np.expm1(x)
+        u = np.sqrt(y)
         vals = np.empty(points)
         vals[0] = m0(loss, n)
-        for i in range(1, points):
-            vals[i] = bz_r0(math.sqrt(y[i] / n), n, loss)
+        vals[1:] = _r0_closed_form(n, loss, lambda a, k: cumulative_J(a, u, k)[1:])
         self._x = x
         self._vals = vals
         self.absw_grid = np.sqrt(y / n)

@@ -1,7 +1,7 @@
 """Self-contained numerics: special functions, quadrature, root finding,
 and deterministic random streams."""
 
-from .quadrature import DEFAULT_QUAD, QuadSpec, adaptive_quad, integrate_J
+from .quadrature import DEFAULT_QUAD, QuadSpec, adaptive_quad, cumulative_J, integrate_J
 from .rng import RngStream
 from .roots import find_root
 from .special import (
@@ -30,6 +30,7 @@ __all__ = [
     "adaptive_quad",
     "chi_square_cdf",
     "chi_square_quantile",
+    "cumulative_J",
     "digamma",
     "f_cdf",
     "find_root",

@@ -7,7 +7,8 @@ The kernel integral is
 
 The endpoint singularity t^(-1/2) is removed exactly by substituting
 t = u^2, which turns the integrand into 2 (2 + u^2)^(-a) [ln(2 + u^2)]^k on
-[0, sqrt(y)].
+[0, sqrt(y)].  :func:`cumulative_J` gives J at every node of a grid in u
+from one vectorized Gauss-Kronrod pass over the consecutive intervals.
 """
 
 from __future__ import annotations
@@ -105,17 +106,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         f"{spec.max_subdivisions} subdivisions (value {total:.6e})")
 
 
-def integrate_J(a: float, y: float, log_power: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """J_k(a, y) with k = log_power; y may be math.inf when a > 1/2."""
-    if log_power not in (0, 1):
-        raise DomainError(f"log_power must be 0 or 1, got {log_power!r}")
-    a = float(a)
-    y = float(y)
-    if y < 0.0 or math.isnan(y):
-        raise DomainError(f"integrate_J needs y >= 0, got {y!r}")
-    if y == 0.0:
-        return 0.0
-
+def _kernel(a: float, log_power: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrand 2 (2 + u^2)^(-a) [ln(2 + u^2)]^k of J_k in u = sqrt(t)."""
     if log_power == 0:
         def g(u: np.ndarray) -> np.ndarray:
             return 2.0 * (2.0 + u * u) ** (-a)
@@ -123,13 +115,94 @@ def integrate_J(a: float, y: float, log_power: int, spec: QuadSpec = DEFAULT_QUA
         def g(u: np.ndarray) -> np.ndarray:
             q = 2.0 + u * u
             return 2.0 * q ** (-a) * np.log(q)
+    return g
+
+
+def _gk_intervals(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                  panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15 integral and summed |K15 - G7| bound of f over each [lo_i, hi_i],
+    split into panels_i equal panels, all evaluated as one array."""
+    first = np.cumsum(panels) - panels                  # first panel of each interval
+    owner = np.repeat(np.arange(len(lo)), panels)
+    k = np.arange(len(owner)) - first[owner]            # panel index within its interval
+    width = ((hi - lo) / panels)[owner]
+    half = 0.5 * width
+    mid = lo[owner] + (k + 0.5) * width
+    fx = f(mid[:, None] + half[:, None] * _NODES)
+    ik = half * (fx @ _WEIGHTS_K)
+    ig = half * (fx @ _WEIGHTS_G)
+    return np.add.reduceat(ik, first), np.add.reduceat(np.abs(ik - ig), first)
+
+
+def _check_log_power(log_power: int) -> None:
+    if log_power not in (0, 1):
+        raise DomainError(f"log_power must be 0 or 1, got {log_power!r}")
+
+
+def cumulative_J(a: float, u: np.ndarray, log_power: int,
+                 spec: QuadSpec = DEFAULT_QUAD) -> np.ndarray:
+    """J_k(a, u_i^2) at every node of the ascending array u, u[0] = 0.
+
+    The K15 rule runs on all intervals [u_i, u_(i+1)] at once and a cumsum
+    gives J.  The summed |K15 - G7| bound up to each node must be at most
+    spec.rel_tol times J there; error control is relative only, so it holds
+    however small J is (spec.abs_tol is not used).  While it fails, every
+    interval up to the last failing node whose own bound exceeds rel_tol / 2
+    times its own integral is split into twice as many equal panels; an
+    interval that would need more than spec.max_subdivisions + 1 panels
+    raises NumericError.
+    """
+    _check_log_power(log_power)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or len(u) == 0 or u[0] != 0.0:
+        raise DomainError("cumulative_J needs a 1-d array of nodes starting at 0")
+    if not (np.isfinite(u[-1]) and (np.diff(u) >= 0.0).all()):
+        raise DomainError("cumulative_J needs finite ascending nodes")
+    g = _kernel(float(a), log_power)
+    lo, hi = u[:-1], u[1:]
+    panels = np.ones(len(lo), dtype=np.int64)
+    ik = np.zeros(len(lo))
+    err = np.zeros(len(lo))
+    todo = np.arange(len(lo))
+    while True:
+        if len(todo):
+            ik[todo], err[todo] = _gk_intervals(g, lo[todo], hi[todo], panels[todo])
+        J = np.concatenate(([0.0], np.cumsum(ik)))
+        if not math.isfinite(J[-1]):
+            raise NumericError(f"cumulative_J: integrand not finite on the nodes (a={a})")
+        failing = np.flatnonzero(np.cumsum(err) > spec.rel_tol * J[1:])
+        if len(failing) == 0:
+            return J
+        # ik >= 0, so a node that fails has an interval before it whose own
+        # bound exceeds rel_tol times its own integral; half of rel_tol leaves
+        # a margin that rounding in the cumsums cannot close
+        head = failing[-1] + 1
+        todo = np.flatnonzero(err[:head] > 0.5 * spec.rel_tol * ik[:head])
+        panels[todo] *= 2
+        if panels[todo].max() > spec.max_subdivisions + 1:
+            i = int(failing[0])
+            raise NumericError(
+                f"cumulative_J: error {np.sum(err[:i + 1]):.3e} above tolerance at "
+                f"u = {u[i + 1]:.6g} after {spec.max_subdivisions} subdivisions "
+                f"(value {J[i + 1]:.6e})")
+
+
+def integrate_J(a: float, y: float, log_power: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
+    """J_k(a, y) with k = log_power; y may be math.inf when a > 1/2."""
+    _check_log_power(log_power)
+    a = float(a)
+    y = float(y)
+    if y < 0.0 or math.isnan(y):
+        raise DomainError(f"integrate_J needs y >= 0, got {y!r}")
+    if y == 0.0:
+        return 0.0
 
     if math.isinf(y):
         if a <= 0.5:
             raise DomainError(f"J_k(a, inf) diverges for a <= 1/2 (a={a})")
         # split at u = 1; map the tail through u = 1/t onto (0, 1], written in
         # the overflow-free form (2 + 1/t^2)^(-a)/t^2 = t^(2a-2) (1 + 2t^2)^(-a)
-        head = adaptive_quad(g, 0.0, 1.0, spec)
+        head = adaptive_quad(_kernel(a, log_power), 0.0, 1.0, spec)
 
         def g_tail(t: np.ndarray) -> np.ndarray:
             base = 2.0 * t ** (2.0 * a - 2.0) * (1.0 + 2.0 * t * t) ** (-a)
@@ -148,4 +221,4 @@ def integrate_J(a: float, y: float, log_power: int, spec: QuadSpec = DEFAULT_QUA
         cuts.append(scale)
         scale *= 10.0
     cuts.append(upper)
-    return sum(adaptive_quad(g, a_, b_, spec) for a_, b_ in zip(cuts, cuts[1:]))
+    return float(cumulative_J(a, np.array(cuts), log_power, spec)[-1])

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entropy_lab.cli import main
@@ -90,6 +91,7 @@ class TestEstimate:
         assert len(rows) == 9
         manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out)]
+        assert manifest["numpy_version"] == np.__version__
 
 
 class TestCi:

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 import entropy_lab as el
+from entropy_lab import estimators
 from entropy_lab.errors import DomainError
 from entropy_lab.estimators import (
     _TABLE_CACHE,
@@ -18,6 +19,7 @@ from entropy_lab.estimators import (
     window_mass_ratio,
 )
 from entropy_lab.model import SuffStats
+from entropy_lab.numerics import quadrature
 
 # frozen from the verified closed forms / defining equations
 BOEING_LNS = 5.8289326416632868
@@ -161,6 +163,77 @@ class TestSmoothShrinkageSolver:
         head = out.read_text().splitlines()
         assert head[0] == "absw,r0"
         assert len(head) == 801
+
+
+def _r0_oracle(absw, n, loss):
+    """r0 from kernel integrals by scipy quad under a purely relative
+    tolerance, with scipy's digamma and log-gamma."""
+    y = n * absw * absw
+
+    def J(a, k):
+        f = lambda u: 2.0 * (2.0 + u * u) ** (-a) * math.log(2.0 + u * u) ** k
+        val, _ = integrate.quad(f, 0.0, math.sqrt(y), epsabs=0.0, epsrel=1e-13, limit=200)
+        return val
+
+    a = n - 0.5
+    if loss.kind == "squared_error":
+        return -0.5 * (special.digamma(a) + math.log(4.0) - J(a, 1) / J(a, 0))
+    a1 = loss.a1
+    a_shift = a + 0.5 * a1
+    return (special.gammaln(a) + math.log(J(a, 0)) - 0.5 * a1 * math.log(4.0)
+            - special.gammaln(a_shift) - math.log(J(a_shift, 0))) / a1
+
+
+TABLE_LOSSES = [el.Loss.squared_error(), el.Loss.linex(-3.0), el.Loss.linex(1.0)]
+
+
+class TestBzTable:
+    @pytest.mark.parametrize("n", [21, 26, 40])
+    def test_bz_r0_against_relative_tolerance_oracle(self, n):
+        # an absolute tolerance on J ~ 2^-a loses digits once n is large
+        for loss in TABLE_LOSSES:
+            for y in (0.3, 3.0, 30.0, 50.0, 100.0, 1000.0):
+                absw = math.sqrt(y / n)
+                assert el.bz_r0(absw, n, loss) == pytest.approx(
+                    _r0_oracle(absw, n, loss), abs=1e-12), (loss, y)
+
+    # linex(-3) r0 needs n >= 3
+    @pytest.mark.parametrize("n,loss", [(n, loss) for n in (2, 6, 8, 15, 26)
+                                        for loss in TABLE_LOSSES if n >= 3 or loss.a1 != -3.0])
+    def test_every_node_equals_bz_r0(self, n, loss):
+        tab = bz_table(n, loss)
+        want = [el.bz_r0(w, n, loss) for w in tab.absw_grid]
+        np.testing.assert_allclose(tab(tab.absw_grid), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 26])
+    def test_nodes_match_defining_equation(self, n, l1, linex_m3):
+        for loss in (l1, linex_m3):
+            tab = bz_table(n, loss)
+            for i in (40, 300, 560):
+                w = float(tab.absw_grid[i])
+                assert float(tab(np.array(w))) == pytest.approx(
+                    el.bz_r0_defining(w, n, loss), abs=1e-7)
+
+    def test_midpoint_interpolation_error(self, l1, linex_m3):
+        n = 26
+        for loss in (l1, linex_m3):
+            tab = bz_table(n, loss)
+            y = np.square(tab.absw_grid) * n
+            mid = np.sqrt(np.expm1(0.5 * (np.log1p(y[:-1]) + np.log1p(y[1:]))) / n)
+            exact = np.array([el.bz_r0(w, n, loss) for w in mid])
+            assert np.max(np.abs(tab(mid) - exact)) <= 1e-5
+
+    def test_build_runs_no_adaptive_quadrature(self, l1, monkeypatch):
+        calls = []
+        adaptive_quad = quadrature.adaptive_quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", counting)
+        estimators.BzTable(8, l1)
+        assert calls == []
 
 
 class TestIerdChecker:

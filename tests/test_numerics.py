@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from entropy_lab.errors import BracketError, DomainError
+from entropy_lab.errors import BracketError, DomainError, NumericError
 from entropy_lab.numerics import (
     EULER_GAMMA,
     QuadSpec,
@@ -14,6 +14,7 @@ from entropy_lab.numerics import (
     adaptive_quad,
     chi_square_cdf,
     chi_square_quantile,
+    cumulative_J,
     digamma,
     f_cdf,
     find_root,
@@ -196,6 +197,38 @@ class TestQuadrature:
             integrate_J(5.5, -1.0, 0)
         with pytest.raises(DomainError):
             integrate_J(5.5, 1.0, 2)
+
+    @pytest.mark.parametrize("a,k", [(5.5, 0), (5.5, 1), (25.5, 0), (1.5, 1)])
+    def test_cumulative_j_against_oracle_at_every_node(self, a, k):
+        u = np.concatenate(([0.0], np.geomspace(1e-3, 40.0, 60)))
+        vals = cumulative_J(a, u, k)
+        assert vals[0] == 0.0
+        for ui, v in zip(u[1:], vals[1:]):
+            assert v == pytest.approx(_j_oracle(a, ui * ui, k), rel=1e-10)
+
+    def test_cumulative_j_repeated_node(self):
+        vals = cumulative_J(5.5, np.array([0.0, 0.5, 0.5, 2.0]), 0)
+        assert vals[1] == vals[2]
+
+    def test_cumulative_j_unmeetable_spec(self):
+        spec = QuadSpec(rel_tol=1e-20, abs_tol=1e-300, max_subdivisions=1)
+        with pytest.raises(NumericError):
+            cumulative_J(5.5, np.linspace(0.0, 3.0, 20), 0, spec)
+        with pytest.raises(NumericError):
+            integrate_J(5.5, 4.0, 0, spec)
+
+    def test_cumulative_j_non_finite_integrand(self):
+        for a in (math.nan, -400.0):  # (2 + u^2)^400 overflows at u = 1000
+            with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+                cumulative_J(a, np.array([0.0, 1.0, 1000.0]), 0)
+
+    def test_cumulative_j_bad_nodes(self):
+        for u in (np.array([0.1, 1.0]), np.array([0.0, 2.0, 1.0]), np.array([]),
+                  np.array([0.0, math.inf]), np.zeros((2, 2))):
+            with pytest.raises(DomainError):
+                cumulative_J(5.5, u, 0)
+        with pytest.raises(DomainError):
+            cumulative_J(5.5, np.array([0.0, 1.0]), 2)
 
     def test_quadspec_validation(self):
         with pytest.raises(DomainError):
