@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -32,7 +33,18 @@ from .intervals import BootConfig, McmcConfig, aci, boot_p, boot_t, gci_umvue, h
 from .model import Loss, TwoSampleData, load_paired_csv, load_samples, suff_stats, two_sample_data
 from .risk import DEFAULT_ESTIMATORS, SimConfig, risk_csv, simulate_risk
 
-_PAPER_RISK_N = (8, 15, 21, 26)
+# Campaign sizes of ``reproduce``; ``risk``/``coverage --paper-scale`` take
+# their part of the paper row.  ``pivot_draws`` sizes the Boeing gci interval.
+_SCALES = {
+    "desk": {"risk_n": (8, 15), "rmle_n": (5, 8), "reps": 20_000, "eta_step": 0.5,
+             "pivot_draws": 10_000, "coverage_n": (10, 20),
+             "coverage": {"outer_reps": 600, "gci_draws": 800, "boot_k": 400,
+                          "mcmc_n": 1_200, "mcmc_burnin": 300}},
+    "paper": {"risk_n": (8, 15, 21, 26), "rmle_n": (5, 8, 12, 18), "reps": 70_000,
+              "eta_step": 0.25, "pivot_draws": 100_000, "coverage_n": (10, 20, 40),
+              "coverage": {"outer_reps": 30_000, "gci_draws": 10_000, "boot_k": 3_000,
+                           "mcmc_n": 10_000, "mcmc_burnin": 2_000}},
+}
 _ALL_LOSSES = (Loss.squared_error(), Loss.linex(-3.0), Loss.linex(-2.0), Loss.linex(2.0),
                Loss.linex(4.0))
 
@@ -113,6 +125,12 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _eta_grid(start: float, stop: float, step: float) -> tuple:
+    """start, start + step, ... up to stop inclusive, rounded to 10 places."""
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    return tuple(round(start + step * i, 10) for i in range(count))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -144,9 +162,9 @@ def _cmd_estimate(args, argv) -> int:
 
 def _cmd_risk(args, argv) -> int:
     if args.paper_scale:
-        n_values = _int_list(args.n) if args.n else list(_PAPER_RISK_N)
-        reps = 70_000
-        step = 0.25
+        paper = _SCALES["paper"]
+        n_values = _int_list(args.n) if args.n else list(paper["risk_n"])
+        reps, step = paper["reps"], paper["eta_step"]
     else:
         if not args.n:
             raise _UsageError("risk: --n is required (or use --paper-scale)")
@@ -156,11 +174,7 @@ def _cmd_risk(args, argv) -> int:
     if step <= 0 or args.eta_to < args.eta_from:
         raise _UsageError("risk: invalid eta grid")
     seed = _resolve_seed(args)
-    etas = []
-    e = args.eta_from
-    while e <= args.eta_to + 1e-12:
-        etas.append(round(e, 10))
-        e += step
+    etas = list(_eta_grid(args.eta_from, args.eta_to, step))
     loss = _loss_from(args)
     estimators = tuple(args.estimators.split(",")) if args.estimators else DEFAULT_ESTIMATORS
     results = [simulate_risk(SimConfig(n=n, eta_grid=tuple(etas), loss=loss, replications=reps,
@@ -199,19 +213,14 @@ def _cmd_ci(args, argv) -> int:
 def _cmd_coverage(args, argv) -> int:
     seed = _resolve_seed(args)
     if args.paper_scale:
-        outer, gci_draws, boot_k, mcmc_n = 30_000, 10_000, 3_000, 10_000
-        mcmc_burnin = 2_000
+        sizes = _SCALES["paper"]["coverage"]
     else:
-        outer, gci_draws, boot_k = args.outer, args.gci_draws, args.boot_k
-        mcmc_n, mcmc_burnin = args.mcmc_n, args.mcmc_burnin
-    cfg = CoverageConfig(
-        n_grid=tuple(_int_list(args.n)),
-        methods=tuple(args.methods.split(",")),
-        outer_reps=outer, level=args.level, master_seed=seed,
-        gci_draws=gci_draws, boot_k=boot_k, mcmc_n=mcmc_n,
-        mcmc_burnin=mcmc_burnin, threads=args.threads)
+        sizes = {"outer_reps": args.outer, "gci_draws": args.gci_draws, "boot_k": args.boot_k,
+                 "mcmc_n": args.mcmc_n, "mcmc_burnin": args.mcmc_burnin}
+    cfg = CoverageConfig(n_grid=tuple(_int_list(args.n)), methods=tuple(args.methods.split(",")),
+                         level=args.level, master_seed=seed, threads=args.threads, **sizes)
     _write_output(args, argv, coverage_study(cfg).csv_text(),
-                  {"command": "coverage", "outer": outer, "n": list(cfg.n_grid),
+                  {"command": "coverage", "outer": cfg.outer_reps, "n": list(cfg.n_grid),
                    "methods": list(cfg.methods), "level": args.level}, seed)
     return 0
 
@@ -264,7 +273,8 @@ def _cmd_reproduce(args, argv) -> int:
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
-    paper = args.paper_scale
+    scale_name = "paper" if args.paper_scale else "desk"
+    scale = _SCALES[scale_name]
 
     # point estimates on the built-in dataset
     st = suff_stats(boeing())
@@ -282,7 +292,7 @@ def _cmd_reproduce(args, argv) -> int:
     level = 0.95
     results = [
         aci(data, level),
-        gci_umvue(st, level, draws=100_000 if paper else 10_000, seed=seed + 1),
+        gci_umvue(st, level, draws=scale["pivot_draws"], seed=seed + 1),
         boot_p(data, level, BootConfig(K=3000, seed=seed + 2)),
         boot_t(data, level, BootConfig(K=3000, seed=seed + 2)),
         hpd_mcmc(data, level, McmcConfig(N=12_000, N0=2_000, seed=seed + 3)),
@@ -298,39 +308,28 @@ def _cmd_reproduce(args, argv) -> int:
     outputs.append(str(path))
 
     # risk / RRI tables
-    risk_n = _PAPER_RISK_N if paper else (8, 15)
-    reps = 70_000 if paper else 20_000
-    step = 0.25 if paper else 0.5
-    etas = tuple(round(0.0 + step * i, 10) for i in range(int(5.0 / step) + 1))
+    etas = _eta_grid(0.0, 5.0, scale["eta_step"])
     for label, loss in (("l1", Loss.squared_error()), ("linex_am3", Loss.linex(-3.0))):
         path = tables / f"risk_rri_{label}.csv"
         path.write_text(risk_csv([
-            simulate_risk(SimConfig(n=n, eta_grid=etas, loss=loss, replications=reps,
+            simulate_risk(SimConfig(n=n, eta_grid=etas, loss=loss, replications=scale["reps"],
                                     master_seed=seed + 10, threads=args.threads))
-            for n in risk_n]))
+            for n in scale["risk_n"]]))
         outputs.append(str(path))
 
     # restricted-MLE improvement relative to the MLE
     path = tables / "rmle_rri_l1.csv"
     path.write_text(risk_csv([
         simulate_risk(SimConfig(n=n, eta_grid=etas, loss=Loss.squared_error(),
-                                replications=reps, master_seed=seed + 20,
+                                replications=scale["reps"], master_seed=seed + 20,
                                 estimators=("mle", "rmle"), baseline="mle",
                                 threads=args.threads))
-        for n in ((5, 8, 12, 18) if paper else (5, 8))]))
+        for n in scale["rmle_n"]]))
     outputs.append(str(path))
 
     # coverage study
-    cov_cfg = CoverageConfig(
-        n_grid=(10, 20, 40) if paper else (10, 20),
-        methods=COVERAGE_METHODS,
-        outer_reps=30_000 if paper else 600,
-        level=0.95, master_seed=seed + 30,
-        gci_draws=10_000 if paper else 800,
-        boot_k=3_000 if paper else 400,
-        mcmc_n=10_000 if paper else 1_200,
-        mcmc_burnin=2_000 if paper else 300,
-        threads=args.threads)
+    cov_cfg = CoverageConfig(n_grid=scale["coverage_n"], methods=COVERAGE_METHODS, level=0.95,
+                             master_seed=seed + 30, threads=args.threads, **scale["coverage"])
     path = tables / "coverage.csv"
     coverage_study(cov_cfg).to_csv(path)
     outputs.append(str(path))
@@ -340,7 +339,7 @@ def _cmd_reproduce(args, argv) -> int:
     outputs.append(str(disc))
 
     _write_manifest(out_dir / "manifest.json", argv,
-                    {"command": "reproduce", "scale": "paper" if paper else "desk",
+                    {"command": "reproduce", "scale": scale_name,
                      "threads": args.threads}, seed, outputs)
     print(f"wrote {len(outputs) + 1} files under {out_dir}")
     return 0

@@ -89,6 +89,12 @@ def _r0_closed_form(n: int, loss: Loss, J: Callable[[float, int], np.ndarray]):
     return (num - den) / a1
 
 
+def _r0_on_nodes(n: int, loss: Loss, u: np.ndarray) -> np.ndarray:
+    """r0 at |W| = u_i / sqrt(n) for the nodes u[1:] of an ascending u with
+    u[0] = 0, from one cumulative quadrature pass."""
+    return _r0_closed_form(n, loss, lambda a, k: cumulative_J(a, u, k)[1:])
+
+
 def bz_r0(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Smooth shrinkage shift at |W| = absw; continuous limits m0 at 0 and
     d0 at infinity."""
@@ -158,12 +164,8 @@ class BzTable:
         self.loss = loss
         x = np.linspace(0.0, math.log1p(y_cap), points)
         y = np.expm1(x)
-        u = np.sqrt(y)
-        vals = np.empty(points)
-        vals[0] = m0(loss, n)
-        vals[1:] = _r0_closed_form(n, loss, lambda a, k: cumulative_J(a, u, k)[1:])
         self._x = x
-        self._vals = vals
+        self._vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
         self.absw_grid = np.sqrt(y / n)
 
     def __call__(self, absw: np.ndarray) -> np.ndarray:
@@ -377,8 +379,9 @@ def resolve_estimator(spec, n: int, loss: Loss) -> tuple[str, VectorFn]:
 @dataclass(frozen=True)
 class IerdReport:
     """Outcome of the three sufficient conditions for risk dominance of an
-    additive rule phi(y), y = w^2: monotonicity, the correct limit d0, and
-    pointwise domination of the smooth-shrinkage floor."""
+    additive rule phi(y), y = n w^2: monotonicity, the correct limit d0, and
+    pointwise domination of the smooth-shrinkage floor r0(sqrt(y / n)).
+    (The grid of :class:`TabulatedEstimator` is in w^2, not n w^2.)"""
 
     monotone: bool
     limit_ok: bool
@@ -406,7 +409,7 @@ def ierd_check(y_grid: Sequence[float], phi_values: Sequence[float], loss: Loss,
         raise DomainError("ierd_check grid must cover positive y only")
     monotone = bool((np.diff(phi) >= -slack).all())
     limit_ok = bool(abs(phi[-1] - d0(loss, n)) <= limit_tol)
-    floor = np.array([bz_r0(math.sqrt(yv / n), n, loss) for yv in y])
+    floor = _r0_on_nodes(n, loss, np.concatenate(([0.0], np.sqrt(y))))
     dominates = bool((phi >= floor - slack).all())
     return IerdReport(monotone=monotone, limit_ok=limit_ok, dominates=dominates)
 

@@ -2,7 +2,9 @@
 the data-screening tests (normality, equal variances, mean ordering).
 
 The study draws outer replications at mu1 = mu2 = 0 and the configured
-sigma, applies each requested interval method with its own deterministic
+sigma as (xbar_1, xbar_2, SS_1, SS_2) from their exact law
+(:func:`model.draw_suff_stats`), since no interval uses more of the data,
+applies each requested interval method with its own deterministic
 substream, and reports coverage probability (CP), average length (AL), and
 their ratio PCD = CP / AL.  Blocks of outer replications are the unit of
 parallelism; stream indices encode (sample-size slot, block, method slot),
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .intervals import (
     gci_bounds,
     run_variance_chains,
 )
-from .model import batch_suff_stats
+from .model import draw_suff_stats
 from .numerics import f_cdf, kolmogorov_sf, std_normal_cdf, student_t_cdf
 from .numerics.rng import RngStream
 from .risk import map_blocks
@@ -48,8 +51,8 @@ class CoverageConfig:
     boot_k: int = 1000
     mcmc_n: int = 2500
     mcmc_burnin: int = 500
-    block_size: int = 256
     threads: int = 1
+    block_size: ClassVar[int] = 256  # fixed: the block index keys the streams
 
     def __post_init__(self) -> None:
         if self.outer_reps < 1:
@@ -118,8 +121,7 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
                 return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
 
             b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
-            m1, m2, ss1, ss2 = batch_suff_stats(
-                cfg.sigma * stream(_SLOT_DATA).standard_normal((b, 2 * n)), n)
+            m1, m2, ss1, ss2 = draw_suff_stats(stream(_SLOT_DATA), b, n, cfg.sigma)
             s2 = ss1 + ss2
             lns = 0.5 * np.log(s2)
             container: dict[str, tuple[int, float, int]] = {}

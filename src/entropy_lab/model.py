@@ -105,17 +105,16 @@ def suff_stats(data: TwoSampleData) -> SuffStats:
     return SuffStats(n=n, mean1=mean1, mean2=mean2, s2=ss, s=s, w=(mean2 - mean1) / s)
 
 
-def batch_suff_stats(z: np.ndarray, n: int):
-    """Sufficient reduction of paired samples laid out along the last axis
-    (sample 1, then sample 2, n values each): the two means and the two
-    within-sample sums of squares, one per leading index."""
-    x1 = z[..., :n]
-    x2 = z[..., n:]
-    m1 = x1.mean(axis=-1)
-    m2 = x2.mean(axis=-1)
-    d1 = x1 - m1[..., None]
-    d2 = x2 - m2[..., None]
-    return m1, m2, np.einsum("...j,...j->...", d1, d1), np.einsum("...j,...j->...", d2, d2)
+def draw_suff_stats(gen: np.random.Generator, b: int, n: int, sigma: float = 1.0):
+    """b replications of (xbar_1, xbar_2, SS_1, SS_2) for two samples of
+    size n from N(0, sigma^2), drawn from their exact joint law: the four are
+    independent, xbar_i ~ N(0, sigma^2/n) and SS_i ~ sigma^2 chi-square(n-1)
+    (Cochran 1934)."""
+    sd = sigma / math.sqrt(n)
+    m1 = sd * gen.standard_normal(b)
+    m2 = sd * gen.standard_normal(b)
+    ss1, ss2 = sigma * sigma * gen.chisquare(n - 1, (2, b))
+    return m1, m2, ss1, ss2
 
 
 # ---------------------------------------------------------------------------

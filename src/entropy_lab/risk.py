@@ -2,12 +2,14 @@
 generalized Pitman closeness, plus the closed-form references for the
 equivariant baseline.
 
-Replications are processed in fixed-size blocks.  Block ``i`` draws from the
-counter-based stream ``(master_seed, i)`` and partial sums are folded in
-block order, so results are bit-identical for any worker count.  Within a
-replication every estimator sees the same data (common random numbers), and
-because the pooled sum of squares is invariant to shifting one sample, the
-same standard normal draws serve every point on the eta grid: only W moves.
+A replication enters only through (xbar_1, xbar_2, SS_1, SS_2), so it is
+drawn as those four from their exact law (:func:`model.draw_suff_stats`).
+Replications are processed in blocks of ``BLOCK_SIZE``.  Block ``i`` draws
+from the counter-based stream ``(master_seed, i)`` and partial sums are
+folded in block order, so results are bit-identical for any worker count.
+Within a replication every estimator sees the same data (common random
+numbers), and one draw of (xbar_2 - xbar_1, S^2) serves every point on the
+eta grid: eta only shifts the mean difference, so only W moves.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .estimators import resolve_estimator
-from .model import Loss, batch_suff_stats
+from .model import Loss, draw_suff_stats
 from .numerics import digamma, ln_gamma, trigamma
 from .numerics.rng import RngStream
 
 DEFAULT_ESTIMATORS = ("baee", "umvue", "mle", "rmle", "stein",
                       "improved_mle", "improved_rmle", "bz")
+
+BLOCK_SIZE = 16_384  # fixed: block i draws from stream (seed, i)
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class SimConfig:
     master_seed: int = 0
     estimators: tuple = DEFAULT_ESTIMATORS
     baseline: str = "baee"
-    block_size: int = 16_384
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -55,8 +58,6 @@ class SimConfig:
             raise DomainError("need at least one replication")
         if any(e < 0 for e in self.eta_grid):
             raise DomainError("eta values must be >= 0 under the mean ordering")
-        if self.block_size < 1:
-            raise DomainError("block_size must be positive")
         if self.baseline not in tuple(_name_of(e) for e in self.estimators):
             raise DomainError(f"baseline {self.baseline!r} must be among the estimators")
 
@@ -123,80 +124,48 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
     """
     n = cfg.n
     etas = tuple(float(e) for e in cfg.eta_grid)
-    resolved = [resolve_estimator(e, n, cfg.loss) for e in cfg.estimators]
-    names = [nm for nm, _ in resolved]
-    fns = [fn for _, fn in resolved]
+    names, fns = zip(*(resolve_estimator(e, n, cfg.loss) for e in cfg.estimators))
     ibase = names.index(cfg.baseline)
     ne, nt = len(names), len(etas)
     shift = np.array(etas) / math.sqrt(n)
-    nblocks = (cfg.replications + cfg.block_size - 1) // cfg.block_size
+    nblocks = (cfg.replications + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def one_block(ib: int):
-        b = min(cfg.block_size, cfg.replications - ib * cfg.block_size)
-        gen = RngStream(cfg.master_seed, ib).generator
-        z = gen.standard_normal((b, 2 * n))
-        m1, m2, ss1, ss2 = batch_suff_stats(z, n)
+        b = min(BLOCK_SIZE, cfg.replications - ib * BLOCK_SIZE)
+        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(cfg.master_seed, ib).generator, b, n)
         s2 = ss1 + ss2
         lns = 0.5 * np.log(s2)
         s = np.sqrt(s2)
-        sum_l = np.zeros((ne, nt))
-        sum_l2 = np.zeros((ne, nt))
-        sum_d = np.zeros((ne, nt))
-        sum_d2 = np.zeros((ne, nt))
-        sum_lb = np.zeros((ne, nt))
+        sums = np.empty((5, ne, nt))
         for t in range(nt):
             w = (m2 - m1 + shift[t]) / s
-            lvals = []
-            for e in range(ne):
-                delta = fns[e](lns, w)
-                if not np.isfinite(delta).all():
-                    bad = int(np.flatnonzero(~np.isfinite(delta))[0])
-                    raise NumericError(
-                        f"estimator {names[e]!r} failed at replication "
-                        f"{ib * cfg.block_size + bad} (eta={etas[t]})")
-                lv = cfg.loss.value(delta)
-                lvals.append(lv)
-                sum_l[e, t] = lv.sum()
-                sum_l2[e, t] = np.square(lv).sum()
-                sum_d[e, t] = delta.sum()
-                sum_d2[e, t] = np.square(delta).sum()
-            lb = lvals[ibase]
-            for e in range(ne):
-                sum_lb[e, t] = (lvals[e] * lb).sum()
-        return sum_l, sum_l2, sum_d, sum_d2, sum_lb
+            delta = np.stack([fn(lns, w) for fn in fns])
+            finite = np.isfinite(delta)
+            if not finite.all():
+                e, bad = np.argwhere(~finite)[0]
+                raise NumericError(
+                    f"estimator {names[e]!r} failed at replication "
+                    f"{ib * BLOCK_SIZE + int(bad)} (eta={etas[t]})")
+            lv = cfg.loss.value(delta)
+            sums[:, :, t] = (lv.sum(axis=1), np.square(lv).sum(axis=1), delta.sum(axis=1),
+                             np.square(delta).sum(axis=1), (lv * lv[ibase]).sum(axis=1))
+        return sums
 
-    partials = map_blocks(nblocks, one_block, cfg.threads)
-    sum_l = np.sum([p[0] for p in partials], axis=0)
-    sum_l2 = np.sum([p[1] for p in partials], axis=0)
-    sum_d = np.sum([p[2] for p in partials], axis=0)
-    sum_d2 = np.sum([p[3] for p in partials], axis=0)
-    sum_lb = np.sum([p[4] for p in partials], axis=0)
-
+    blocks = map_blocks(nblocks, one_block, cfg.threads)
+    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.sum(blocks, axis=0)
     reps = cfg.replications
-    risk = sum_l / reps
-    var = np.maximum(sum_l2 / reps - np.square(risk), 0.0)
-    stderr = np.sqrt(var / reps)
-    bias = sum_d / reps
-    bias_var = np.maximum(sum_d2 / reps - np.square(bias), 0.0)
-    cells = []
-    for t in range(nt):
-        rb = risk[ibase, t]
-        for e in range(ne):
-            diff = risk[e, t] - rb
-            ex_ll = (sum_l2[e, t] + sum_l2[ibase, t] - 2.0 * sum_lb[e, t]) / reps
-            dvar = max(ex_ll - diff * diff, 0.0)
-            cells.append(RiskCell(
-                estimator=names[e], eta=etas[t],
-                risk=float(risk[e, t]), stderr=float(stderr[e, t]),
-                bias=float(bias[e, t]),
-                bias_stderr=float(math.sqrt(bias_var[e, t] / reps)),
-                rri=float(100.0 * (rb - risk[e, t]) / rb),
-                diff_vs_baseline=float(diff),
-                diff_stderr=float(math.sqrt(dvar / reps)),
-            ))
+    risk, bias = sum_l / reps, sum_d / reps
+    stderr = np.sqrt(np.maximum(sum_l2 / reps - np.square(risk), 0.0) / reps)
+    bias_stderr = np.sqrt(np.maximum(sum_d2 / reps - np.square(bias), 0.0) / reps)
+    diff = risk - risk[ibase]
+    ex_ll = (sum_l2 + sum_l2[ibase] - 2.0 * sum_lb) / reps
+    diff_stderr = np.sqrt(np.maximum(ex_ll - diff * diff, 0.0) / reps)
+    rri = 100.0 * (risk[ibase] - risk) / risk[ibase]
+    stats = np.stack([risk, stderr, bias, bias_stderr, rri, diff, diff_stderr])
+    cells = tuple(RiskCell(names[e], etas[t], *stats[:, e, t].tolist())
+                  for t in range(nt) for e in range(ne))
     return SimResult(n=n, loss=cfg.loss, replications=reps,
-                     master_seed=cfg.master_seed, baseline=cfg.baseline,
-                     cells=tuple(cells))
+                     master_seed=cfg.master_seed, baseline=cfg.baseline, cells=cells)
 
 
 def rri_curve(cfg: SimConfig) -> list[tuple[float, str, float]]:
@@ -254,7 +223,7 @@ class GpcResult:
 
 
 def gpc_estimate(est1, est2, loss: Loss, n: int, eta: float, reps: int,
-                 seed: int, block_size: int = 16_384, threads: int = 1) -> GpcResult:
+                 seed: int, threads: int = 1) -> GpcResult:
     """P[L(err1) < L(err2)] + P[tie]/2 by simulation with common random
     numbers; identical estimators give exactly 1/2."""
     if eta < 0:
@@ -264,13 +233,11 @@ def gpc_estimate(est1, est2, loss: Loss, n: int, eta: float, reps: int,
     name1, fn1 = resolve_estimator(est1, n, loss)
     name2, fn2 = resolve_estimator(est2, n, loss)
     shift = eta / math.sqrt(n)
-    nblocks = (reps + block_size - 1) // block_size
+    nblocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def one_block(ib: int):
-        b = min(block_size, reps - ib * block_size)
-        gen = RngStream(seed, ib).generator
-        z = gen.standard_normal((b, 2 * n))
-        m1, m2, ss1, ss2 = batch_suff_stats(z, n)
+        b = min(BLOCK_SIZE, reps - ib * BLOCK_SIZE)
+        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(seed, ib).generator, b, n)
         s2 = ss1 + ss2
         lns = 0.5 * np.log(s2)
         w = (m2 - m1 + shift) / np.sqrt(s2)

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entropy_lab import cli
 from entropy_lab.cli import main
+from entropy_lab.evaluate import CoverageResult
+from entropy_lab.risk import SimResult
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +233,40 @@ class TestReproduce:
         capsys.readouterr()
         text = (tmp_path / "out" / "DISCREPANCIES.md").read_text()
         assert "4.6768" in text and "HPD" in text
+
+
+class TestScales:
+    def test_paper_scale_commands_match_reproduce(self, capsys, tmp_path, monkeypatch):
+        # the configs each command hands the library, seeds set aside; the
+        # campaigns themselves are not run
+        seen = {"risk": [], "coverage": []}
+
+        def fake_risk(cfg):
+            seen["risk"].append(replace(cfg, master_seed=0))
+            return SimResult(n=cfg.n, loss=cfg.loss, replications=cfg.replications,
+                             master_seed=cfg.master_seed, baseline=cfg.baseline, cells=())
+
+        def fake_coverage(cfg):
+            seen["coverage"].append(replace(cfg, master_seed=0))
+            return CoverageResult(rows=(), config=cfg)
+
+        monkeypatch.setattr(cli, "simulate_risk", fake_risk)
+        monkeypatch.setattr(cli, "coverage_study", fake_coverage)
+        monkeypatch.chdir(tmp_path)
+        common = ("--seed", "1", "--threads", "1")
+        assert run_cli(capsys, "reproduce", "--paper-scale", "--out-dir", "rep", *common)[0] == 0
+        reproduced = {key: list(cfgs) for key, cfgs in seen.items()}
+        for cfgs in seen.values():
+            cfgs.clear()
+        assert run_cli(capsys, "risk", "--paper-scale", *common)[0] == 0
+        assert run_cli(capsys, "risk", "--paper-scale", "--loss", "linex", "--a1", "-3",
+                       *common)[0] == 0
+        assert run_cli(capsys, "coverage", "--paper-scale", *common)[0] == 0
+        assert seen["risk"] == reproduced["risk"][:8]
+        assert seen["coverage"] == reproduced["coverage"]
+        assert [c.n for c in seen["risk"]] == [8, 15, 21, 26] * 2
+        assert {(c.replications, len(c.eta_grid)) for c in seen["risk"]} == {(70_000, 21)}
+        assert seen["coverage"][0].outer_reps == 30_000
 
 
 class TestMisc:

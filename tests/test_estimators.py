@@ -258,6 +258,28 @@ class TestIerdChecker:
         with pytest.raises(DomainError):
             el.ierd_check([2.0, 1.0], [0.0, 0.0], l1, 6)
 
+    @pytest.mark.parametrize("n", [3, 6, 26])
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0),
+                                      el.Loss.linex(1.0)], ids=["l1", "linex-3", "linex1"])
+    def test_floor_equals_bz_r0(self, n, loss):
+        y = np.geomspace(1e-4, 400.0, 50)
+        floor = estimators._r0_on_nodes(n, loss, np.concatenate(([0.0], np.sqrt(y))))
+        want = [el.bz_r0(math.sqrt(v / n), n, loss) for v in y]
+        assert np.max(np.abs(floor - want)) <= 1e-12
+
+    def test_floor_built_without_bz_r0(self, l1, monkeypatch):
+        calls = []
+        bz_r0 = estimators.bz_r0
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bz_r0(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "bz_r0", counting)
+        y = np.geomspace(1e-4, 400.0, 50)
+        assert el.ierd_check(y, [el.d0(l1, 6)] * len(y), l1, 6).dominates
+        assert calls == []
+
 
 class TestConditionalMedian:
     def test_chi_square_median_at_origin(self):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 import entropy_lab as el
 from entropy_lab.errors import DataError, DomainError
-from entropy_lab.model import gamma_shift_root, load_paired_csv, load_samples
+from entropy_lab.model import draw_suff_stats, gamma_shift_root, load_paired_csv, load_samples
+from entropy_lab.numerics import RngStream, chi_square_cdf
 
 
 class TestSuffStats:
@@ -57,6 +58,35 @@ class TestSuffStats:
         # pure scaling without shifts leaves w unchanged
         st3 = el.suff_stats(el.two_sample_data(a * x, a * y))
         assert st3.w == pytest.approx(st.w, rel=1e-12)
+
+
+class TestDrawSuffStats:
+    """The exact-law draw against the laws it claims: xbar_i ~ N(0, 1/n),
+    SS_i ~ chi-square(n - 1), and the pooled SS ~ chi-square(2n - 2)."""
+
+    DRAWS = 200_000
+
+    @staticmethod
+    def _ks_p(x, df):
+        cdf = np.vectorize(lambda v: chi_square_cdf(df, v), otypes=[float])
+        return stats.kstest(x, cdf).pvalue
+
+    @pytest.mark.parametrize("n", [2, 6, 26])
+    def test_laws(self, n):
+        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(40 + n, 0).generator, self.DRAWS, n)
+        assert all(a.shape == (self.DRAWS,) for a in (m1, m2, ss1, ss2))
+        var = 1.0 / n
+        for m in (m1, m2):
+            assert abs(m.mean()) <= 5.0 * math.sqrt(var / self.DRAWS)
+            assert abs(m.var() - var) <= 5.0 * var * math.sqrt(2.0 / self.DRAWS)
+        assert self._ks_p(ss1, n - 1) > 1e-3
+        assert self._ks_p(ss1 + ss2, 2 * n - 2) > 1e-3
+
+    def test_sigma_scales_the_same_draws(self):
+        unit = draw_suff_stats(RngStream(3, 0).generator, 1000, 5)
+        scaled = draw_suff_stats(RngStream(3, 0).generator, 1000, 5, sigma=2.0)
+        for u, v, power in zip(unit, scaled, (1, 1, 2, 2)):
+            assert np.array_equal(v, 2.0 ** power * u)
 
 
 class TestLoss:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import pytest
 from scipy import special
@@ -9,6 +10,7 @@ from scipy import special
 import entropy_lab as el
 from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.estimators import TabulatedEstimator
+from entropy_lab.risk import BLOCK_SIZE
 
 
 class TestClosedForms:
@@ -154,6 +156,20 @@ class TestSimulateRisk:
             el.SimConfig(n=6, loss=l1, eta_grid=(-1.0,))
         with pytest.raises(DomainError):
             el.SimConfig(n=6, loss=l1, estimators=("stein",), baseline="baee")
+
+    def test_block_memory_does_not_grow_with_n(self, l1):
+        def peak(n):
+            cfg = el.SimConfig(n=n, eta_grid=(0.0,), loss=l1, replications=BLOCK_SIZE,
+                               master_seed=1, estimators=("baee",))
+            tracemalloc.start()
+            try:
+                el.simulate_risk(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)  # the first call in a process makes one-off allocations
+        assert peak(60) <= 1.5 * peak(5)
 
     def test_rri_curve_rows(self, l1):
         cfg = el.SimConfig(n=6, eta_grid=(0.0, 0.5), loss=l1, replications=5_000,
