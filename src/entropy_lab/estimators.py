@@ -48,7 +48,6 @@ from .numerics import (
     integrate_J,
     ln_gamma,
 )
-from .numerics.quadrature import DEFAULT_QUAD, QuadSpec
 
 VectorFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -95,7 +94,7 @@ def _r0_on_nodes(n: int, loss: Loss, u: np.ndarray) -> np.ndarray:
     return _r0_closed_form(n, loss, lambda a, k: cumulative_J(a, u, k)[1:])
 
 
-def bz_r0(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def bz_r0(absw: float, n: int, loss: Loss) -> float:
     """Smooth shrinkage shift at |W| = absw; continuous limits m0 at 0 and
     d0 at infinity."""
     absw = float(absw)
@@ -106,10 +105,10 @@ def bz_r0(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> flo
     if absw == 0.0:
         return m0(loss, n)
     y = n * absw * absw
-    return float(_r0_closed_form(n, loss, lambda a, k: integrate_J(a, y, k, spec)))
+    return float(_r0_closed_form(n, loss, lambda a, k: integrate_J(a, y, k)))
 
 
-def bz_r0_defining(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def bz_r0_defining(absw: float, n: int, loss: Loss) -> float:
     """Defining-equation route for r0: solve
 
         E[ L'(ln sqrt(V) + r) | |W| <= absw ] = 0   at eta = 0
@@ -133,13 +132,13 @@ def bz_r0_defining(absw: float, n: int, loss: Loss, spec: QuadSpec = DEFAULT_QUA
         return np.exp(logw) * erf_vec(0.5 * absw * np.sqrt(n * v))
 
     # normalize so the first-order condition is O(1) in r
-    total = adaptive_quad(weight, 0.0, upper, spec)
+    total = adaptive_quad(weight, 0.0, upper)
 
     def condition(r: float) -> float:
         def integrand(v: np.ndarray) -> np.ndarray:
             return loss.deriv(0.5 * np.log(np.maximum(v, 1e-300)) + r) * weight(v)
 
-        return adaptive_quad(integrand, 0.0, upper, spec) / total
+        return adaptive_quad(integrand, 0.0, upper) / total
 
     return find_root(condition, -8.0, 8.0, tol=1e-12)
 
@@ -216,7 +215,7 @@ def median_ln_v_eta0(w, n: int):
     return _ln_chi2_median(2 * n - 1) - np.log1p(0.5 * n * np.square(w))
 
 
-def conditional_median(w: float, eta: float, n: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def conditional_median(w: float, eta: float, n: int) -> float:
     """Median of Z = ln(S^2/sigma^2) given W = w at mean separation eta >= 0.
 
     Solved from the conditional density
@@ -257,10 +256,10 @@ def conditional_median(w: float, eta: float, n: int, spec: QuadSpec = DEFAULT_QU
     def dens(z):
         return np.exp(log_density(z) - peak)
 
-    total = adaptive_quad(dens, lo, hi, spec)
+    total = adaptive_quad(dens, lo, hi)
 
     def cdf_half(z: float) -> float:
-        return adaptive_quad(dens, lo, z, spec) / total - 0.5
+        return adaptive_quad(dens, lo, z) / total - 0.5
 
     return find_root(cdf_half, lo, hi, tol=1e-10)
 
@@ -414,8 +413,7 @@ def ierd_check(y_grid: Sequence[float], phi_values: Sequence[float], loss: Loss,
     return IerdReport(monotone=monotone, limit_ok=limit_ok, dominates=dominates)
 
 
-def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float,
-                      alpha: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float, alpha: float) -> float:
     """Ratio I(y - d2) / I(y - d1) of the windowed Gaussian masses
 
         I(t) = int_{-alpha}^{alpha} exp(-(sqrt(n) e^t w - eta)^2 / 4) dw,
@@ -431,7 +429,7 @@ def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float,
             dev = scale * wv - eta
             return np.exp(-0.25 * dev * dev)
 
-        return adaptive_quad(f, -alpha, alpha, spec)
+        return adaptive_quad(f, -alpha, alpha)
 
     return mass(y - d2) / mass(y - d1)
 
@@ -483,9 +481,9 @@ def improved_rmle(st: SuffStats, loss: Loss) -> float:
     return _estimate("improved_rmle", st, loss)
 
 
-def brewster_zidek(st: SuffStats, loss: Loss, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def brewster_zidek(st: SuffStats, loss: Loss) -> float:
     """Smooth improvement on ``baee``: ln(S) + r0(|W|), with the exact r0."""
-    r0 = np.vectorize(lambda absw: bz_r0(absw, st.n, loss, spec), otypes=[float])
+    r0 = np.vectorize(lambda absw: bz_r0(absw, st.n, loss), otypes=[float])
     return _batch_of_one(partial(_bz_rule, r0=r0), st)
 
 

@@ -202,7 +202,7 @@ def ks_normality(sample, mean: float | None = None, sd: float | None = None) -> 
         raise DataError("degenerate sample: zero variance")
     center = float(x.mean()) if mean is None else float(mean)
     z = (x - center) / sd
-    cdf = np.array([std_normal_cdf(v) for v in z])
+    cdf = std_normal_cdf(z)
     steps = np.arange(1, n + 1) / n
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (np.arange(n) / n)))

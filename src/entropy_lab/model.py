@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .numerics import adaptive_quad, digamma, find_root, ln_gamma
-from .numerics.quadrature import DEFAULT_QUAD
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -213,7 +212,7 @@ def gamma_shift_root(loss: Loss, shape: float, bracket: float = 8.0) -> float:
             logw = (shape - 1.0) * np.log(u) - 0.5 * u - log_norm
             return loss.deriv(0.5 * np.log(u) + c) * np.exp(logw)
 
-        return adaptive_quad(integrand, 0.0, upper, DEFAULT_QUAD)
+        return adaptive_quad(integrand, 0.0, upper)
 
     return find_root(expectation, -bracket, bracket, tol=1e-12)
 

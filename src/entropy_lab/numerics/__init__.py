@@ -1,7 +1,7 @@
 """Self-contained numerics: special functions, quadrature, root finding,
 and deterministic random streams."""
 
-from .quadrature import DEFAULT_QUAD, QuadSpec, adaptive_quad, cumulative_J, integrate_J
+from .quadrature import adaptive_quad, cumulative_J, integrate_J
 from .rng import RngStream
 from .roots import find_root
 from .special import (
@@ -16,16 +16,13 @@ from .special import (
     reg_lower_gamma,
     reg_upper_gamma,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
     student_t_cdf,
     trigamma,
 )
 
 __all__ = [
-    "DEFAULT_QUAD",
     "EULER_GAMMA",
-    "QuadSpec",
     "RngStream",
     "adaptive_quad",
     "chi_square_cdf",
@@ -41,7 +38,6 @@ __all__ = [
     "reg_lower_gamma",
     "reg_upper_gamma",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "student_t_cdf",
     "trigamma",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,22 +44,9 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances and the subdivision budget for adaptive quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("QuadSpec tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("QuadSpec.max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadSpec()
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+MAX_SUBDIVISIONS = 200
 
 
 def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
@@ -72,8 +58,7 @@ def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tupl
     return ik, abs(ik - ig)
 
 
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  spec: QuadSpec = DEFAULT_QUAD) -> float:
+def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Integral of f over the finite interval [a, b].
 
     f must accept an ndarray of abscissae and return the integrand values.
@@ -88,8 +73,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ik, err = _gk_panel(f, a, b)
     heap = [(-err, a, b, ik, err)]
     total, total_err = ik, err
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    for _ in range(MAX_SUBDIVISIONS):
+        if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
             return total
         _, pa, pb, pik, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
@@ -99,11 +84,11 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         total_err += el + er - perr
         heapq.heappush(heap, (-el, pa, pm, il, el))
         heapq.heappush(heap, (-er, pm, pb, ir, er))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
         return total
     raise NumericError(
         f"adaptive_quad: error {total_err:.3e} above tolerance after "
-        f"{spec.max_subdivisions} subdivisions (value {total:.6e})")
+        f"{MAX_SUBDIVISIONS} subdivisions (value {total:.6e})")
 
 
 def _kernel(a: float, log_power: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -139,18 +124,16 @@ def _check_log_power(log_power: int) -> None:
         raise DomainError(f"log_power must be 0 or 1, got {log_power!r}")
 
 
-def cumulative_J(a: float, u: np.ndarray, log_power: int,
-                 spec: QuadSpec = DEFAULT_QUAD) -> np.ndarray:
+def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
     """J_k(a, u_i^2) at every node of the ascending array u, u[0] = 0.
 
     The K15 rule runs on all intervals [u_i, u_(i+1)] at once and a cumsum
     gives J.  The summed |K15 - G7| bound up to each node must be at most
-    spec.rel_tol times J there; error control is relative only, so it holds
-    however small J is (spec.abs_tol is not used).  While it fails, every
-    interval up to the last failing node whose own bound exceeds rel_tol / 2
-    times its own integral is split into twice as many equal panels; an
-    interval that would need more than spec.max_subdivisions + 1 panels
-    raises NumericError.
+    REL_TOL times J there; error control is relative only, so it holds
+    however small J is.  While it fails, every interval up to the last
+    failing node whose own bound exceeds REL_TOL / 2 times its own integral
+    is split into twice as many equal panels; an interval that would need
+    more than MAX_SUBDIVISIONS + 1 panels raises NumericError.
     """
     _check_log_power(log_power)
     u = np.asarray(u, dtype=float)
@@ -170,55 +153,35 @@ def cumulative_J(a: float, u: np.ndarray, log_power: int,
         J = np.concatenate(([0.0], np.cumsum(ik)))
         if not math.isfinite(J[-1]):
             raise NumericError(f"cumulative_J: integrand not finite on the nodes (a={a})")
-        failing = np.flatnonzero(np.cumsum(err) > spec.rel_tol * J[1:])
+        failing = np.flatnonzero(np.cumsum(err) > REL_TOL * J[1:])
         if len(failing) == 0:
             return J
         # ik >= 0, so a node that fails has an interval before it whose own
         # bound exceeds rel_tol times its own integral; half of rel_tol leaves
         # a margin that rounding in the cumsums cannot close
         head = failing[-1] + 1
-        todo = np.flatnonzero(err[:head] > 0.5 * spec.rel_tol * ik[:head])
+        todo = np.flatnonzero(err[:head] > 0.5 * REL_TOL * ik[:head])
         panels[todo] *= 2
-        if panels[todo].max() > spec.max_subdivisions + 1:
+        if panels[todo].max() > MAX_SUBDIVISIONS + 1:
             i = int(failing[0])
             raise NumericError(
                 f"cumulative_J: error {np.sum(err[:i + 1]):.3e} above tolerance at "
-                f"u = {u[i + 1]:.6g} after {spec.max_subdivisions} subdivisions "
+                f"u = {u[i + 1]:.6g} after {MAX_SUBDIVISIONS} subdivisions "
                 f"(value {J[i + 1]:.6e})")
 
 
-def integrate_J(a: float, y: float, log_power: int, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """J_k(a, y) with k = log_power; y may be math.inf when a > 1/2."""
+def integrate_J(a: float, y: float, log_power: int) -> float:
+    """J_k(a, y) with k = log_power, for finite y >= 0."""
     _check_log_power(log_power)
     a = float(a)
     y = float(y)
-    if y < 0.0 or math.isnan(y):
-        raise DomainError(f"integrate_J needs y >= 0, got {y!r}")
+    if not 0.0 <= y < math.inf:
+        raise DomainError(f"integrate_J needs finite y >= 0, got {y!r}")
     if y == 0.0:
         return 0.0
-
-    if math.isinf(y):
-        if a <= 0.5:
-            raise DomainError(f"J_k(a, inf) diverges for a <= 1/2 (a={a})")
-        # split at u = 1; map the tail through u = 1/t onto (0, 1], written in
-        # the overflow-free form (2 + 1/t^2)^(-a)/t^2 = t^(2a-2) (1 + 2t^2)^(-a)
-        head = adaptive_quad(_kernel(a, log_power), 0.0, 1.0, spec)
-
-        def g_tail(t: np.ndarray) -> np.ndarray:
-            base = 2.0 * t ** (2.0 * a - 2.0) * (1.0 + 2.0 * t * t) ** (-a)
-            if log_power == 0:
-                return base
-            return base * (np.log1p(2.0 * t * t) - 2.0 * np.log(t))
-
-        tail = adaptive_quad(g_tail, 0.0, 1.0, spec)
-        return head + tail
     # pre-split geometrically so a huge upper limit cannot hide the mass
     # concentrated near u = 0 from the first error estimate
     upper = math.sqrt(y)
-    cuts = [0.0]
-    scale = 1.0
-    while scale < upper:
-        cuts.append(scale)
-        scale *= 10.0
-    cuts.append(upper)
-    return float(cumulative_J(a, np.array(cuts), log_power, spec)[-1])
+    decades = [10.0 ** k for k in range(int(math.log10(upper)) + 2)]
+    cuts = [0.0, *(s for s in decades if s < upper), upper]
+    return float(cumulative_J(a, np.array(cuts), log_power)[-1])

@@ -1,17 +1,21 @@
-"""Scalar special functions: log-gamma, digamma, trigamma, regularized
-incomplete gamma/beta, and the distribution helpers built on them.
+"""Special functions: log-gamma, digamma, trigamma, regularized incomplete
+gamma/beta, and the distribution helpers built on them.
 
-Everything here is implemented in-module (Lanczos approximation plus
-asymptotic series with recurrence shifts) so the numerical contracts stay
-auditable.  Target accuracy is 1e-12 absolute on the declared domains.
+The incomplete gamma P and Q and the chi-square CDF and quantile take a
+scalar a or df and an array x or p of any shape (a scalar x or p returns a
+float), as does std_normal_cdf; the rest take scalars.  Everything here is
+implemented in-module (Lanczos approximation, series and continued fractions
+after Numerical Recipes 6.2) so the numerical contracts stay auditable.
+Target accuracy is 1e-12 absolute on the declared domains.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import DomainError, NumericError
-from .roots import find_root
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -115,69 +119,83 @@ def trigamma(x: float) -> float:
 
 _GAMMAINC_EPS = 3e-16
 _GAMMAINC_ITMAX = 500
+_TINY = 1e-300
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
+def _gamma_pq(a: float, x, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """P(a, x) and Q(a, x) on an array x >= 0, at least 1-d.  The series
+    gives P where x < a + 1, the continued fraction Q where x >= a + 1."""
+    a = _check_positive(a, name)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (x >= 0.0).all():
+        raise DomainError(f"{name} needs x >= 0 everywhere")
+    p = np.where(x == math.inf, 1.0, 0.0)
+    series = (x > 0.0) & (x < a + 1.0)
+    p[series] = _gamma_series(a, x[series])
+    q = 1.0 - p
+    cf = (x >= a + 1.0) & (x < math.inf)
+    q[cf] = _gamma_cf(a, x[cf])
+    p[cf] = 1.0 - q[cf]
+    return p, q
+
+
+def _as_output(v: np.ndarray, x):
+    return v.item() if np.ndim(x) == 0 else v
+
+
+def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x)/Gamma(a)."""
-    a = _check_positive(a, "reg_lower_gamma")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"reg_lower_gamma needs x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
+    return _as_output(_gamma_pq(a, x, "reg_lower_gamma")[0], x)
 
 
-def reg_upper_gamma(a: float, x: float) -> float:
+def reg_upper_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    a = _check_positive(a, "reg_upper_gamma")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"reg_upper_gamma needs x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
+    return _as_output(_gamma_pq(a, x, "reg_upper_gamma")[1], x)
 
 
-def _gamma_series(a: float, x: float) -> float:
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_GAMMAINC_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMAINC_EPS:
-            return total * math.exp(-x + a * math.log(x) - ln_gamma(a))
-    raise NumericError(f"incomplete gamma series failed to converge (a={a}, x={x})")
+def _gamma_front(a: float, x: np.ndarray) -> np.ndarray:
+    """x^a e^(-x) / Gamma(a), x > 0: in range, the square roots of the three
+    factors apart, then squared; exp(a ln x - x - ln Gamma(a)) loses |exponent| ulps."""
+    lg = ln_gamma(a)
+    alx = a * np.log(x)
+    ok = (np.abs(alx) < 1400.0) & (x < 1400.0) & (lg < 1400.0)
+    front = np.exp(np.where(ok, 0.0, alx - x - lg))
+    front[ok] = (np.power(x[ok], 0.5 * a) * np.exp(-0.5 * x[ok]) * math.exp(-0.5 * lg)) ** 2
+    return front
 
 
-def _gamma_cf(a: float, x: float) -> float:
-    # modified Lentz continued fraction for Q(a, x)
-    tiny = 1e-300
+def _gamma_series(a: float, x: np.ndarray) -> np.ndarray:
+    # sum_k x^k / (a (a+1) ... (a+k)); a converged element adds zeros
+    term = total = np.full_like(x, 1.0 / a)
+    for k in range(1, _GAMMAINC_ITMAX):
+        term = term * x / (a + k)
+        total = total + term
+        live = np.abs(term) >= np.abs(total) * _GAMMAINC_EPS
+        term = term * live
+        if not live.any():
+            return total * _gamma_front(a, x)
+    raise NumericError(f"incomplete gamma series failed to converge (a={a}, x={x[live][0]})")
+
+
+def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
+    # modified Lentz continued fraction for Q(a, x); converged elements hold
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
+    c = np.full_like(x, 1.0 / _TINY)
+    d = h = 1.0 / b
+    live = True
     for i in range(1, _GAMMAINC_ITMAX):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMAINC_EPS:
-            return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
-    raise NumericError(f"incomplete gamma continued fraction failed (a={a}, x={x})")
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        delta = np.where(live, d * c, 1.0)
+        h = h * delta
+        live = np.abs(delta - 1.0) >= _GAMMAINC_EPS
+        if not live.any():
+            return h * _gamma_front(a, x)
+    raise NumericError(f"incomplete gamma continued fraction failed (a={a}, x={x[live][0]})")
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -244,16 +262,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 _SQRT2 = math.sqrt(2.0)
 
 
-def std_normal_cdf(x: float) -> float:
-    """Phi(x) via the complementary error function (accurate in both tails)."""
-    x = float(x)
-    if x >= 0.0:
-        return 1.0 - 0.5 * math.erfc(x / _SQRT2)
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def std_normal_cdf(x):
+    """Phi(x) via math.erfc, element by element (accurate in both tails)."""
+    erfc = np.frompyfunc(math.erfc, 1, 1)(np.abs(x) / _SQRT2)
+    tail = 0.5 * np.asarray(erfc, dtype=float)
+    return _as_output(np.where(np.asarray(x) >= 0.0, 1.0 - tail, tail), x)
 
 
 # Acklam's rational approximation, then Halley refinement against the erfc
@@ -295,27 +308,48 @@ def std_normal_quantile(p: float) -> float:
     return x
 
 
-def chi_square_cdf(df: float, x: float) -> float:
+def chi_square_cdf(df: float, x):
+    """P(df/2, x/2), and 0 for x <= 0."""
     df = _check_positive(df, "chi_square_cdf")
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    return reg_lower_gamma(0.5 * df, 0.5 * x)
+    return _as_output(_gamma_pq(0.5 * df, 0.5 * np.maximum(x, 0.0), "chi_square_cdf")[0], x)
 
 
-def chi_square_quantile(df: float, p: float) -> float:
-    """Inverse chi-square CDF by a monotone root solve on the regularized
-    incomplete gamma."""
-    df = _check_positive(df, "chi_square_quantile")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"chi_square_quantile needs p in (0, 1), got {p!r}")
-    hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
-    while chi_square_cdf(df, hi) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericError("chi_square_quantile bracket expansion overflow")
-    return find_root(lambda x: chi_square_cdf(df, x) - p, 0.0, hi, tol=1e-13 * max(1.0, hi))
+def chi_square_quantile(df: float, p):
+    """Inverse chi-square CDF over an array p in (0, 1): twice the root g of
+    P(a, g) = p (p <= 1/2) or Q(a, g) = 1 - p (p > 1/2, exact), a = df/2, by
+    Newton steps from Wilson-Hilferty that bisect a bracket they leave.
+    P(a, g) <= g^a / Gamma(a+1) gives its lo, the root itself below 1e-17 and
+    the answer below 1e-300; Q(a, g) <= e^(a-g) (g/a)^a gives its hi."""
+    a = 0.5 * _check_positive(df, "chi_square_quantile")
+    p = np.asarray(p, dtype=float)
+    if not ((p > 0.0) & (p < 1.0)).all():
+        raise DomainError("chi_square_quantile needs p in (0, 1) everywhere")
+    upper = p > 0.5
+    tail = np.where(upper, 1.0 - p, p)
+    lo = floor = np.exp((np.log(p) + ln_gamma(a + 1.0)) / a)
+    hi = 2.0 * a - 2.0 * np.log1p(-p)
+    # Wilson-Hilferty, with the normal quantile of Abramowitz & Stegun 26.2.23
+    t = np.sqrt(-2.0 * np.log(tail))
+    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + t * 0.04481))
+    z = np.where(upper, z, -z) / (3.0 * math.sqrt(a))
+    g = np.maximum(a * (1.0 - 1.0 / (9.0 * a) + z) ** 3, lo)
+    deep = floor < 1e-300           # the root is floor; the density could overflow
+    g = np.where(~deep & (g < hi), g, 0.5 * (lo + hi))
+    live = ~deep
+    for _ in range(_GAMMAINC_ITMAX):
+        pg, qg = _gamma_pq(a, g, "chi_square_quantile")
+        err = np.where(upper, tail - qg, pg - tail)          # increasing in g
+        lo = np.where(err < 0.0, g, lo)
+        hi = np.where(err > 0.0, g, hi)
+        # an underflowed density sends the step out of the bracket
+        step = err / np.maximum(np.exp((a - 1.0) * np.log(g) - g - ln_gamma(a)), _TINY)
+        newton = g - step
+        inside = (newton >= lo) & (newton <= hi)
+        g = np.where(live, np.where(inside, newton, 0.5 * (lo + hi)), g)
+        live = live & ~(inside & (np.abs(step) <= 1e-14 * newton)) & (hi - lo > 4e-16 * hi)
+        if not live.any():
+            return _as_output(2.0 * np.where(deep, floor, g), p)
+    raise NumericError(f"chi_square_quantile failed to converge (df={df})")
 
 
 def student_t_cdf(df: float, t: float) -> float:
