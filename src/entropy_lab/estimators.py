@@ -143,25 +143,25 @@ def bz_r0_defining(absw: float, n: int, loss: Loss) -> float:
     return find_root(condition, -8.0, 8.0, tol=1e-12)
 
 
+_TABLE_POINTS, _TABLE_Y_CAP = 800, 1600.0
+
+
 class BzTable:
     """Dense lookup table for r0(|w|), for vectorized Monte Carlo use.
 
-    The grid is uniform in ln(1 + n w^2) out to y_cap, where r0 has
-    saturated at d0 to well below Monte Carlo resolution; larger |w| clamp
-    to the last node.  The node values are the closed form of
-    :func:`bz_r0` on kernel integrals from one cumulative quadrature pass
-    over the grid.  Linear interpolation error on the default grid,
-    measured at grid midpoints, grows with n: about 4e-7 at n = 3, 1.2e-6 at
-    n = 8 and 5.4e-6 at n = 26, far below Monte Carlo standard errors
-    (about 3e-4).
+    The grid has ``_TABLE_POINTS`` nodes uniform in ln(1 + n w^2) out to
+    ``_TABLE_Y_CAP``, where r0 has saturated at d0 to well below Monte Carlo
+    resolution; larger |w| clamp to the last node.  The node values are the
+    closed form of :func:`bz_r0` on kernel integrals from one cumulative
+    quadrature pass over the grid.  Linear interpolation error, measured at
+    grid midpoints, grows with n: about 4e-7 at n = 3, 1.2e-6 at n = 8 and
+    5.4e-6 at n = 26, far below Monte Carlo standard errors (about 3e-4).
     """
 
-    def __init__(self, n: int, loss: Loss, points: int = 800, y_cap: float = 1600.0):
-        if points < 16:
-            raise DomainError("BzTable needs at least 16 grid points")
+    def __init__(self, n: int, loss: Loss):
         self.n = n
         self.loss = loss
-        x = np.linspace(0.0, math.log1p(y_cap), points)
+        x = np.linspace(0.0, math.log1p(_TABLE_Y_CAP), _TABLE_POINTS)
         y = np.expm1(x)
         self._x = x
         self._vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
@@ -182,15 +182,15 @@ _TABLE_CACHE: dict[tuple, BzTable] = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def bz_table(n: int, loss: Loss, points: int = 800, y_cap: float = 1600.0) -> BzTable:
+def bz_table(n: int, loss: Loss) -> BzTable:
     """Cached table, safe for concurrent readers after first build."""
-    key = (n, loss.kind, loss.a1, points, y_cap)
+    key = (n, loss.kind, loss.a1)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         with _TABLE_LOCK:
             tab = _TABLE_CACHE.get(key)
             if tab is None:
-                tab = BzTable(n, loss, points, y_cap)
+                tab = BzTable(n, loss)
                 _TABLE_CACHE[key] = tab
     return tab
 
@@ -305,8 +305,7 @@ def _improved_rmle_rule(lns, w, c_m0: float, n: int):
 
 
 def _bz_rule(lns, w, r0: Callable[[np.ndarray], np.ndarray]):
-    """Smooth shrinkage ln(S) + r0(|W|); ``r0`` is the exact solver or its
-    interpolating table."""
+    """Smooth shrinkage ln(S) + r0(|W|), with r0 from its table."""
     return lns + r0(np.abs(w))
 
 
@@ -483,8 +482,7 @@ def improved_rmle(st: SuffStats, loss: Loss) -> float:
 
 def brewster_zidek(st: SuffStats, loss: Loss) -> float:
     """Smooth improvement on ``baee``: ln(S) + r0(|W|), with the exact r0."""
-    r0 = np.vectorize(lambda absw: bz_r0(absw, st.n, loss), otypes=[float])
-    return _batch_of_one(partial(_bz_rule, r0=r0), st)
+    return math.log(st.s) + bz_r0(abs(st.w), st.n, loss)
 
 
 def pitman_clipped(st: SuffStats, loss: Loss, base: Callable | None = None,

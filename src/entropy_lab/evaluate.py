@@ -66,6 +66,8 @@ class CoverageConfig:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
         if any(n < 2 for n in self.n_grid):
             raise DomainError("every n must be >= 2")
+        if self.gci_draws < 1 or self.boot_k < 1:
+            raise DomainError("gci_draws and boot_k must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
     Each block of outer replications goes, as sufficient statistics, to the
     batched interval functions that the single-dataset intervals call on a
     batch of one; this function keys the streams and tallies the results.
-    Both bootstrap methods come from one set of resamples.
+    Both bootstrap methods come from one draw of order statistics.
     """
     rows = []
     tau = math.log(cfg.sigma)

@@ -6,10 +6,13 @@ Fisher information gives Var(ln sigma_hat) = 1/(4n) for the pooled model,
 which fixes both the asymptotic interval and the studentizing constant of
 the bootstrap-t.  The generalized pivot ln(s) - ln(V)/2 with V chi-square
 2(n-1) is exact: its observed value is tau itself, so coverage matches the
-nominal level at every n.  The parametric bootstrap uses the same law: by
-Cochran's theorem a normal resample's pooled sum of squares is
-sigma_hat^2 times a chi-square with 2(n-1) df, so each resample is one
-chi-square draw.
+nominal level at every n.  By Cochran's theorem a parametric resample's
+pooled sum of squares is sigma_hat^2 V, so the studentized bootstrap is the
+same pivot over K draws and the percentile one is it reflected about
+eta_hat.  No pivot draw or resample is formed: a linear sample quantile
+reads two adjacent order statistics, and the four an interval reads have an
+exact law, U_(k) = G_k / G_(m+1) with G the partial sums of m + 1 Exp(1)
+spacings (Renyi's representation; Devroye 1986, ch. V).
 
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .estimators import mle
 from .model import SuffStats, TwoSampleData, suff_stats
-from .numerics import std_normal_quantile
+from .numerics import chi_square_quantile, std_normal_quantile
 from .numerics.rng import RngStream
 
 
@@ -120,24 +123,37 @@ def aci(data: TwoSampleData, level: float = 0.95) -> IntervalResult:
 # ---------------------------------------------------------------------------
 
 
-def gci_bounds(lns: np.ndarray, n: int, level: float, draws: int, gen: np.random.Generator):
-    """Pivot quantiles over ``draws`` chi-square draws for each ln(s)."""
-    v = gen.chisquare(2 * (n - 1), (len(lns), draws))
-    pivot = lns[:, None] - 0.5 * np.log(v)
+def _half_log_chi2_quantiles(n: int, level: float, m: int, b: int,
+                             gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """b draws of the linear sample quantiles (lo, hi) of ln(V)/2 at
+    (1 -/+ level)/2 over m iid V ~ chi-square 2(n-1).  Quantile p reads ranks
+    j + 1 and j + 2 with weight h - j, h = (m - 1) p, j = floor(h); a rank
+    past m only occurs with weight 0 and is clipped."""
     alpha = 1.0 - level
-    lower, upper = np.quantile(pivot, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
-    return lower, upper, upper - lower
+    h = (m - 1) * np.array([0.5 * alpha, 1.0 - 0.5 * alpha])
+    j = np.floor(h)
+    pair = np.minimum(np.stack([j + 1.0, j + 2.0]), m)       # (neighbour, quantile)
+    ranks, rows = np.unique(pair, return_inverse=True)
+    shapes = np.diff(np.concatenate(([0.0], ranks, [m + 1.0])))
+    g = np.cumsum(gen.standard_gamma(shapes[:, None], (len(shapes), b)), axis=0)
+    half_log_v = 0.5 * np.log(chi_square_quantile(2 * (n - 1), g[:-1] / g[-1]))
+    below, above = half_log_v[rows.reshape(pair.shape)]
+    lo, hi = below + (h - j)[:, None] * (above - below)
+    return lo, hi
+
+
+def gci_bounds(lns: np.ndarray, n: int, level: float, draws: int, gen: np.random.Generator):
+    """Quantiles of the pivot ln(s) - ln(V)/2 over ``draws`` draws of V for
+    each ln(s); the pivot falls in V."""
+    lo, hi = _half_log_chi2_quantiles(n, level, draws, len(lns), gen)
+    return lns - hi, lns - lo, hi - lo
 
 
 def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
               seed: int = 0) -> IntervalResult:
-    """Empirical quantiles of the pivot ln(s) - ln(V)/2, V ~ chi-square
-    with 2(n-1) df.
-
-    Algebraically this is the unbiased estimate minus the centered pivot
-    noise; substituting the observed V returns tau exactly, which is what
-    makes the interval an exact-coverage procedure.
-    """
+    """Sample quantiles over ``draws`` draws of the pivot ln(s) - ln(V)/2,
+    V ~ chi-square 2(n-1); the observed V returns tau exactly, which makes
+    the coverage exact."""
     level = _check_level(level)
     if draws < 1000:
         raise DomainError(f"gci needs at least 1000 pivot draws, got {draws}")
@@ -151,38 +167,20 @@ def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap_log_sigmas(s2: np.ndarray, n: int, K: int,
-                          gen: np.random.Generator) -> np.ndarray:
-    """(B, K) parametric-resample estimates ln(sigma_hat*), K per pooled
-    sum of squares in ``s2``.
-
-    A resample is two normal samples of size n with variance
-    sigma_hat^2 = s2 / (2n), and it enters only through its pooled sum of
-    squares, which by Cochran's theorem is sigma_hat^2 times a chi-square
-    with 2(n-1) df.  So one (B, K) chi-square draw stands for the (B, K, 2n)
-    normal resample; it is positive almost surely.
-    """
-    ssz = gen.chisquare(2 * (n - 1), (len(s2), K))
-    sigma_hat2 = s2 / (2.0 * n)
-    return 0.5 * np.log(sigma_hat2[:, None] * ssz / (2.0 * n))
-
-
 def boot_bounds(s2: np.ndarray, n: int, level: float, K: int, gen: np.random.Generator):
-    """Percentile and studentized intervals from one set of K resamples per
-    pooled sum of squares; returns (percentile, studentized).
+    """Percentile and studentized intervals from K resamples per pooled sum
+    of squares; returns (percentile, studentized).
 
-    With the constant standard error 1/(2 sqrt(n)) the studentized interval
-    eta_hat - se * [T_(1-alpha/2), T_(alpha/2)] is the percentile interval
-    reflected about eta_hat: both have the length q_hi - q_lo, while the
-    studentized coverage matches the exact pivot, not the resampling law.
+    A resample's estimate is eta_hat + ln(V / (2n))/2 with
+    eta_hat = ln(s) - ln(2n)/2, so with the constant standard error
+    1/(2 sqrt(n)) the studentized interval is the gci pivot interval over K
+    draws and the percentile interval is it reflected about eta_hat: one
+    length, while only the studentized coverage matches the exact pivot.
     """
-    etas = _bootstrap_log_sigmas(s2, n, K, gen)
-    alpha = 1.0 - level
-    q_lo, q_hi = np.quantile(etas, [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1)
-    length = q_hi - q_lo
-    eta_hat = 0.5 * np.log(s2 / (2.0 * n))
-    lower_t = 2.0 * eta_hat - q_hi
-    return (q_lo, q_hi, length), (lower_t, lower_t + length, length)
+    lns = 0.5 * np.log(s2)
+    lower, upper, length = gci_bounds(lns, n, level, K, gen)
+    two_eta_hat = 2.0 * lns - math.log(2.0 * n)
+    return (two_eta_hat - upper, two_eta_hat - lower, length), (lower, upper, length)
 
 
 def _boot(data: TwoSampleData, level: float,

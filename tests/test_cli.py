@@ -164,6 +164,14 @@ class TestCoverage:
         gci = next(r for r in rows if r["method"] == "gci")
         assert abs(float(gci["cp"]) - 0.95) < 0.05
 
+    @pytest.mark.parametrize("flags", [("--methods", "gci", "--gci-draws", "0"),
+                                       ("--methods", "boot-p", "--boot-k", "0")])
+    def test_empty_inner_sample_is_domain_error(self, capsys, flags):
+        code, _, err = run_cli(capsys, "coverage", "--n", "10", "--outer", "10",
+                               "--seed", "1", *flags)
+        assert code == 4
+        assert "must be positive" in err
+
 
 @pytest.mark.parametrize("argv", [
     ("risk", "--n", "6,8", "--eta-to", "0.5", "--eta-step", "0.5", "--reps", "500",

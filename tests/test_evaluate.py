@@ -61,6 +61,9 @@ class TestCoverageStudy:
             el.CoverageConfig(level=1.2)
         with pytest.raises(DomainError):
             el.CoverageConfig(n_grid=(1,))
+        for bad in ({"gci_draws": 0}, {"boot_k": 0}, {"gci_draws": -5}):
+            with pytest.raises(DomainError):
+                el.CoverageConfig(**bad)
 
 
 class TestKsNormality:

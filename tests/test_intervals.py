@@ -10,8 +10,8 @@ from scipy import stats
 import entropy_lab as el
 from entropy_lab.errors import DomainError
 from entropy_lab.intervals import (
-    _bootstrap_log_sigmas,
     boot_bounds,
+    gci_bounds,
     mh_variance_step,
     run_variance_chains,
 )
@@ -100,18 +100,6 @@ class TestBootstrapPair:
         eta_hat = 4.586479316769287
         assert rt.lower == pytest.approx(2 * eta_hat - rp.upper, abs=1e-12)
 
-    def test_resampling_distribution_center_below_estimate(self):
-        # with sigma_hat = 1 the resampled log-scale centers near
-        # E[ln(chi2_{2(n-1)}/(2n))]/2 < 0
-        n = 6
-        data = el.two_sample_data(np.repeat([-1.0, 1.0], n)[:n] * math.sqrt(n / (n - 1)),
-                                  np.zeros(n))
-        st = el.suff_stats(data)
-        gen = RngStream(4, 0).generator
-        etas = _bootstrap_log_sigmas(np.array([st.s2]), n, 4000, gen)
-        shifted = etas - 0.5 * math.log(st.s2 / (2 * n))  # center at sigma_hat = 1
-        assert shifted.mean() < 0.0
-
     def test_k_floor(self, boeing_data):
         with pytest.raises(DomainError):
             el.BootConfig(K=1, seed=0)
@@ -135,24 +123,6 @@ class TestBootstrapPair:
 
 
 class TestChiSquareBootstrap:
-    def test_pooled_sum_of_squares_is_chi_square(self):
-        # inverting eta* = ln(sigma_hat^2 ssz / 2n) / 2 recovers the resampled
-        # pooled sum of squares, which must follow chi-square(2n - 2) exactly
-        n, K = 8, 200_000
-        df = 2 * (n - 1)
-        s2 = np.array([0.3, 14.0, 5_000.0])
-        etas = _bootstrap_log_sigmas(s2, n, K, RngStream(21, 0).generator)
-        assert etas.shape == (3, K)
-        sigma_hat2 = s2 / (2.0 * n)
-        ssz = 2.0 * n * np.exp(2.0 * etas) / sigma_hat2[:, None]
-        mean_se = math.sqrt(2.0 * df / K)
-        var_se = math.sqrt((8.0 * df ** 2 + 48.0 * df) / K)  # (mu4 - sigma^4) / K
-        for row in ssz:
-            assert abs(row.mean() - df) < 5.0 * mean_se
-            assert abs(row.var() - 2.0 * df) < 5.0 * var_se
-        ks = stats.kstest(ssz[1, :20_000], lambda x: chi_square_cdf(df, x))
-        assert ks.pvalue > 1e-3
-
     def test_boot_p_coverage_matches_closed_form_limit(self):
         # boot-p covers tau iff 4n^2/q_hi <= V <= 4n^2/q_lo, V = S^2/sigma^2
         # ~ chi-square(2n - 2) and q the resampling law's tail quantiles.
@@ -171,8 +141,8 @@ class TestChiSquareBootstrap:
         assert abs(row.cp - limit) <= 5.0 * row.cp_stderr + 0.005
 
     def test_memory_does_not_grow_with_n(self):
-        # the resample is one (B, K) draw, so the traced peak is set by B*K,
-        # not by B*K*2n
+        # no resample is drawn, so the traced peak is set by B alone, not by
+        # K or n
         def peak(n: int) -> int:
             s2 = np.full(256, 2.0 * n)
             tracemalloc.start()
@@ -185,6 +155,75 @@ class TestChiSquareBootstrap:
         p10, p40 = peak(10), peak(40)
         assert p40 <= 1.25 * p10
         assert p40 < 32 * 2 ** 20
+
+
+def _direct_quantiles(n: int, level: float, m: int, b: int, seed: int,
+                      chunk: int = 2_000) -> np.ndarray:
+    """Reference for the order-statistic kernel: the (lo, hi) linear sample
+    quantiles of ln(V)/2 over an explicit (b, m) chi-square draw, in row
+    chunks to bound memory."""
+    gen = np.random.default_rng(seed)
+    alpha = 1.0 - level
+    out = []
+    for start in range(0, b, chunk):
+        v = gen.chisquare(2 * (n - 1), (min(chunk, b - start), m))
+        out.append(np.quantile(0.5 * np.log(v), [0.5 * alpha, 1.0 - 0.5 * alpha], axis=1))
+    return np.concatenate(out, axis=1)
+
+
+class TestOrderStatisticQuantiles:
+    """gci and boot read four order statistics drawn from their exact law;
+    each check compares that law with np.quantile over explicit draws."""
+
+    B = 20_000
+
+    @pytest.mark.parametrize("n, m", [(6, 1_000), (40, 300)])
+    def test_gci_endpoints_match_direct_pivot_quantiles(self, n, m):
+        lns = np.zeros(self.B)
+        lower, upper, length = gci_bounds(lns, n, 0.95, m, RngStream(61, n).generator)
+        lo, hi = _direct_quantiles(n, 0.95, m, self.B, seed=62 + n)
+        for got, want in ((lower, -hi), (upper, -lo), (length, hi - lo)):
+            assert stats.ks_2samp(got, want).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n, K", [(6, 1_000), (40, 300)])
+    def test_boot_endpoints_match_direct_resample_quantiles(self, n, K):
+        # the percentile endpoints are quantiles of ln(sigma_hat^2 V/(2n))/2
+        # over K draws, sigma_hat^2 = s2/(2n)
+        s2 = np.full(self.B, 3.0 * n)
+        (q_lo, q_hi, _), _ = boot_bounds(s2, n, 0.95, K, RngStream(63, n).generator)
+        shift = 0.5 * math.log(s2[0] / (2.0 * n) / (2.0 * n))
+        lo, hi = _direct_quantiles(n, 0.95, K, self.B, seed=64 + n)
+        assert stats.ks_2samp(q_lo, shift + lo).pvalue > 1e-3
+        assert stats.ks_2samp(q_hi, shift + hi).pvalue > 1e-3
+
+    def test_boot_t_is_gci_pivot_with_m_equal_k(self):
+        s2 = np.array([0.7, 12.0, 3_000.0])
+        _, stud = boot_bounds(s2, 8, 0.9, 3_000, RngStream(65, 0).generator)
+        gci = gci_bounds(0.5 * np.log(s2), 8, 0.9, 3_000, RngStream(65, 0).generator)
+        for a, b in zip(stud, gci):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("level, m", [(0.001, 100), (0.999, 100), (0.95, 1), (0.95, 2)])
+    def test_rank_edge_cases_in_law(self, level, m):
+        # level 0.001 at m = 100 reads ranks 50 and 51 for both quantiles;
+        # m = 1 clips the upper neighbour with weight 0
+        n = 10
+        lower, upper, _ = gci_bounds(np.zeros(self.B), n, level, m, RngStream(66, m).generator)
+        lo, hi = _direct_quantiles(n, level, m, self.B, seed=67 + m)
+        assert np.isfinite(lower).all() and (lower <= upper).all()
+        assert stats.ks_2samp(lower, -hi).pvalue > 1e-3
+        assert stats.ks_2samp(upper, -lo).pvalue > 1e-3
+
+    def test_memory_does_not_grow_with_draws(self):
+        def peak(draws: int) -> int:
+            tracemalloc.start()
+            try:
+                gci_bounds(np.zeros(256), 10, 0.95, draws, RngStream(68, 0).generator)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100_000) <= 1.25 * peak(1_000)
 
 
 class TestChenShaoHpd:
