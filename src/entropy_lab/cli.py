@@ -122,7 +122,10 @@ def _losses_from(args) -> list[Loss]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise _UsageError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
 def _eta_grid(start: float, stop: float, step: float) -> tuple:
@@ -171,6 +174,8 @@ def _cmd_risk(args, argv) -> int:
         n_values = _int_list(args.n)
         reps = args.reps
         step = args.eta_step
+    if not n_values:
+        raise _UsageError("risk: --n lists no sample size")
     if step <= 0 or args.eta_to < args.eta_from:
         raise _UsageError("risk: invalid eta grid")
     seed = _resolve_seed(args)

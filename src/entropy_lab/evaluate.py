@@ -61,6 +61,8 @@ class CoverageConfig:
             raise DomainError("level must be in (0, 1)")
         if self.sigma <= 0.0:
             raise DomainError("sigma must be positive")
+        if not self.n_grid or not self.methods:
+            raise DomainError("n_grid and methods must not be empty")
         unknown = set(self.methods) - set(COVERAGE_METHODS)
         if unknown:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
@@ -149,7 +151,8 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
                 theta, _, _ = run_variance_chains(
                     m1, m2, ss1, ss2, n, McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin),
                     stream(_SLOT_MCMC))
-                lower, upper = chen_shao_hpd(np.sort(theta, axis=0), cfg.level)
+                theta.sort(axis=0)
+                lower, upper = chen_shao_hpd(theta, cfg.level)
                 record("hpd", lower, upper, upper - lower)
             return container
 

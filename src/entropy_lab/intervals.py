@@ -14,6 +14,10 @@ reads two adjacent order statistics, and the four an interval reads have an
 exact law, U_(k) = G_k / G_(m+1) with G the partial sums of m + 1 Exp(1)
 spacings (Renyi's representation; Devroye 1986, ch. V).
 
+The hpd chain is a random walk on the exact marginal posterior
+sigma^2 | data ~ IG(n - 1, SS0/2), the means integrated out (Liu 1994),
+read by the Chen & Shao (1999) window.
+
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and
 ``chen_shao_hpd``).  The coverage study calls it on blocks of replications;
@@ -68,7 +72,7 @@ class McmcConfig:
     """Random-walk chain settings: N total iterations, N0 burn-in.
 
     ``proposal_sd`` of None selects the default scale
-    2.4 (SS/2) / ((n-1) sqrt(n)) from the conditional posterior of the
+    2.4 (SS0/2) / ((n-1) sqrt(n)) from the marginal posterior of the
     variance; one adaptation window inside burn-in rescales it once, after
     which the kernel is frozen.
     """
@@ -214,9 +218,9 @@ def boot_t(data: TwoSampleData, level: float = 0.95,
 
 def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarray,
                      z_prop: np.ndarray, logu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One random-walk update of beta = sigma^2 targeting the conditional
-    posterior with kernel beta^-(n+1) exp(-ss/(2 beta)), i.e. inverse-gamma
-    with shape n and scale ss/2.  Nonpositive proposals are rejected.
+    """One random-walk update of beta = sigma^2 targeting the kernel
+    beta^-(n+1) exp(-ss/(2 beta)), i.e. inverse-gamma with shape n and
+    scale ss/2.  Nonpositive proposals are rejected.
 
     ``z_prop`` is the standard normal proposal noise and ``logu`` the log
     uniform acceptance draw; returns (new beta, accept mask).
@@ -232,14 +236,12 @@ def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarr
 def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
                         ss1: np.ndarray, ss2: np.ndarray, n: int,
                         cfg: McmcConfig, gen: np.random.Generator):
-    """Advance B independent chains in lockstep over the posterior of
-    (mu1, mu2, beta), beta = sigma^2, under the noninformative 1/sigma^2
-    prior.
+    """Advance B independent chains in lockstep over the marginal posterior
+    of beta = sigma^2 under the noninformative 1/sigma^2 prior.
 
-    Means are drawn exactly from their normal conditionals; beta moves by a
-    random-walk proposal targeting the inverse-gamma conditional with shape
-    n and scale SS(mu1, mu2)/2.  A mean drawn about its sample mean adds
-    beta z^2 to SS wherever that mean lies, so only ss1 + ss2 enters.
+    With the means integrated out, beta | data is inverse-gamma with shape
+    n - 1 and scale SS0/2, SS0 = ss1 + ss2, so each step is one random-walk
+    proposal for beta on that exact law; the sample means do not enter.
     Returns (theta, acceptance, proposal_sd) where theta[k, j] = ln(sigma)_k
     for chain j after burn-in.
     """
@@ -256,13 +258,9 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     window = min(cfg.N0, 500)
     win_accept = np.zeros(B, dtype=np.int64)
     for k in range(1, cfg.N + 1):
-        z1 = gen.standard_normal(B)
-        z2 = gen.standard_normal(B)
-        # conditional draws of the means; SS contribution is beta * z^2
-        ss = ss0 + beta * (z1 * z1 + z2 * z2)
         z_prop = gen.standard_normal(B)
-        logu = np.log(gen.random(B))
-        beta, accept = mh_variance_step(beta, ss, n, prop_sd, z_prop, logu)
+        logu = -gen.standard_exponential(B)
+        beta, accept = mh_variance_step(beta, ss0, n - 1, prop_sd, z_prop, logu)
         if k <= window:
             win_accept += accept
             if k == window and window >= 50:
@@ -292,18 +290,16 @@ def _autocorr_ess(x: np.ndarray, max_lag: int = 200) -> float:
 
 def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
              cfg: McmcConfig = McmcConfig()) -> IntervalResult:
-    """Highest-posterior-density interval for tau from a Gibbs-within-MH
-    chain on (mu1, mu2, sigma^2)."""
+    """Highest-posterior-density interval for tau from a random-walk chain
+    on the marginal posterior of sigma^2."""
     level = _check_level(level)
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
     st = suff_stats(data)
-    ss1 = float(((data.sample1 - st.mean1) ** 2).sum())
-    ss2 = float(((data.sample2 - st.mean2) ** 2).sum())
     gen = RngStream(cfg.seed, 0).generator
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]),
-        np.array([ss1]), np.array([ss2]), st.n, cfg, gen)
+        np.array([st.s2]), np.zeros(1), st.n, cfg, gen)
     rate = float(acc[0])
     diag = {"acceptance_rate": rate, "ess": _autocorr_ess(theta[:, 0]),
             "draws": len(theta), "proposal_sd": float(prop_sd[0])}
@@ -311,7 +307,8 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
         diag["acceptance_warning"] = True
         warnings.warn(f"MH acceptance rate {rate:.3f} outside [0.05, 0.7]",
                       RuntimeWarning, stacklevel=2)
-    lower, upper = chen_shao_hpd(np.sort(theta, axis=0), level)
+    theta.sort(axis=0)
+    lower, upper = chen_shao_hpd(theta, level)
     return _result("hpd", level, (lower, upper, upper - lower), diag)
 
 
@@ -329,7 +326,7 @@ def chen_shao_hpd(sorted_draws, level: float):
     m = len(draws)
     if m < 100:
         raise DomainError(f"need at least 100 draws for an HPD interval, got {m}")
-    if np.any(np.diff(draws, axis=0) < 0.0):
+    if (draws[1:] < draws[:-1]).any():
         raise DomainError("draws must be sorted ascending")
     offset = int(math.floor(level * m))
     if offset < 1 or offset >= m:

@@ -145,6 +145,12 @@ class TestRisk:
         baee = next(r for r in rows if r["estimator"] == "baee")
         assert float(baee["risk"]) == pytest.approx(0.0383863, abs=4 * float(baee["stderr"]))
 
+    @pytest.mark.parametrize("n", ["8,x", ","])
+    def test_bad_n_list_is_usage_error(self, capsys, n):
+        code, _, err = run_cli(capsys, "risk", "--n", n, "--reps", "100", "--seed", "1")
+        assert code == 2
+        assert "usage error" in err
+
     def test_multiple_n(self, capsys):
         code, out, _ = run_cli(capsys, "risk", "--n", "6,8", "--eta-from", "0",
                                "--eta-to", "0.5", "--eta-step", "0.5",
@@ -171,6 +177,19 @@ class TestCoverage:
                                "--seed", "1", *flags)
         assert code == 4
         assert "must be positive" in err
+
+    def test_non_integer_n_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "coverage", "--n", "10,a", "--outer", "10",
+                               "--seed", "1", "--methods", "aci")
+        assert code == 2
+        assert "usage error" in err
+
+    def test_empty_n_grid_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "coverage", "--n", "", "--outer", "10",
+                                 "--seed", "1", "--methods", "aci")
+        assert code == 4
+        assert out == ""
+        assert "must not be empty" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,8 @@
 """Coverage study bookkeeping and the data-screening tests."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,9 +64,26 @@ class TestCoverageStudy:
             el.CoverageConfig(level=1.2)
         with pytest.raises(DomainError):
             el.CoverageConfig(n_grid=(1,))
-        for bad in ({"gci_draws": 0}, {"boot_k": 0}, {"gci_draws": -5}):
+        for bad in ({"gci_draws": 0}, {"boot_k": 0}, {"gci_draws": -5},
+                    {"n_grid": ()}, {"methods": ()}):
             with pytest.raises(DomainError):
                 el.CoverageConfig(**bad)
+
+    def test_hpd_block_holds_one_chain_array(self):
+        # one 256-rep block keeps its (M, B) draws, sorts them in place and
+        # reads the window from them: no second array of that size
+        b, m = 256, 2_000
+        cfg = el.CoverageConfig(n_grid=(10,), methods=("hpd",), outer_reps=b,
+                                master_seed=12, mcmc_n=m + 500, mcmc_burnin=500)
+        # a first run imports modules lazily; keep that out of the trace
+        el.coverage_study(replace(cfg, outer_reps=1))
+        tracemalloc.start()
+        try:
+            el.coverage_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * m * b * 8
 
 
 class TestKsNormality:

@@ -349,6 +349,21 @@ class TestEquivariance:
 
 
 class TestLockstepChains:
+    @pytest.mark.parametrize("n", [6, 20])
+    def test_chain_targets_exact_marginal_posterior(self, n):
+        # sigma^2 | data ~ IG(n - 1, SS0/2), so ln(sigma) is
+        # ln(SS0/2)/2 - ln(G)/2 with G ~ Gamma(n - 1); the final states of
+        # many independent short chains must follow that law
+        B, ss1, ss2 = 20_000, 0.6 * n, 1.1 * n
+        half_ss0 = 0.5 * (ss1 + ss2)
+        cfg = el.McmcConfig(N=600, N0=500)
+        theta, _, _ = run_variance_chains(
+            np.zeros(B), np.zeros(B), np.full(B, ss1), np.full(B, ss2), n, cfg,
+            RngStream(71, n).generator)
+        p = stats.kstest(theta[-1],
+                         lambda t: stats.gamma.sf(half_ss0 * np.exp(-2.0 * t), n - 1)).pvalue
+        assert p > 1e-3
+
     def test_single_chain_matches_batch_layout(self):
         # the chain runner is shared by the single-data and coverage paths;
         # shapes and acceptance bookkeeping must line up
