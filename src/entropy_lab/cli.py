@@ -5,10 +5,13 @@ risk/RRI campaigns), ``ci`` (one interval method on data), ``coverage``
 (CP/AL/PCD study), and ``reproduce`` (the full desk-scale pipeline into a
 directory of tables).
 
-Every command honors ``--seed``; without it a fresh seed is drawn and
-recorded.  Outputs are CSV or JSON only, and any run that writes files also
-writes a manifest capturing enough to re-run it bit-identically.  Exit
-codes: 0 success, 2 usage, 3 data error, 4 numeric failure.
+Each table schema has one text builder, which a command and ``reproduce``
+share, so ``estimate --dataset boeing`` prints the bytes of ``reproduce``'s
+``point_estimates_boeing.csv``.  A command prints its CSV or JSON to
+stdout; with ``--out`` it writes that text to the file instead, next to a
+manifest capturing enough to re-run it bit-identically, and prints nothing.
+Every seeded command honors ``--seed``; without it a fresh seed is drawn and
+recorded.  Exit codes: 0 success, 2 usage, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -58,20 +61,16 @@ def _timestamp() -> int:
     return int(env) if env else int(time.time())
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ENTROPY_LAB_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     seed = secrets.randbits(63)
     print(f"# seed not given; using generated seed {seed}", file=sys.stderr)
     return seed
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
@@ -85,7 +84,7 @@ def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
         "timestamp": _timestamp(),
         "outputs": outputs,
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(manifest))
 
 
 def _write_output(args, argv: list[str], text: str, config: dict, seed: int) -> None:
@@ -135,6 +134,46 @@ def _eta_grid(start: float, stop: float, step: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# tables: one text builder per schema, shared by a command and ``reproduce``
+# ---------------------------------------------------------------------------
+
+
+def _point_csv(data: TwoSampleData, losses) -> str:
+    """Every estimator under each loss: ln(sigma) and the entropy it gives."""
+    st = suff_stats(data)
+    lines = ["loss,a1,estimator,tau,entropy\n"]
+    for loss in losses:
+        a1 = "" if loss.a1 is None else repr(loss.a1)
+        lines.extend(f"{loss.label},{a1},{rep.kind},{rep.value!r},{rep.entropy_value!r}\n"
+                     for rep in estimate_all(st, loss))
+    return "".join(lines)
+
+
+def _interval(method: str, data: TwoSampleData, level: float, seed: int, draws: int,
+              boot_k: int, n_draws: int, burnin: int, proposal_sd: float | None = None):
+    """One interval on ``data``; ``seed`` is unused by aci."""
+    if method == "aci":
+        return aci(data, level)
+    if method == "gci":
+        return gci_umvue(suff_stats(data), level, draws=draws, seed=seed)
+    if method in ("boot-p", "boot-t"):
+        boot = boot_p if method == "boot-p" else boot_t
+        return boot(data, level, BootConfig(K=boot_k, seed=seed))
+    return hpd_mcmc(data, level, McmcConfig(N=n_draws, N0=burnin, proposal_sd=proposal_sd,
+                                            seed=seed))
+
+
+def _intervals_csv(results) -> str:
+    return "method,level,lower,upper,length\n" + "".join(
+        f"{r.method},{r.level!r},{r.lower!r},{r.upper!r},{r.length!r}\n" for r in results)
+
+
+def _risk_table(n_values, **cfg) -> str:
+    """The risk/RRI table of one campaign per sample size."""
+    return risk_csv([simulate_risk(SimConfig(n=n, **cfg)) for n in n_values])
+
+
+# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -145,21 +184,8 @@ def _cmd_estimate(args, argv) -> int:
     if order.p_value < 0.05:
         print(f"# warning: ordering test rejects mu1 <= mu2 (p = {order.p_value:.4f})",
               file=sys.stderr)
-    st = suff_stats(data)
-    rows = []
-    for loss in _losses_from(args):
-        for rep in estimate_all(st, loss):
-            a1 = "" if loss.a1 is None else repr(loss.a1)
-            value = rep.entropy_value if args.entropy else rep.value
-            rows.append((loss.label, a1, rep.kind, value))
-    head = "entropy" if args.entropy else "tau"
-    print(f"{'loss':8s} {'a1':6s} {'estimator':15s} {head}")
-    for label, a1, kind, value in rows:
-        print(f"{label:8s} {a1:6s} {kind:15s} {value:.6f}")
-    if args.out:
-        text = f"loss,a1,estimator,{head}\n" + "".join(
-            f"{label},{a1},{kind},{value!r}\n" for label, a1, kind, value in rows)
-        _write_output(args, argv, text, {"command": "estimate", "entropy": args.entropy}, 0)
+    _write_output(args, argv, _point_csv(data, _losses_from(args)),
+                  {"command": "estimate", "loss": args.loss, "a1": args.a1}, 0)
     return 0
 
 
@@ -176,17 +202,17 @@ def _cmd_risk(args, argv) -> int:
         step = args.eta_step
     if not n_values:
         raise _UsageError("risk: --n lists no sample size")
+    if len(set(n_values)) < len(n_values):
+        raise _UsageError("risk: --n repeats a sample size")
     if step <= 0 or args.eta_to < args.eta_from:
         raise _UsageError("risk: invalid eta grid")
     seed = _resolve_seed(args)
-    etas = list(_eta_grid(args.eta_from, args.eta_to, step))
+    etas = _eta_grid(args.eta_from, args.eta_to, step)
     loss = _loss_from(args)
     estimators = tuple(args.estimators.split(",")) if args.estimators else DEFAULT_ESTIMATORS
-    results = [simulate_risk(SimConfig(n=n, eta_grid=tuple(etas), loss=loss, replications=reps,
-                                       master_seed=seed, estimators=estimators,
-                                       baseline=args.baseline, threads=args.threads))
-               for n in n_values]
-    _write_output(args, argv, risk_csv(results),
+    text = _risk_table(n_values, eta_grid=etas, loss=loss, replications=reps, master_seed=seed,
+                       estimators=estimators, baseline=args.baseline, threads=args.threads)
+    _write_output(args, argv, text,
                   {"command": "risk", "n": n_values, "reps": reps, "etas": etas,
                    "loss": loss.label, "a1": loss.a1, "baseline": args.baseline}, seed)
     return 0
@@ -194,24 +220,11 @@ def _cmd_risk(args, argv) -> int:
 
 def _cmd_ci(args, argv) -> int:
     data = _load_data(args)
-    level = args.level
     seed = 0 if args.method == "aci" else _resolve_seed(args)
-    if args.method == "aci":
-        result = aci(data, level)
-    elif args.method == "gci":
-        result = gci_umvue(suff_stats(data), level, draws=args.draws, seed=seed)
-    elif args.method == "boot-p":
-        result = boot_p(data, level, BootConfig(K=args.boot_k, seed=seed))
-    elif args.method == "boot-t":
-        result = boot_t(data, level, BootConfig(K=args.boot_k, seed=seed))
-    else:
-        result = hpd_mcmc(data, level, McmcConfig(N=args.n_draws, N0=args.burnin,
-                                                  proposal_sd=args.proposal_sd, seed=seed))
-    payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(payload)
-    if args.out:
-        _write_output(args, argv, payload,
-                      {"command": "ci", "method": args.method, "level": level}, seed)
+    result = _interval(args.method, data, args.level, seed, args.draws, args.boot_k,
+                       args.n_draws, args.burnin, args.proposal_sd)
+    _write_output(args, argv, _json_text(result.to_json_dict()),
+                  {"command": "ci", "method": args.method, "level": args.level}, seed)
     return 0
 
 
@@ -277,71 +290,40 @@ def _cmd_reproduce(args, argv) -> int:
     out_dir = Path(args.out_dir)
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
     scale_name = "paper" if args.paper_scale else "desk"
     scale = _SCALES[scale_name]
+    outputs: list[str] = []
 
-    # point estimates on the built-in dataset
-    st = suff_stats(boeing())
-    path = tables / "point_estimates_boeing.csv"
-    with open(path, "w") as fh:
-        fh.write("loss,a1,estimator,tau,entropy\n")
-        for loss in _ALL_LOSSES:
-            lbl = "" if loss.a1 is None else repr(loss.a1)
-            for rep in estimate_all(st, loss):
-                fh.write(f"{loss.label},{lbl},{rep.kind},{rep.value!r},{rep.entropy_value!r}\n")
-    outputs.append(str(path))
-
-    # interval table on the built-in dataset
-    data = boeing()
-    level = 0.95
-    results = [
-        aci(data, level),
-        gci_umvue(st, level, draws=scale["pivot_draws"], seed=seed + 1),
-        boot_p(data, level, BootConfig(K=3000, seed=seed + 2)),
-        boot_t(data, level, BootConfig(K=3000, seed=seed + 2)),
-        hpd_mcmc(data, level, McmcConfig(N=12_000, N0=2_000, seed=seed + 3)),
-    ]
-    path = tables / "intervals_boeing.csv"
-    with open(path, "w") as fh:
-        fh.write("method,level,lower,upper,length\n")
-        for r in results:
-            fh.write(f"{r.method},{r.level!r},{r.lower!r},{r.upper!r},{r.length!r}\n")
-    outputs.append(str(path))
-    path = tables / "intervals_boeing.json"
-    path.write_text(json.dumps([r.to_json_dict() for r in results], indent=2, sort_keys=True) + "\n")
-    outputs.append(str(path))
-
-    # risk / RRI tables
-    etas = _eta_grid(0.0, 5.0, scale["eta_step"])
-    for label, loss in (("l1", Loss.squared_error()), ("linex_am3", Loss.linex(-3.0))):
-        path = tables / f"risk_rri_{label}.csv"
-        path.write_text(risk_csv([
-            simulate_risk(SimConfig(n=n, eta_grid=etas, loss=loss, replications=scale["reps"],
-                                    master_seed=seed + 10, threads=args.threads))
-            for n in scale["risk_n"]]))
+    def write(path: Path, text: str) -> None:
+        path.write_text(text)
         outputs.append(str(path))
 
-    # restricted-MLE improvement relative to the MLE
-    path = tables / "rmle_rri_l1.csv"
-    path.write_text(risk_csv([
-        simulate_risk(SimConfig(n=n, eta_grid=etas, loss=Loss.squared_error(),
-                                replications=scale["reps"], master_seed=seed + 20,
-                                estimators=("mle", "rmle"), baseline="mle",
-                                threads=args.threads))
-        for n in scale["rmle_n"]]))
-    outputs.append(str(path))
+    data = boeing()
+    write(tables / "point_estimates_boeing.csv", _point_csv(data, _ALL_LOSSES))
 
-    # coverage study
+    # the interval methods in table order; the two bootstraps share a stream
+    intervals = [_interval(method, data, 0.95, seed + offset, draws=scale["pivot_draws"],
+                           boot_k=3000, n_draws=12_000, burnin=2_000)
+                 for method, offset in zip(COVERAGE_METHODS, (0, 1, 2, 2, 3))]
+    write(tables / "intervals_boeing.csv", _intervals_csv(intervals))
+    write(tables / "intervals_boeing.json", _json_text([r.to_json_dict() for r in intervals]))
+
+    etas = _eta_grid(0.0, 5.0, scale["eta_step"])
+    for label, loss in (("l1", Loss.squared_error()), ("linex_am3", Loss.linex(-3.0))):
+        write(tables / f"risk_rri_{label}.csv",
+              _risk_table(scale["risk_n"], eta_grid=etas, loss=loss, replications=scale["reps"],
+                          master_seed=seed + 10, threads=args.threads))
+
+    # restricted-MLE improvement relative to the MLE
+    write(tables / "rmle_rri_l1.csv",
+          _risk_table(scale["rmle_n"], eta_grid=etas, loss=Loss.squared_error(),
+                      replications=scale["reps"], master_seed=seed + 20,
+                      estimators=("mle", "rmle"), baseline="mle", threads=args.threads))
+
     cov_cfg = CoverageConfig(n_grid=scale["coverage_n"], methods=COVERAGE_METHODS, level=0.95,
                              master_seed=seed + 30, threads=args.threads, **scale["coverage"])
-    path = tables / "coverage.csv"
-    coverage_study(cov_cfg).to_csv(path)
-    outputs.append(str(path))
-
-    disc = out_dir / "DISCREPANCIES.md"
-    disc.write_text(_DISCREPANCIES)
-    outputs.append(str(disc))
+    write(tables / "coverage.csv", coverage_study(cov_cfg).csv_text())
+    write(out_dir / "DISCREPANCIES.md", _DISCREPANCIES)
 
     _write_manifest(out_dir / "manifest.json", argv,
                     {"command": "reproduce", "scale": scale_name,
@@ -372,8 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_data_args(p)
     p.add_argument("--loss", choices=["l1", "linex", "all"], default="all")
     p.add_argument("--a1", type=float, help="linex asymmetry (nonzero)")
-    p.add_argument("--entropy", action="store_true", help="report entropy instead of ln(sigma)")
-    p.add_argument("--out", help="also write CSV here")
+    p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("risk", help="Monte Carlo risk / RRI campaign")
@@ -389,13 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-scale", action="store_true",
                    help="70,000 replications on the full n grid")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_risk)
 
     p = sub.add_parser("ci", help="one confidence/credible interval on data")
     add_data_args(p)
-    p.add_argument("--method", choices=["aci", "boot-p", "boot-t", "gci", "hpd"], required=True)
+    p.add_argument("--method", choices=COVERAGE_METHODS, required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--draws", type=int, default=10_000, help="pivot draws for gci")
     p.add_argument("--boot-k", type=int, default=3000)
@@ -403,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burnin", type=int, default=2_000)
     p.add_argument("--proposal-sd", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="also write JSON here")
+    p.add_argument("--out", help="write JSON here (default: stdout)")
     p.set_defaults(fn=_cmd_ci)
 
     p = sub.add_parser("coverage", help="coverage probability / average length study")
@@ -417,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_coverage)
 
@@ -426,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--desk-scale", action="store_true", default=True)
     scale.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=False)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="reproduction")
     p.set_defaults(fn=_cmd_reproduce)
 

@@ -415,20 +415,17 @@ def ierd_check(y_grid: Sequence[float], phi_values: Sequence[float], loss: Loss,
 def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float, alpha: float) -> float:
     """Ratio I(y - d2) / I(y - d1) of the windowed Gaussian masses
 
-        I(t) = int_{-alpha}^{alpha} exp(-(sqrt(n) e^t w - eta)^2 / 4) dw,
+        I(t) = int_{-alpha}^{alpha} exp(-(s w - eta)^2 / 4) dw
+             = (sqrt(pi) / s) [erfc((eta - s alpha) / 2) - erfc((eta + s alpha) / 2)],
 
-    evaluated by quadrature.  For d1 < d2 the ratio is nondecreasing in y,
-    which is the monotone-likelihood property behind the shrinkage solvers.
+    s = sqrt(n) e^t, in closed form (the sqrt(pi) cancels in the ratio).  For
+    d1 < d2 the ratio is nondecreasing in y, which is the monotone-likelihood
+    property behind the shrinkage solvers.
     """
 
     def mass(t: float) -> float:
-        scale = math.sqrt(n) * math.exp(t)
-
-        def f(wv: np.ndarray) -> np.ndarray:
-            dev = scale * wv - eta
-            return np.exp(-0.25 * dev * dev)
-
-        return adaptive_quad(f, -alpha, alpha)
+        s = math.sqrt(n) * math.exp(t)
+        return (math.erfc((eta - s * alpha) / 2) - math.erfc((eta + s * alpha) / 2)) / s
 
     return mass(y - d2) / mass(y - d1)
 

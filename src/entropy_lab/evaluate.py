@@ -63,6 +63,8 @@ class CoverageConfig:
             raise DomainError("sigma must be positive")
         if not self.n_grid or not self.methods:
             raise DomainError("n_grid and methods must not be empty")
+        if len(set(self.n_grid)) < len(self.n_grid) or len(set(self.methods)) < len(self.methods):
+            raise DomainError("n_grid and methods must not repeat an entry")
         unknown = set(self.methods) - set(COVERAGE_METHODS)
         if unknown:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")

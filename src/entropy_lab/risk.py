@@ -58,7 +58,10 @@ class SimConfig:
             raise DomainError("need at least one replication")
         if any(e < 0 for e in self.eta_grid):
             raise DomainError("eta values must be >= 0 under the mean ordering")
-        if self.baseline not in tuple(_name_of(e) for e in self.estimators):
+        names = [_name_of(e) for e in self.estimators]
+        if len(set(names)) < len(names):
+            raise DomainError(f"estimators repeat a name: {names}")
+        if self.baseline not in names:
             raise DomainError(f"baseline {self.baseline!r} must be among the estimators")
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from entropy_lab import cli
 from entropy_lab.cli import main
+from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
 from entropy_lab.evaluate import CoverageResult
 from entropy_lab.risk import SimResult
 
@@ -21,16 +22,8 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def parse_table(stdout):
-    rows = {}
-    for line in stdout.splitlines()[1:]:
-        parts = line.split()
-        if len(parts) == 4:
-            loss, a1, est, val = parts
-        else:
-            loss, est, val = parts
-        rows[est] = float(val)
-    return rows
+def parse_table(stdout, column="tau"):
+    return {r["estimator"]: float(r[column]) for r in csv.DictReader(stdout.splitlines())}
 
 
 class TestEstimate:
@@ -49,11 +42,29 @@ class TestEstimate:
         assert parse_table(out)["baee"] == pytest.approx(4.8233, abs=5e-4)
 
     def test_entropy_mode(self, capsys):
-        code, out, _ = run_cli(capsys, "estimate", "--dataset", "boeing",
-                               "--loss", "l1", "--entropy")
+        code, out, _ = run_cli(capsys, "estimate", "--dataset", "boeing", "--loss", "l1")
         assert code == 0
         want = 1.0 + math.log(2 * math.pi) + 2 * 4.729300217167414
-        assert parse_table(out)["baee"] == pytest.approx(want, abs=1e-3)
+        assert parse_table(out, "entropy")["baee"] == pytest.approx(want, abs=1e-3)
+
+    def test_paired_csv_matches_dataset(self, capsys, tmp_path):
+        f = tmp_path / "boeing.csv"
+        f.write_text("sample1,sample2\n" + "".join(
+            f"{a},{b}\n" for a, b in zip(BOEING_PLANE_7907, BOEING_PLANE_7916)))
+        code, out, _ = run_cli(capsys, "estimate", "--csv", str(f))
+        assert code == 0
+        assert out == run_cli(capsys, "estimate", "--dataset", "boeing")[1]
+
+    def test_ordering_warning(self, capsys, tmp_path):
+        f1 = tmp_path / "high.txt"
+        f2 = tmp_path / "low.txt"
+        f1.write_text("101\n99\n100\n102\n98\n")
+        f2.write_text("1\n-1\n0\n2\n-2\n")
+        code, out, err = run_cli(capsys, "estimate", "--data1", str(f1),
+                                 "--data2", str(f2), "--loss", "l1")
+        assert code == 0
+        assert "warning: ordering test rejects mu1 <= mu2" in err
+        assert len(parse_table(out)) == 9
 
     def test_equal_samples_collapse_to_baselines(self, capsys, tmp_path):
         f1 = tmp_path / "a.txt"
@@ -126,6 +137,18 @@ class TestCi:
         assert payload["lower"] <= 4.586479 <= payload["upper"]
         assert "acceptance_rate" in payload["diagnostics"]
 
+    def test_boot_p_and_t_share_length(self, capsys):
+        lengths = []
+        for method in ("boot-p", "boot-t"):
+            code, out, _ = run_cli(capsys, "ci", "--dataset", "boeing", "--method", method,
+                                   "--boot-k", "2000", "--seed", "5")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["method"] == method
+            lengths.append(payload["length"])
+        assert math.isfinite(lengths[0]) and lengths[0] > 0
+        assert lengths[0] == lengths[1]
+
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "ci", "--dataset", "boeing")
         assert code == 2
@@ -145,11 +168,25 @@ class TestRisk:
         baee = next(r for r in rows if r["estimator"] == "baee")
         assert float(baee["risk"]) == pytest.approx(0.0383863, abs=4 * float(baee["stderr"]))
 
-    @pytest.mark.parametrize("n", ["8,x", ","])
+    @pytest.mark.parametrize("n", ["8,x", ",", "6,6"])
     def test_bad_n_list_is_usage_error(self, capsys, n):
         code, _, err = run_cli(capsys, "risk", "--n", n, "--reps", "100", "--seed", "1")
         assert code == 2
         assert "usage error" in err
+
+    def test_zero_eta_step_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "risk", "--n", "8", "--eta-step", "0",
+                                 "--reps", "100", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "invalid eta grid" in err
+
+    def test_repeated_estimator_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "risk", "--n", "8", "--eta-to", "0", "--reps", "100",
+                                 "--seed", "1", "--estimators", "baee,baee")
+        assert code == 4
+        assert out == ""
+        assert "repeat" in err
 
     def test_multiple_n(self, capsys):
         code, out, _ = run_cli(capsys, "risk", "--n", "6,8", "--eta-from", "0",
@@ -191,8 +228,18 @@ class TestCoverage:
         assert out == ""
         assert "must not be empty" in err
 
+    @pytest.mark.parametrize("n,methods", [("10", "aci,aci"), ("10,10", "gci")])
+    def test_repeated_entry_is_domain_error(self, capsys, n, methods):
+        code, out, err = run_cli(capsys, "coverage", "--n", n, "--outer", "10",
+                                 "--seed", "1", "--methods", methods)
+        assert code == 4
+        assert out == ""
+        assert "must not repeat" in err
+
 
 @pytest.mark.parametrize("argv", [
+    ("estimate", "--dataset", "boeing"),
+    ("ci", "--dataset", "boeing", "--method", "gci", "--draws", "2000", "--seed", "4"),
     ("risk", "--n", "6,8", "--eta-to", "0.5", "--eta-step", "0.5", "--reps", "500",
      "--loss", "linex", "--a1", "-3", "--seed", "4"),
     ("coverage", "--methods", "aci,boot-p,boot-t", "--n", "6", "--outer", "50",
@@ -202,9 +249,12 @@ def test_stdout_matches_out_file(capsys, tmp_path, argv):
     code, printed, _ = run_cli(capsys, *argv)
     assert code == 0
     out = tmp_path / "table.csv"
-    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    code, silent, _ = run_cli(capsys, *argv, "--out", str(out))
     assert code == 0
+    assert silent == ""
     assert out.read_text() == printed
+    manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out)]
 
 
 def _norm_manifest(path: Path) -> dict:
@@ -253,6 +303,14 @@ class TestReproduce:
         # manifests agree once the recorded invocation details are set aside
         assert _norm_manifest(tmp_path / "w1" / "manifest.json") == \
             _norm_manifest(tmp_path / "w8" / "manifest.json")
+
+    def test_estimate_prints_point_table(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "--desk-scale", "--seed", "1", "--out-dir", "out"]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "estimate", "--dataset", "boeing")
+        assert code == 0
+        assert out == (tmp_path / "out" / "tables" / "point_estimates_boeing.csv").read_text()
 
     def test_discrepancies_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

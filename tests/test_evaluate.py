@@ -65,7 +65,8 @@ class TestCoverageStudy:
         with pytest.raises(DomainError):
             el.CoverageConfig(n_grid=(1,))
         for bad in ({"gci_draws": 0}, {"boot_k": 0}, {"gci_draws": -5},
-                    {"n_grid": ()}, {"methods": ()}):
+                    {"n_grid": ()}, {"methods": ()}, {"n_grid": (10, 10)},
+                    {"methods": ("aci", "aci")}):
             with pytest.raises(DomainError):
                 el.CoverageConfig(**bad)
 

@@ -156,6 +156,8 @@ class TestSimulateRisk:
             el.SimConfig(n=6, loss=l1, eta_grid=(-1.0,))
         with pytest.raises(DomainError):
             el.SimConfig(n=6, loss=l1, estimators=("stein",), baseline="baee")
+        with pytest.raises(DomainError):
+            el.SimConfig(n=6, loss=l1, estimators=("baee", "baee"))
 
     def test_block_memory_does_not_grow_with_n(self, l1):
         def peak(n):
