@@ -39,10 +39,10 @@ from .model import (
     Params,
     SuffStats,
     TwoSampleData,
+    closed_form_bias_baee,
+    closed_form_risk_baee,
     d0,
     entropy_of_log_sigma,
-    loss_deriv,
-    loss_eval,
     m0,
     suff_stats,
     two_sample_data,
@@ -51,8 +51,6 @@ from .risk import (
     GpcResult,
     SimConfig,
     SimResult,
-    closed_form_bias_baee,
-    closed_form_risk_baee,
     gpc_estimate,
     rri_curve,
     simulate_risk,
@@ -76,7 +74,7 @@ __all__ = [
     "closed_form_risk_baee", "conditional_median", "coverage_study", "d0",
     "entropy_of_log_sigma", "estimate_all", "f_test_equal_var", "gci_umvue",
     "gpc_estimate", "hpd_mcmc", "ierd_check", "improved_mle",
-    "improved_rmle", "ks_normality", "loss_deriv", "loss_eval", "m0", "mle",
+    "improved_rmle", "ks_normality", "m0", "mle",
     "pitman_clipped", "rmle", "rri_curve", "simulate_risk", "stein",
     "suff_stats", "t_test_ordered_means", "two_sample_data", "umvue",
 ]

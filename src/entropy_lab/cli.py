@@ -127,6 +127,13 @@ def _int_list(text: str) -> list[int]:
         raise _UsageError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _eta_grid(start: float, stop: float, step: float) -> tuple:
     """start, start + step, ... up to stop inclusive, rounded to 10 places."""
     count = math.floor((stop - start) / step + 1e-9) + 1
@@ -143,8 +150,7 @@ def _point_csv(data: TwoSampleData, losses) -> str:
     st = suff_stats(data)
     lines = ["loss,a1,estimator,tau,entropy\n"]
     for loss in losses:
-        a1 = "" if loss.a1 is None else repr(loss.a1)
-        lines.extend(f"{loss.label},{a1},{rep.kind},{rep.value!r},{rep.entropy_value!r}\n"
+        lines.extend(f"{loss.csv_fields},{rep.kind},{rep.value!r},{rep.entropy_value!r}\n"
                      for rep in estimate_all(st, loss))
     return "".join(lines)
 
@@ -370,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-scale", action="store_true",
                    help="70,000 replications on the full n grid")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_risk)
 
@@ -398,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_coverage)
 
@@ -407,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--desk-scale", action="store_true", default=True)
     scale.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=False)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out-dir", default="reproduction")
     p.set_defaults(fn=_cmd_reproduce)
 

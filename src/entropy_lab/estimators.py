@@ -73,19 +73,19 @@ def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
 
 
 def _r0_closed_form(n: int, loss: Loss, J: Callable[[float, int], np.ndarray]):
-    """r0 from the kernel integrals.  ``J(a, k)`` returns J_k(a, y) at the
-    points wanted, a number or an array, so one closed form serves a single
-    |W| and a whole grid."""
+    """r0 from the kernel integrals: :meth:`Loss.shift` over the law of V
+    given |W| <= absw, whose moments are J ratios.  ``J(a, k)`` returns
+    J_k(a, y) at the points wanted, a number or an array, so one closed
+    form serves a single |W| and a whole grid."""
     a = n - 0.5
-    if loss.kind == "squared_error":
-        return -0.5 * (digamma(a) + math.log(4.0) - J(a, 1) / J(a, 0))
-    a1 = loss.a1
-    a_shift = a + 0.5 * a1
-    if a_shift <= 0.0:
-        raise DomainError(f"linex r0 needs (2n - 1 + a1)/2 > 0 (n={n}, a1={a1})")
-    num = ln_gamma(a) + np.log(J(a, 0))
-    den = 0.5 * a1 * math.log(4.0) + ln_gamma(a_shift) + np.log(J(a_shift, 0))
-    return (num - den) / a1
+
+    def log_root_mgf(a1: float):
+        b = a + 0.5 * a1
+        return (0.5 * a1 * math.log(4.0) + ln_gamma(b) + np.log(J(b, 0))
+                - (ln_gamma(a) + np.log(J(a, 0))))
+
+    return loss.shift(a, lambda: 0.5 * (digamma(a) + math.log(4.0) - J(a, 1) / J(a, 0)),
+                      log_root_mgf)
 
 
 def _r0_on_nodes(n: int, loss: Loss, u: np.ndarray) -> np.ndarray:
@@ -178,13 +178,13 @@ class BzTable:
                 fh.write(f"{wv!r},{rv!r}\n")
 
 
-_TABLE_CACHE: dict[tuple, BzTable] = {}
+_TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}
 _TABLE_LOCK = threading.Lock()
 
 
 def bz_table(n: int, loss: Loss) -> BzTable:
     """Cached table, safe for concurrent readers after first build."""
-    key = (n, loss.kind, loss.a1)
+    key = (n, loss)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         with _TABLE_LOCK:
@@ -309,16 +309,11 @@ def _bz_rule(lns, w, r0: Callable[[np.ndarray], np.ndarray]):
     return lns + r0(np.abs(w))
 
 
-def _pitman_rule(lns, w, c: float, n: int, base=None, upper_at=None, lower_at=None):
+def _pitman_rule(lns, w, c: float, n: int):
     """Clip the additive term c at the eta = 0 conditional-median target
-    t(w) = -median[ln sqrt(V) | W = w, eta = 0]; ``base``, ``upper_at`` and
-    ``lower_at`` (functions of an array of W) replace c and the per-side
-    targets."""
+    t(w) = -median[ln sqrt(V) | W = w, eta = 0]."""
     target = -0.5 * median_ln_v_eta0(w, n)
-    phi = c if base is None else base(w)
-    cap = target if upper_at is None else upper_at(w)
-    floor = target if lower_at is None else lower_at(w)
-    return lns + _clip(w, phi, cap, floor)
+    return lns + _clip(w, c, target, target)
 
 
 _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
@@ -482,22 +477,16 @@ def brewster_zidek(st: SuffStats, loss: Loss) -> float:
     return math.log(st.s) + bz_r0(abs(st.w), st.n, loss)
 
 
-def pitman_clipped(st: SuffStats, loss: Loss, base: Callable | None = None,
-                   *, upper_at: Callable | None = None,
-                   lower_at: Callable | None = None) -> float:
-    """Clip an additive term at the eta = 0 conditional-median target.
+def pitman_clipped(st: SuffStats, loss: Loss) -> float:
+    """Clip ``baee`` at the eta = 0 conditional-median target.
 
     With t(w) = -median[ln sqrt(V) | W = w, eta = 0], the estimate is capped
     at ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
     conditional median is monotone in eta, the clipped estimator is closer
     to tau in the generalized Pitman sense for every eta >= 0, whatever
-    bowl-shaped loss is used for the comparison.  ``base`` defaults to the
-    equivariant constant d0(loss); ``upper_at``/``lower_at`` override the
-    per-side clip targets.  All three are functions of an array of W values,
-    in additive-term space.
+    bowl-shaped loss is used for the comparison.
     """
-    return _batch_of_one(partial(_pitman_rule, c=d0(loss, st.n), n=st.n, base=base,
-                                 upper_at=upper_at, lower_at=lower_at), st)
+    return _estimate("pitman", st, loss)
 
 
 @dataclass(frozen=True)

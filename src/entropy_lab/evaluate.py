@@ -70,8 +70,8 @@ class CoverageConfig:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
         if any(n < 2 for n in self.n_grid):
             raise DomainError("every n must be >= 2")
-        if self.gci_draws < 1 or self.boot_k < 1:
-            raise DomainError("gci_draws and boot_k must be positive")
+        if self.gci_draws < 1 or self.boot_k < 1 or self.threads < 1:
+            raise DomainError("gci_draws, boot_k and threads must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Data model for two order-restricted normal populations with a common
-variance: sufficient statistics, loss functions, and the equivariant shift
-constants.
+variance: sufficient statistics, loss functions, the equivariant shift
+constants, and the exact bias and risk of the baseline they define.
 
 The estimand throughout is tau = ln(sigma); the differential entropy of the
 two-population system is the affine map H = 1 + ln(2*pi) + 2*tau.
@@ -21,12 +21,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError, DomainError
-from .numerics import adaptive_quad, digamma, find_root, ln_gamma
+from .numerics import adaptive_quad, digamma, find_root, ln_gamma, trigamma
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -157,27 +157,35 @@ class Loss:
     def value(self, t):
         if self.kind == SQUARED_ERROR:
             return np.square(t)
-        a = self.a1
-        at = a * np.asarray(t, dtype=float)
+        at = self.a1 * np.asarray(t, dtype=float)
         return np.exp(at) - at - 1.0
 
     def deriv(self, t):
         if self.kind == SQUARED_ERROR:
             return 2.0 * np.asarray(t, dtype=float)
-        a = self.a1
-        return a * (np.exp(a * np.asarray(t, dtype=float)) - 1.0)
+        return self.a1 * (np.exp(self.a1 * np.asarray(t, dtype=float)) - 1.0)
+
+    def shift(self, shape: float, mean_log_root: Callable[[], float],
+              log_root_mgf: Callable[[float], float]):
+        """The shift c solving E[L'(ln sqrt(V) + c)] = 0, from the moments of
+        V: c = -E[ln sqrt(V)] = -``mean_log_root()`` under squared error and
+        c = -ln E[V^(a1/2)] / a1 = -``log_root_mgf(a1)`` / a1 under linex.
+        Only the moment the loss needs is called.  The density of V is
+        ~ v^(shape-1) near 0, so the linex moment needs shape + a1/2 > 0."""
+        if self.kind == SQUARED_ERROR:
+            return -mean_log_root()
+        if shape + 0.5 * self.a1 <= 0.0:
+            raise DomainError(f"linex shift needs shape + a1/2 > 0 (shape={shape}, a1={self.a1})")
+        return -log_root_mgf(self.a1) / self.a1
 
     @property
     def label(self) -> str:
         return "l1" if self.kind == SQUARED_ERROR else "linex"
 
-
-def loss_eval(loss: Loss, t: float) -> float:
-    return float(loss.value(t))
-
-
-def loss_deriv(loss: Loss, t: float) -> float:
-    return float(loss.deriv(t))
+    @property
+    def csv_fields(self) -> str:
+        """The ``loss,a1`` fields of a CSV row (a1 empty under squared error)."""
+        return f"{self.label},{'' if self.a1 is None else repr(self.a1)}"
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +198,8 @@ def loss_deriv(loss: Loss, t: float) -> float:
 #
 # m0(loss, n):  same first-order condition with U ~ Gamma((2n-1)/2, scale 2),
 # the conditional law of S^2 given W = 0.  It is the small-|W| target of all
-# shrinkage estimators and satisfies m0 < d0.
+# shrinkage estimators and satisfies m0 < d0.  Both are Loss.shift over a
+# gamma law, and the exact bias and risk of ln(S) + d0 follow from d0.
 
 
 def gamma_shift_root(loss: Loss, shape: float, bracket: float = 8.0) -> float:
@@ -217,17 +226,19 @@ def gamma_shift_root(loss: Loss, shape: float, bracket: float = 8.0) -> float:
     return find_root(expectation, -bracket, bracket, tol=1e-12)
 
 
+def _gamma_mean_log_root(shape: float) -> float:
+    """E[ln sqrt(U)] for U ~ Gamma(shape, scale 2)."""
+    return 0.5 * (math.log(2.0) + digamma(shape))
+
+
 def _gamma_shift(loss: Loss, n: int, shape: float) -> float:
-    """Closed form of the shift solving E[L'(ln sqrt(U) + c)] = 0 for
-    U ~ Gamma(shape, scale 2)."""
+    """:meth:`Loss.shift` for U ~ Gamma(shape, scale 2), where
+    E[U^(a/2)] = 2^(a/2) Gamma(shape + a/2) / Gamma(shape)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if loss.kind == SQUARED_ERROR:
-        return -0.5 * (math.log(2.0) + digamma(shape))
-    a1 = loss.a1
-    if shape + 0.5 * a1 <= 0.0:
-        raise DomainError(f"linex shift needs shape + a1/2 > 0 (n={n}, a1={a1})")
-    return -(0.5 * a1 * math.log(2.0) + ln_gamma(shape + 0.5 * a1) - ln_gamma(shape)) / a1
+    return loss.shift(shape, lambda: _gamma_mean_log_root(shape),
+                      lambda a: 0.5 * a * math.log(2.0) + ln_gamma(shape + 0.5 * a)
+                      - ln_gamma(shape))
 
 
 def d0(loss: Loss, n: int) -> float:
@@ -239,6 +250,19 @@ def m0(loss: Loss, n: int) -> float:
     """Conditional shrinkage target: the shift solving the same first-order
     condition under Gamma((2n-1)/2, scale 2)."""
     return _gamma_shift(loss, n, 0.5 * (2.0 * n - 1.0))
+
+
+def closed_form_bias_baee(loss: Loss, n: int) -> float:
+    """Exact bias E[ln sqrt(V)] + d0 of ln(S) + d0; zero under squared error."""
+    return d0(loss, n) + _gamma_mean_log_root(n - 1.0)
+
+
+def closed_form_risk_baee(loss: Loss, n: int) -> float:
+    """Exact constant risk of ln(S) + d0: trigamma(n-1)/4, the variance of
+    ln sqrt(V), under squared error; under linex d0 zeroes the exponential
+    term of E[L'], so the risk is -a1 times the bias."""
+    bias = closed_form_bias_baee(loss, n)  # checks n and the linex moment
+    return 0.25 * trigamma(n - 1.0) if loss.kind == SQUARED_ERROR else -loss.a1 * bias
 
 
 # ---------------------------------------------------------------------------

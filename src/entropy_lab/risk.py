@@ -1,6 +1,5 @@
 """Monte Carlo engine for risk, bias, relative risk improvement, and
-generalized Pitman closeness, plus the closed-form references for the
-equivariant baseline.
+generalized Pitman closeness.
 
 A replication enters only through (xbar_1, xbar_2, SS_1, SS_2), so it is
 drawn as those four from their exact law (:func:`model.draw_suff_stats`).
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .estimators import resolve_estimator
 from .model import Loss, draw_suff_stats
-from .numerics import digamma, ln_gamma, trigamma
 from .numerics.rng import RngStream
 
 DEFAULT_ESTIMATORS = ("baee", "umvue", "mle", "rmle", "stein",
@@ -56,6 +54,8 @@ class SimConfig:
             raise DomainError(f"need n >= 2, got {self.n}")
         if self.replications < 1:
             raise DomainError("need at least one replication")
+        if self.threads < 1:
+            raise DomainError(f"threads must be positive, got {self.threads}")
         if any(e < 0 for e in self.eta_grid):
             raise DomainError("eta values must be >= 0 under the mean ordering")
         names = [_name_of(e) for e in self.estimators]
@@ -105,8 +105,7 @@ def risk_csv(results) -> str:
     """CSV text of the cells of one or more results, header first."""
     lines = ["n,eta,loss,a1,estimator,risk,stderr,bias,rri\n"]
     for res in results:
-        a1 = "" if res.loss.a1 is None else repr(res.loss.a1)
-        lines.extend(f"{res.n},{c.eta!r},{res.loss.label},{a1},{c.estimator},"
+        lines.extend(f"{res.n},{c.eta!r},{res.loss.csv_fields},{c.estimator},"
                      f"{c.risk!r},{c.stderr!r},{c.bias!r},{c.rri!r}\n" for c in res.cells)
     return "".join(lines)
 
@@ -178,40 +177,6 @@ def rri_curve(cfg: SimConfig) -> list[tuple[float, str, float]]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form references for the equivariant baseline
-# ---------------------------------------------------------------------------
-
-
-def closed_form_risk_baee(loss: Loss, n: int) -> float:
-    """Exact constant risk of ln(S) + d0.
-
-    Squared error: trigamma(n-1)/4, the variance of ln sqrt(V) for V
-    chi-square with 2(n-1) df.  Linex: because d0 zeroes the exponential
-    term of E[L'], the risk collapses to -a1 times the bias.
-    """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if loss.kind == "squared_error":
-        return 0.25 * trigamma(n - 1.0)
-    a1 = loss.a1
-    if n - 1.0 + 0.5 * a1 <= 0.0:
-        raise DomainError(f"linex risk needs n - 1 + a1/2 > 0 (n={n}, a1={a1})")
-    return -0.5 * a1 * digamma(n - 1.0) + ln_gamma(n - 1.0 + 0.5 * a1) - ln_gamma(n - 1.0)
-
-
-def closed_form_bias_baee(loss: Loss, n: int) -> float:
-    """Exact bias of ln(S) + d0; zero under squared error."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if loss.kind == "squared_error":
-        return 0.0
-    a1 = loss.a1
-    if n - 1.0 + 0.5 * a1 <= 0.0:
-        raise DomainError(f"linex bias needs n - 1 + a1/2 > 0 (n={n}, a1={a1})")
-    return 0.5 * digamma(n - 1.0) - (ln_gamma(n - 1.0 + 0.5 * a1) - ln_gamma(n - 1.0)) / a1
-
-
-# ---------------------------------------------------------------------------
 # generalized Pitman closeness
 # ---------------------------------------------------------------------------
 
@@ -233,6 +198,8 @@ def gpc_estimate(est1, est2, loss: Loss, n: int, eta: float, reps: int,
         raise DomainError("eta must be >= 0")
     if reps < 1:
         raise DomainError("need at least one replication")
+    if threads < 1:
+        raise DomainError(f"threads must be positive, got {threads}")
     name1, fn1 = resolve_estimator(est1, n, loss)
     name2, fn2 = resolve_estimator(est2, n, loss)
     shift = eta / math.sqrt(n)

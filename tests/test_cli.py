@@ -354,6 +354,21 @@ class TestScales:
         assert seen["coverage"][0].outer_reps == 30_000
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("risk", "--n", "8", "--eta-to", "0", "--reps", "100", "--seed", "1"),
+    ("coverage", "--n", "10", "--outer", "10", "--seed", "1", "--methods", "aci"),
+    ("reproduce", "--seed", "1"),
+])
+def test_non_positive_threads_is_usage_error(capsys, tmp_path, monkeypatch, argv, threads):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err and "positive" in err
+    assert not any(tmp_path.iterdir())
+
+
 class TestMisc:
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

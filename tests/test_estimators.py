@@ -327,14 +327,6 @@ class TestPitmanClip:
         assert el.pitman_clipped(st, l1) == pytest.approx(target, abs=1e-12)
         assert el.pitman_clipped(st, l1) > el.baee(st, l1)
 
-    def test_custom_bounds_override(self, boeing_stats, l1):
-        val = el.pitman_clipped(boeing_stats, l1, upper_at=lambda w: 10.0)
-        assert val == el.baee(boeing_stats, l1)
-
-    def test_custom_base(self, boeing_stats, l1):
-        val = el.pitman_clipped(boeing_stats, l1, base=lambda w: -5.0)
-        assert val == math.log(boeing_stats.s) - 5.0
-
 
 class TestEquivariance:
     @pytest.mark.parametrize("name", ["baee", "umvue", "mle", "rmle", "stein",

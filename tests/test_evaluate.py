@@ -66,7 +66,7 @@ class TestCoverageStudy:
             el.CoverageConfig(n_grid=(1,))
         for bad in ({"gci_draws": 0}, {"boot_k": 0}, {"gci_draws": -5},
                     {"n_grid": ()}, {"methods": ()}, {"n_grid": (10, 10)},
-                    {"methods": ("aci", "aci")}):
+                    {"methods": ("aci", "aci")}, {"threads": 0}, {"threads": -3}):
             with pytest.raises(DomainError):
                 el.CoverageConfig(**bad)
 

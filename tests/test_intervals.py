@@ -122,6 +122,22 @@ class TestBootstrapPair:
         assert cp_t.al == pytest.approx(cp_p.al, rel=1e-12)
 
 
+class TestAciCoverage:
+    def test_coverage_matches_closed_form_limit(self):
+        # aci covers tau iff 2n e^(-2h) <= V <= 2n e^(2h), V = S^2/sigma^2
+        # ~ chi-square(2n - 2) and h = z_{(1+level)/2} / (2 sqrt(n)); aci has
+        # no inner sample, so the limit is its exact CP
+        n, level = 10, 0.95
+        h = stats.norm.ppf(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
+        chi2 = stats.chi2(2 * (n - 1))
+        limit = chi2.cdf(2 * n * math.exp(2 * h)) - chi2.cdf(2 * n * math.exp(-2 * h))
+        assert 0.85 < limit < level
+        cfg = el.CoverageConfig(n_grid=(n,), methods=("aci",), outer_reps=20_000,
+                                master_seed=46)
+        row = el.coverage_study(cfg).row("aci", n)
+        assert abs(row.cp - limit) <= 5.0 * row.cp_stderr
+
+
 class TestChiSquareBootstrap:
     def test_boot_p_coverage_matches_closed_form_limit(self):
         # boot-p covers tau iff 4n^2/q_hi <= V <= 4n^2/q_lo, V = S^2/sigma^2
@@ -138,6 +154,19 @@ class TestChiSquareBootstrap:
         cfg = el.CoverageConfig(n_grid=(n,), methods=("boot-p",), outer_reps=5_000,
                                 boot_k=K, master_seed=44)
         row = el.coverage_study(cfg).row("boot-p", n)
+        assert abs(row.cp - limit) <= 5.0 * row.cp_stderr + 0.005
+
+    def test_boot_t_coverage_matches_level(self):
+        # boot-t is the gci pivot on K chi-square draws, so its K -> infinity
+        # limit F(q_hi) - F(q_lo) at the exact quantiles is the level; the
+        # 0.005 allows for the order statistics of a finite K
+        n, level, K = 10, 0.95, 1_000
+        chi2 = stats.chi2(2 * (n - 1))
+        limit = chi2.cdf(chi2.ppf(0.5 * (1.0 + level))) - chi2.cdf(chi2.ppf(0.5 * (1.0 - level)))
+        assert limit == pytest.approx(level, abs=1e-12)
+        cfg = el.CoverageConfig(n_grid=(n,), methods=("boot-t",), outer_reps=5_000,
+                                boot_k=K, master_seed=45)
+        row = el.coverage_study(cfg).row("boot-t", n)
         assert abs(row.cp - limit) <= 5.0 * row.cp_stderr + 0.005
 
     def test_memory_does_not_grow_with_n(self):

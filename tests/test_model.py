@@ -90,18 +90,18 @@ class TestDrawSuffStats:
 
 class TestLoss:
     def test_squared_error(self, l1):
-        assert el.loss_eval(l1, 3.0) == 9.0
-        assert el.loss_deriv(l1, 3.0) == 6.0
+        assert float(l1.value(3.0)) == 9.0
+        assert float(l1.deriv(3.0)) == 6.0
 
     def test_linex_at_zero(self):
         loss = el.Loss.linex(-3.0)
-        assert el.loss_eval(loss, 0.0) == 0.0
-        assert el.loss_deriv(loss, 0.0) == 0.0
+        assert float(loss.value(0.0)) == 0.0
+        assert float(loss.deriv(0.0)) == 0.0
 
     def test_linex_value(self):
         loss = el.Loss.linex(2.0)
-        assert el.loss_eval(loss, 0.5) == pytest.approx(math.e - 2.0, abs=1e-12)
-        assert el.loss_deriv(loss, 0.5) == pytest.approx(2.0 * (math.e - 1.0), abs=1e-12)
+        assert float(loss.value(0.5)) == pytest.approx(math.e - 2.0, abs=1e-12)
+        assert float(loss.deriv(0.5)) == pytest.approx(2.0 * (math.e - 1.0), abs=1e-12)
 
     def test_invalid_a1(self):
         with pytest.raises(DomainError):
@@ -117,6 +117,27 @@ class TestLoss:
     def test_vectorized_value_matches_scalar(self, l1):
         t = np.array([-1.0, 0.0, 2.0])
         assert np.allclose(l1.value(t), [1.0, 0.0, 4.0])
+
+    def test_shift_reads_only_the_moment_its_loss_needs(self, l1):
+        def unused(*args):
+            raise AssertionError("moment not needed by this loss")
+
+        assert l1.shift(3.0, lambda: 0.25, unused) == -0.25
+        assert el.Loss.linex(2.0).shift(3.0, unused, lambda a: 0.5 * a) == -0.5
+
+    @pytest.mark.parametrize("shift", [lambda loss: el.d0(loss, 6),
+                                       lambda loss: el.m0(loss, 6),
+                                       lambda loss: el.bz_r0(0.3, 6, loss)])
+    def test_linex_moment_must_exist(self, shift):
+        # V's density is ~ v^(shape-1) at 0, so E[V^(a1/2)] needs
+        # shape + a1/2 > 0: shape 5 for d0, 5.5 for m0 and r0 at n = 6
+        with pytest.raises(DomainError, match="shape \\+ a1/2 > 0"):
+            shift(el.Loss.linex(-12.0))
+        assert math.isfinite(shift(el.Loss.linex(-9.0)))
+
+    def test_csv_fields(self, l1):
+        assert l1.csv_fields == "l1,"
+        assert el.Loss.linex(-3.0).csv_fields == "linex,-3.0"
 
 
 class TestShiftConstants:

@@ -158,6 +158,9 @@ class TestSimulateRisk:
             el.SimConfig(n=6, loss=l1, estimators=("stein",), baseline="baee")
         with pytest.raises(DomainError):
             el.SimConfig(n=6, loss=l1, estimators=("baee", "baee"))
+        for threads in (0, -3):
+            with pytest.raises(DomainError, match="threads"):
+                el.SimConfig(n=6, loss=l1, threads=threads)
 
     def test_block_memory_does_not_grow_with_n(self, l1):
         def peak(n):
@@ -200,3 +203,5 @@ class TestGpc:
     def test_validation(self, l1):
         with pytest.raises(DomainError):
             el.gpc_estimate("baee", "stein", l1, 8, -1.0, 100, seed=1)
+        with pytest.raises(DomainError, match="threads"):
+            el.gpc_estimate("baee", "stein", l1, 8, 0.0, 100, seed=1, threads=0)
