@@ -9,6 +9,12 @@ substream, and reports coverage probability (CP), average length (AL), and
 their ratio PCD = CP / AL.  Blocks of outer replications are the unit of
 parallelism; stream indices encode (sample-size slot, block, method slot),
 so results do not depend on the worker count.
+
+The hpd chains run after the other methods, in lockstep groups of
+consecutive (n, block) pairs of up to ``GROUP_CHAINS`` chains.  Within a
+group each block still draws its own step noise from its own stream, so a
+chain's path does not depend on the grouping either, and each chain keeps
+only the tails of its draws that the Chen–Shao window reads.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import numpy as np
 from .errors import DataError, DomainError, NumericError
 from .intervals import (
     McmcConfig,
+    _shortest_window,
     aci_bounds,
     boot_bounds,
-    chen_shao_hpd,
     gci_bounds,
     run_variance_chains,
 )
@@ -37,6 +43,9 @@ from .risk import map_blocks
 COVERAGE_METHODS = ("aci", "gci", "boot-p", "boot-t", "hpd")
 
 _SLOT_DATA, _SLOT_GCI, _SLOT_BOOT, _SLOT_MCMC = 0, 1, 2, 3
+
+# hpd chains advanced in lockstep by one job; whole blocks join a group
+GROUP_CHAINS = 1024
 
 
 @dataclass(frozen=True)
@@ -86,9 +95,21 @@ class CoverageRow:
 
 
 @dataclass(frozen=True)
+class ChainHealth:
+    """Post-burn-in acceptance of the hpd chains at one n."""
+
+    n: int
+    mean: float
+    min: float
+    max: float
+    outside_share: float  # share of chains outside [0.05, 0.7]
+
+
+@dataclass(frozen=True)
 class CoverageResult:
     rows: tuple
     config: CoverageConfig
+    hpd_acceptance: tuple = ()  # one ChainHealth per n when hpd runs
 
     def row(self, method: str, n: int) -> CoverageRow:
         for r in self.rows:
@@ -109,56 +130,112 @@ class CoverageResult:
         Path(path).write_text(self.csv_text())
 
 
+class _BlockStreams:
+    """Step noise for a group of blocks: each block's generator fills its
+    own slice with the draws it makes when its block runs alone."""
+
+    def __init__(self, parts) -> None:
+        self._parts = list(parts)    # (generator, slice of the group)
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        out = np.empty(size)
+        for gen, part in self._parts:
+            gen.standard_normal(out=out[part])
+        return out
+
+    def standard_exponential(self, size: int) -> np.ndarray:
+        out = np.empty(size)
+        for gen, part in self._parts:
+            gen.standard_exponential(out=out[part])
+        return out
+
+
+def _groups(sizes: list) -> list:
+    """Consecutive index ranges whose sizes sum to at most GROUP_CHAINS,
+    or one larger block alone."""
+    groups, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > GROUP_CHAINS:
+            groups.append(range(start, i))
+            start, total = i, 0
+        total += size
+    return groups + [range(start, len(sizes))]
+
+
+def _tally(tau: float, lower: np.ndarray, upper: np.ndarray,
+           length: np.ndarray) -> tuple[int, float, int]:
+    """(intervals covering tau, summed finite length, non-finite intervals)."""
+    ok = np.isfinite(lower) & np.isfinite(upper)
+    contains = ok & (lower <= tau) & (tau <= upper)
+    return int(contains.sum()), float(np.where(ok, length, 0.0).sum()), int(len(ok) - ok.sum())
+
+
 def coverage_study(cfg: CoverageConfig) -> CoverageResult:
     """Run the CP/AL/PCD study over the configured n grid and methods.
 
     Each block of outer replications goes, as sufficient statistics, to the
     batched interval functions that the single-dataset intervals call on a
     batch of one; this function keys the streams and tallies the results.
-    Both bootstrap methods come from one draw of order statistics.
+    Both bootstrap methods come from one draw of order statistics.  The hpd
+    chains of all blocks then run in groups (module docstring); a block's
+    tallies and acceptance summary are the same whatever its group.
     """
-    rows = []
     tau = math.log(cfg.sigma)
     nblocks = (cfg.outer_reps + cfg.block_size - 1) // cfg.block_size
+    pairs = [(ni, n, ib) for ni, n in enumerate(cfg.n_grid) for ib in range(nblocks)]
+    hpd = "hpd" in cfg.methods
+    mcmc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level) if hpd else None
 
+    def one_block(i: int):
+        ni, n, ib = pairs[i]
+
+        def stream(slot: int) -> np.random.Generator:
+            return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
+
+        b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
+        _, _, ss1, ss2 = draw_suff_stats(stream(_SLOT_DATA), b, n, cfg.sigma)
+        s2 = ss1 + ss2
+        lns = 0.5 * np.log(s2)
+        tallies = {}
+        if "aci" in cfg.methods:
+            tallies["aci"] = _tally(tau, *aci_bounds(lns, n, cfg.level))
+        if "gci" in cfg.methods:
+            tallies["gci"] = _tally(tau, *gci_bounds(lns, n, cfg.level, cfg.gci_draws,
+                                                     stream(_SLOT_GCI)))
+        if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
+            pct, stud = boot_bounds(s2, n, cfg.level, cfg.boot_k, stream(_SLOT_BOOT))
+            tallies["boot-p"], tallies["boot-t"] = _tally(tau, *pct), _tally(tau, *stud)
+        chains = (n, ss1, ss2, stream(_SLOT_MCMC)) if hpd else None
+        return tallies, chains
+
+    blocks = map_blocks(len(pairs), one_block, cfg.threads)
+    health = []
+    if hpd:
+        groups = _groups([len(chains[1]) for _, chains in blocks])
+
+        def one_group(g: int) -> list:
+            ns, ss1s, ss2s, gens = zip(*(blocks[i][1] for i in groups[g]))
+            sizes = [len(ss1) for ss1 in ss1s]
+            parts = [slice(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes))]
+            ss1, ss2 = np.concatenate(ss1s), np.concatenate(ss2s)
+            tails, acc, _ = run_variance_chains(
+                np.zeros_like(ss1), np.zeros_like(ss2), ss1, ss2, np.repeat(ns, sizes),
+                mcmc, _BlockStreams(zip(gens, parts)))
+            lower, upper = _shortest_window(*tails)
+            return [(_tally(tau, lower[p], upper[p], upper[p] - lower[p]), acc[p]) for p in parts]
+
+        hpd_parts = [p for group in map_blocks(len(groups), one_group, cfg.threads) for p in group]
+        for (tallies, _), (tally, _) in zip(blocks, hpd_parts):
+            tallies["hpd"] = tally
+        for ni, n in enumerate(cfg.n_grid):
+            acc = np.concatenate([a for _, a in hpd_parts[ni * nblocks:(ni + 1) * nblocks]])
+            outside = (acc < 0.05) | (acc > 0.7)          # hpd_mcmc's warning band
+            health.append(ChainHealth(n=n, mean=float(acc.mean()), min=float(acc.min()),
+                                      max=float(acc.max()), outside_share=float(outside.mean())))
+
+    rows = []
     for ni, n in enumerate(cfg.n_grid):
-        def one_block(ib: int, n=n, ni=ni):
-            def stream(slot: int) -> np.random.Generator:
-                return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
-
-            b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
-            m1, m2, ss1, ss2 = draw_suff_stats(stream(_SLOT_DATA), b, n, cfg.sigma)
-            s2 = ss1 + ss2
-            lns = 0.5 * np.log(s2)
-            container: dict[str, tuple[int, float, int]] = {}
-
-            def record(method: str, lower: np.ndarray, upper: np.ndarray,
-                       length: np.ndarray) -> None:
-                if method not in cfg.methods:
-                    return
-                ok = np.isfinite(lower) & np.isfinite(upper)
-                contains = ok & (lower <= tau) & (tau <= upper)
-                container[method] = (int(contains.sum()), float(np.where(ok, length, 0.0).sum()),
-                                     int(b - ok.sum()))
-
-            if "aci" in cfg.methods:
-                record("aci", *aci_bounds(lns, n, cfg.level))
-            if "gci" in cfg.methods:
-                record("gci", *gci_bounds(lns, n, cfg.level, cfg.gci_draws, stream(_SLOT_GCI)))
-            if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
-                pct, stud = boot_bounds(s2, n, cfg.level, cfg.boot_k, stream(_SLOT_BOOT))
-                record("boot-p", *pct)
-                record("boot-t", *stud)
-            if "hpd" in cfg.methods:
-                theta, _, _ = run_variance_chains(
-                    m1, m2, ss1, ss2, n, McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin),
-                    stream(_SLOT_MCMC))
-                theta.sort(axis=0)
-                lower, upper = chen_shao_hpd(theta, cfg.level)
-                record("hpd", lower, upper, upper - lower)
-            return container
-
-        partials = map_blocks(nblocks, one_block, cfg.threads)
+        partials = [tallies for tallies, _ in blocks[ni * nblocks:(ni + 1) * nblocks]]
         for method in cfg.methods:
             contains = sum(p[method][0] for p in partials)
             length = sum(p[method][1] for p in partials)
@@ -173,7 +250,7 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
                 method=method, n=n, cp=cp,
                 cp_stderr=math.sqrt(max(cp * (1.0 - cp), 1e-300) / good),
                 al=al, pcd=cp / al, failures=failures))
-    return CoverageResult(rows=tuple(rows), config=cfg)
+    return CoverageResult(rows=tuple(rows), config=cfg, hpd_acceptance=tuple(health))
 
 
 # ---------------------------------------------------------------------------

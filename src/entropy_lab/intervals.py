@@ -16,13 +16,18 @@ spacings (Renyi's representation; Devroye 1986, ch. V).
 
 The hpd chain is a random walk on the exact marginal posterior
 sigma^2 | data ~ IG(n - 1, SS0/2), the means integrated out (Liu 1994),
-read by the Chen & Shao (1999) window.
+read by the Chen & Shao (1999) window.  With M draws the window at a level
+reads only the r = M - floor(level M) lowest and the r highest, so a chain
+run for an interval keeps just those: its draws go into a bounded buffer
+that, when full, is sorted in place and cut back to its two tails.  Chains
+of different n advance in lockstep, each on its own stream when the
+coverage study groups its blocks.
 
 Each method is one function over arrays of statistics (``aci_bounds``,
-``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and
-``chen_shao_hpd``).  The coverage study calls it on blocks of replications;
-``aci`` ... ``hpd_mcmc`` call it on a batch of one and add input floors and
-diagnostics.
+``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and the
+Chen–Shao window).  The coverage study calls it on blocks of replications,
+and hpd on lockstep groups of blocks; ``aci`` ... ``hpd_mcmc`` call it on a
+batch of one and add input floors and diagnostics.
 """
 
 from __future__ import annotations
@@ -74,19 +79,24 @@ class McmcConfig:
     ``proposal_sd`` of None selects the default scale
     2.4 (SS0/2) / ((n-1) sqrt(n)) from the marginal posterior of the
     variance; one adaptation window inside burn-in rescales it once, after
-    which the kernel is frozen.
+    which the kernel is frozen.  ``level`` of None keeps each chain's full
+    time-ordered trace; a level keeps only the draws the Chen–Shao window
+    at that level reads.
     """
 
     N: int = 12_000
     N0: int = 2_000
     proposal_sd: float | None = None
     seed: int = 0
+    level: float | None = None
 
     def __post_init__(self) -> None:
         if not self.N > self.N0 >= 0:
             raise DomainError(f"need N > N0 >= 0, got N={self.N}, N0={self.N0}")
         if self.proposal_sd is not None and self.proposal_sd <= 0:
             raise DomainError("proposal_sd must be positive")
+        if self.level is not None:
+            _window_offset(self.N - self.N0, _check_level(self.level))
 
 
 def _check_level(level: float) -> float:
@@ -233,8 +243,12 @@ def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarr
     return np.where(accept, prop, beta), accept
 
 
+# draws a chain buffers beyond its two tails before it sorts and folds
+FOLD_DRAWS = 256
+
+
 def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
-                        ss1: np.ndarray, ss2: np.ndarray, n: int,
+                        ss1: np.ndarray, ss2: np.ndarray, n: int | np.ndarray,
                         cfg: McmcConfig, gen: np.random.Generator):
     """Advance B independent chains in lockstep over the marginal posterior
     of beta = sigma^2 under the noninformative 1/sigma^2 prior.
@@ -242,18 +256,38 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     With the means integrated out, beta | data is inverse-gamma with shape
     n - 1 and scale SS0/2, SS0 = ss1 + ss2, so each step is one random-walk
     proposal for beta on that exact law; the sample means do not enter.
+    ``n`` is one sample size or one per chain, and each step draws B
+    standard normals, then B standard exponentials, from ``gen``.
+
     Returns (theta, acceptance, proposal_sd) where theta[k, j] = ln(sigma)_k
-    for chain j after burn-in.
+    for chain j after burn-in.  With ``cfg.level`` set, theta is instead
+    the pair (lowest, highest) of (r, B) arrays, each chain's r smallest
+    and r largest draws in ascending order, r = M - floor(level M): the
+    draws :func:`chen_shao_hpd` would read from the sorted trace.  Draws
+    are stored chain-major; a level bounds the buffer at 2r + FOLD_DRAWS
+    per chain, and a full buffer is sorted along its rows and cut back to
+    its 2r tail draws.
     """
     ss0 = np.atleast_1d(np.asarray(ss1, dtype=float) + np.asarray(ss2, dtype=float))
     B = len(ss0)
     beta = ss0 / (2.0 * (n - 1))          # pooled sample variance start
     if cfg.proposal_sd is None:
-        prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * math.sqrt(n))
+        prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))
     else:
         prop_sd = np.full(B, float(cfg.proposal_sd))
     M = cfg.N - cfg.N0
-    theta = np.empty((M, B))
+    r = M if cfg.level is None else M - _window_offset(M, cfg.level)
+    trace = np.empty((B, min(M, 2 * r + FOLD_DRAWS)))
+    filled = 0
+
+    def fold() -> int:
+        rows = trace[:, :filled]
+        rows.sort(axis=1)
+        if 2 * r >= filled:
+            return filled
+        trace[:, r:2 * r] = rows[:, filled - r:]
+        return 2 * r
+
     accepted = np.zeros(B, dtype=np.int64)
     window = min(cfg.N0, 500)
     win_accept = np.zeros(B, dtype=np.int64)
@@ -267,9 +301,15 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
                 rate = win_accept / window
                 prop_sd = prop_sd * np.clip(rate / 0.40, 0.2, 5.0)
         if k > cfg.N0:
-            theta[k - cfg.N0 - 1] = 0.5 * np.log(beta)
+            if filled == trace.shape[1]:
+                filled = fold()
+            np.multiply(np.log(beta), 0.5, out=trace[:, filled])
+            filled += 1
             accepted += accept
-    return theta, accepted / M, prop_sd
+    if cfg.level is None:
+        return trace.T, accepted / M, prop_sd
+    filled = fold()
+    return (trace[:, :r].T, trace[:, filled - r:filled].T), accepted / M, prop_sd
 
 
 def _autocorr_ess(x: np.ndarray, max_lag: int = 200) -> float:
@@ -312,6 +352,28 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     return _result("hpd", level, (lower, upper, upper - lower), diag)
 
 
+def _window_offset(m: int, level: float) -> int:
+    """The index offset floor(level * m) of a window over m sorted draws."""
+    if m < 100:
+        raise DomainError(f"need at least 100 draws for an HPD interval, got {m}")
+    offset = int(math.floor(level * m))
+    if offset < 1 or offset >= m:
+        raise DomainError(f"level {level} leaves no valid window for M={m}")
+    return offset
+
+
+def _shortest_window(lowest: np.ndarray, highest: np.ndarray):
+    """The narrowest [lowest[i], highest[i]] along the first axis; widths
+    within a 1e-12 relative band of the minimum count as ties and the
+    smallest i wins."""
+    widths = highest - lowest
+    wmin = widths.min(axis=0)
+    tol = 1e-12 * np.maximum(np.abs(wmin), 1.0)
+    i = np.expand_dims(np.argmax(widths <= wmin + tol, axis=0), 0)
+    return (np.take_along_axis(lowest, i, axis=0)[0],
+            np.take_along_axis(highest, i, axis=0)[0])
+
+
 def chen_shao_hpd(sorted_draws, level: float):
     """Shortest sliding-window interval over posterior draws sorted
     ascending along the first axis; a 2-d array gives one interval per
@@ -324,16 +386,7 @@ def chen_shao_hpd(sorted_draws, level: float):
     level = _check_level(level)
     draws = np.asarray(sorted_draws, dtype=float)
     m = len(draws)
-    if m < 100:
-        raise DomainError(f"need at least 100 draws for an HPD interval, got {m}")
+    offset = _window_offset(m, level)
     if (draws[1:] < draws[:-1]).any():
         raise DomainError("draws must be sorted ascending")
-    offset = int(math.floor(level * m))
-    if offset < 1 or offset >= m:
-        raise DomainError(f"level {level} leaves no valid window for M={m}")
-    widths = draws[offset:] - draws[:m - offset]
-    wmin = widths.min(axis=0)
-    tol = 1e-12 * np.maximum(np.abs(wmin), 1.0)
-    r = np.expand_dims(np.argmax(widths <= wmin + tol, axis=0), 0)
-    return (np.take_along_axis(draws, r, axis=0)[0],
-            np.take_along_axis(draws, r + offset, axis=0)[0])
+    return _shortest_window(draws[:m - offset], draws[offset:])

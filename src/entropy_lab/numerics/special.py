@@ -12,6 +12,7 @@ Target accuracy is 1e-12 absolute on the declared domains.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -209,13 +210,22 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    front = _beta_front(a, b, x)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+
+def _beta_front(a: float, b: float, x: float) -> float:
+    """x^a (1-x)^b / B(a, b), 0 < x < 1: in range, as two powers times a
+    ratio of gamma functions; exp(a ln x + b ln(1-x) - ln B(a, b)) loses
+    |exponent| ulps, and each ln Gamma its own magnitude in ulps."""
+    if a + b < 170.0:
+        lead = math.pow(x, a) * math.pow(1.0 - x, b)
+        if lead >= sys.float_info.min:
+            return lead * (math.gamma(a + b) / math.gamma(a) / math.gamma(b))
+    return math.exp(ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+                    + a * math.log(x) + b * math.log1p(-x))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

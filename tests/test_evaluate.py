@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 import entropy_lab as el
+from entropy_lab import evaluate
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
 from entropy_lab.errors import DataError, DomainError
+from entropy_lab.intervals import run_variance_chains
+from entropy_lab.model import draw_suff_stats
 from entropy_lab.numerics import kolmogorov_sf
+from entropy_lab.numerics.rng import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +75,9 @@ class TestCoverageStudy:
                 el.CoverageConfig(**bad)
 
     def test_hpd_block_holds_one_chain_array(self):
-        # one 256-rep block keeps its (M, B) draws, sorts them in place and
-        # reads the window from them: no second array of that size
+        # one 256-rep block's chains keep only the tails of their draws that
+        # the window reads, in a buffer below (M, B): the study never holds
+        # more than one array of the full trace's size
         b, m = 256, 2_000
         cfg = el.CoverageConfig(n_grid=(10,), methods=("hpd",), outer_reps=b,
                                 master_seed=12, mcmc_n=m + 500, mcmc_burnin=500)
@@ -85,6 +90,62 @@ class TestCoverageStudy:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * m * b * 8
+
+
+class TestHpdGroups:
+    """The hpd chains of a study run in lockstep groups of blocks; neither
+    the grouping nor the worker count shows in any output."""
+
+    # three n of three blocks each (256, 256 and a partial 188)
+    BASE = dict(n_grid=(4, 9, 23), outer_reps=700, master_seed=21, gci_draws=300,
+                boot_k=200, mcmc_n=600, mcmc_burnin=100)
+
+    def test_default_groups_are_several(self):
+        assert [len(g) for g in evaluate._groups([256, 256, 188] * 3)] == [4, 4, 1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    def test_rows_do_not_depend_on_grouping(self, monkeypatch, threads, level):
+        cfg = el.CoverageConfig(**self.BASE, level=level, threads=threads)
+        grouped = el.coverage_study(cfg)
+        monkeypatch.setattr(evaluate, "GROUP_CHAINS", 1)
+        alone = el.coverage_study(cfg)
+        assert grouped.rows == alone.rows
+        assert grouped.hpd_acceptance == alone.hpd_acceptance
+        assert grouped.csv_text() == alone.csv_text()
+
+
+class TestHpdAcceptance:
+    def test_desk_summary(self):
+        # desk-scale coverage sizes
+        cfg = el.CoverageConfig(n_grid=(10, 20), outer_reps=600, master_seed=42,
+                                gci_draws=800, boot_k=400, mcmc_n=1_200, mcmc_burnin=300)
+        res = el.coverage_study(cfg)
+        assert [h.n for h in res.hpd_acceptance] == [10, 20]
+        for h in res.hpd_acceptance:
+            assert 0.05 <= h.min <= h.mean <= h.max <= 0.7
+            assert h.outside_share == 0.0
+            assert h.mean == pytest.approx(0.4, abs=0.1)   # the adaptation target
+        # the summary is not part of the table
+        assert res.csv_text().splitlines()[0] == (
+            "method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed")
+
+    def test_summary_reads_the_block_chains(self):
+        # one block, rerun by hand on the streams the study keys for it
+        cfg = el.CoverageConfig(n_grid=(7,), methods=("hpd",), outer_reps=40,
+                                master_seed=5, mcmc_n=1_100, mcmc_burnin=100)
+        (h,) = el.coverage_study(cfg).hpd_acceptance
+        _, _, ss1, ss2 = draw_suff_stats(RngStream(5, 0).generator, 40, 7, 1.0)
+        _, acc, _ = run_variance_chains(np.zeros(40), np.zeros(40), ss1, ss2, 7,
+                                        el.McmcConfig(N=1_100, N0=100, level=0.95),
+                                        RngStream(5, 3).generator)
+        outside = np.mean((acc < 0.05) | (acc > 0.7))
+        assert (h.n, h.mean, h.min, h.max, h.outside_share) == (
+            7, acc.mean(), acc.min(), acc.max(), outside)
+
+    def test_empty_without_hpd(self):
+        cfg = el.CoverageConfig(n_grid=(10,), methods=("aci",), outer_reps=10)
+        assert el.coverage_study(cfg).hpd_acceptance == ()
 
 
 class TestKsNormality:

@@ -8,8 +8,10 @@ import pytest
 from scipy import stats
 
 import entropy_lab as el
+from entropy_lab import intervals
 from entropy_lab.errors import DomainError
 from entropy_lab.intervals import (
+    _shortest_window,
     boot_bounds,
     gci_bounds,
     mh_variance_step,
@@ -404,3 +406,61 @@ class TestLockstepChains:
         assert theta.shape == (1_500, 2)
         assert acc.shape == (2,) and sd.shape == (2,)
         assert np.isfinite(theta).all()
+
+
+class TestTailFold:
+    """A chain run at a level keeps only the tails of its draws that the
+    Chen–Shao window reads, through a bounded buffer that is sorted and cut
+    back whenever it fills."""
+
+    @staticmethod
+    def _chains(M, level, seed):
+        # mixed n in one lockstep group, as the coverage study groups blocks
+        n = np.repeat([3, 10, 40], 4)
+        ss = 0.8 * (2 * n - 2.0)
+        cfg = el.McmcConfig(N=M + 150, N0=150, level=level)
+        return run_variance_chains(np.zeros(12), np.zeros(12), ss, 0.3 * ss, n, cfg,
+                                   RngStream(seed, 0).generator)
+
+    @pytest.mark.parametrize("level", [0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("M, fold", [(100, 1), (1_000, 1), (1_000, 7), (1_003, 64),
+                                         (2_500, 300), (2_500, 10**6)])
+    def test_tails_give_the_full_trace_window(self, monkeypatch, M, fold, level):
+        theta, acc, sd = self._chains(M, None, M + fold)
+        full = np.sort(theta, axis=0)
+        lower, upper = el.chen_shao_hpd(full, level)
+        monkeypatch.setattr(intervals, "FOLD_DRAWS", fold)
+        (lowest, highest), acc_t, sd_t = self._chains(M, level, M + fold)
+        r = M - math.floor(level * M)
+        assert lowest.shape == highest.shape == (r, 12)
+        np.testing.assert_array_equal(lowest, full[:r])
+        np.testing.assert_array_equal(highest, full[-r:])
+        lo_t, hi_t = _shortest_window(lowest, highest)
+        np.testing.assert_array_equal(lo_t, lower)
+        np.testing.assert_array_equal(hi_t, upper)
+        np.testing.assert_array_equal(acc_t, acc)
+        np.testing.assert_array_equal(sd_t, sd)
+
+    def test_group_peak_is_bounded_by_the_fold_buffer(self):
+        # 256 chains at M = 8,000: the full trace would be M * B * 8 bytes,
+        # the level-0.95 buffer (2r + FOLD_DRAWS) * B * 8 with r = 400
+        B, M = 256, 8_000
+        ss = np.full(B, 18.0)
+        cfg = el.McmcConfig(N=M + 100, N0=100, level=0.95)
+        args = (np.zeros(B), np.zeros(B), ss, ss, 10)
+        run_variance_chains(*args, el.McmcConfig(N=200, N0=50, level=0.5),
+                            RngStream(1, 0).generator)
+        tracemalloc.start()
+        try:
+            run_variance_chains(*args, cfg, RngStream(2, 0).generator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * M * B * 8
+
+    def test_level_needs_a_window(self):
+        with pytest.raises(DomainError):
+            el.McmcConfig(N=150, N0=100, level=0.95)      # 50 draws
+        for bad in (0.0, 1.0, 1.2):
+            with pytest.raises(DomainError):
+                el.McmcConfig(level=bad)

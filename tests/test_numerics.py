@@ -107,6 +107,19 @@ class TestIncompleteFunctions:
                 assert reg_inc_beta(a, b, x) == pytest.approx(
                     float(special.betainc(a, b, x)), abs=1e-13)
 
+    # I_x(a, b) from a 40-digit mpmath betainc(a, b, 0, x, regularized=True);
+    # a = 9 and 39 with b = 1/2 are t-test tails at df = 18 and 78
+    @pytest.mark.parametrize("a, b, x, ref", [
+        (39.0, 0.5, 2.5e-7, 2.979622327181668937435e-259),
+        (9.0, 0.5, 1e-20, 1.854705810546874084487e-181),
+        (19.0, 1.5, 1e-9, 5.0148275024011331667e-171),
+        (4.5, 20.0, 0.002, 1.372508425655935991312e-8),
+        (60.0, 1.5, 0.95, 0.1031447463269799509469),
+        (12.0, 7.0, 0.3, 0.001429768822571243484552),
+    ])
+    def test_reg_inc_beta_tails_vs_40_digits(self, a, b, x, ref):
+        assert abs(reg_inc_beta(a, b, x) - ref) <= 5e-15 * ref
+
 
 # a = 9, 19 and 39 are the n - 1 of the coverage study's n = 10, 20, 40
 GAMMA_SHAPES = [0.5, 1.0, 2.5, 9.0, 19.0, 39.0]
