@@ -36,7 +36,6 @@ from .intervals import (
 )
 from .model import (
     Loss,
-    Params,
     SuffStats,
     TwoSampleData,
     closed_form_bias_baee,
@@ -52,7 +51,6 @@ from .risk import (
     SimConfig,
     SimResult,
     gpc_estimate,
-    rri_curve,
     simulate_risk,
 )
 from .evaluate import (
@@ -68,13 +66,13 @@ __all__ = [
     "BootConfig", "BracketError", "CoverageConfig", "CoverageResult",
     "DataError", "DomainError", "EntropyLabError", "EstimateReport",
     "GpcResult", "IntervalResult", "Loss", "McmcConfig", "NumericError",
-    "Params", "SimConfig", "SimResult", "SuffStats", "TwoSampleData",
+    "SimConfig", "SimResult", "SuffStats", "TwoSampleData",
     "aci", "baee", "boot_p", "boot_t", "brewster_zidek", "bz_r0",
     "bz_r0_defining", "chen_shao_hpd", "closed_form_bias_baee",
     "closed_form_risk_baee", "conditional_median", "coverage_study", "d0",
     "entropy_of_log_sigma", "estimate_all", "f_test_equal_var", "gci_umvue",
     "gpc_estimate", "hpd_mcmc", "ierd_check", "improved_mle",
     "improved_rmle", "ks_normality", "m0", "mle",
-    "pitman_clipped", "rmle", "rri_curve", "simulate_risk", "stein",
+    "pitman_clipped", "rmle", "simulate_risk", "stein",
     "suff_stats", "t_test_ordered_means", "two_sample_data", "umvue",
 ]

@@ -32,7 +32,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,12 +169,6 @@ class BzTable:
     def __call__(self, absw: np.ndarray) -> np.ndarray:
         x = np.log1p(self.n * np.square(absw))
         return np.interp(x, self._x, self._vals)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("absw,r0\n")
-            for wv, rv in zip(self.absw_grid, self._vals):
-                fh.write(f"{wv!r},{rv!r}\n")
 
 
 _TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}
@@ -330,38 +323,11 @@ _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
 ESTIMATOR_NAMES = tuple(_BUILDERS)
 
 
-@dataclass(frozen=True)
-class TabulatedEstimator:
-    """Custom additive term phi interpolated on a grid of y = w^2 values.
-
-    Extrapolation clamps to the end values.  Useful for testing candidate
-    shrinkage rules against the dominance checker.
-    """
-
-    name: str
-    y_grid: tuple
-    phi_values: tuple
-
-    def build(self, n: int, loss: Loss) -> VectorFn:
-        yg = np.asarray(self.y_grid, dtype=float)
-        pv = np.asarray(self.phi_values, dtype=float)
-
-        def fn(lns, w):
-            return lns + np.interp(np.square(w), yg, pv)
-
-        return fn
-
-
-def resolve_estimator(spec, n: int, loss: Loss) -> tuple[str, VectorFn]:
-    """Resolve a name or a custom estimator object to (name, vector fn)."""
-    if isinstance(spec, str):
-        try:
-            return spec, _BUILDERS[spec](n, loss)
-        except KeyError:
-            raise DomainError(f"unknown estimator {spec!r}; expected one of {ESTIMATOR_NAMES}") from None
-    if hasattr(spec, "build") and hasattr(spec, "name"):
-        return spec.name, spec.build(n, loss)
-    raise DomainError(f"cannot interpret estimator spec {spec!r}")
+def resolve_estimator(name: str, n: int, loss: Loss) -> tuple[str, VectorFn]:
+    """(name, vector fn) of the named rule at sample size n under ``loss``."""
+    if name not in _BUILDERS:
+        raise DomainError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    return name, _BUILDERS[name](n, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +339,7 @@ def resolve_estimator(spec, n: int, loss: Loss) -> tuple[str, VectorFn]:
 class IerdReport:
     """Outcome of the three sufficient conditions for risk dominance of an
     additive rule phi(y), y = n w^2: monotonicity, the correct limit d0, and
-    pointwise domination of the smooth-shrinkage floor r0(sqrt(y / n)).
-    (The grid of :class:`TabulatedEstimator` is in w^2, not n w^2.)"""
+    pointwise domination of the smooth-shrinkage floor r0(sqrt(y / n))."""
 
     monotone: bool
     limit_ok: bool

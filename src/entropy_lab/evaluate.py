@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -81,6 +80,8 @@ class CoverageConfig:
             raise DomainError("every n must be >= 2")
         if self.gci_draws < 1 or self.boot_k < 1 or self.threads < 1:
             raise DomainError("gci_draws, boot_k and threads must be positive")
+        if self.gci_draws < 2 or self.boot_k < 2:
+            raise DomainError("gci_draws and boot_k need 2 or more: one draw gives no interval")
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,6 @@ class CoverageResult:
         return "method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed\n" + "".join(
             f"{r.method},{r.n},{cfg.level!r},{r.cp!r},{r.cp_stderr!r},{r.al!r},{r.pcd!r},"
             f"{cfg.outer_reps},{inner_reps[r.method]},{cfg.master_seed}\n" for r in self.rows)
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.csv_text())
 
 
 class _BlockStreams:

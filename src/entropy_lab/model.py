@@ -74,23 +74,6 @@ class SuffStats:
     w: float
 
 
-@dataclass(frozen=True)
-class Params:
-    """True parameters; eta = sqrt(n) (mu2 - mu1) / sigma is the only way
-    they enter any risk or coverage quantity."""
-
-    mu1: float
-    mu2: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-
-    def eta(self, n: int) -> float:
-        return math.sqrt(n) * (self.mu2 - self.mu1) / self.sigma
-
-
 def suff_stats(data: TwoSampleData) -> SuffStats:
     """Reduce raw data to (n, mean1, mean2, s2, s, w)."""
     s1, s2_arr = data.sample1, data.sample2

@@ -8,7 +8,9 @@ from the counter-based stream ``(master_seed, i)`` and partial sums are
 folded in block order, so results are bit-identical for any worker count.
 Within a replication every estimator sees the same data (common random
 numbers), and one draw of (xbar_2 - xbar_1, S^2) serves every point on the
-eta grid: eta only shifts the mean difference, so only W moves.
+eta grid: eta only shifts the mean difference, so only W moves.  Risk and
+Pitman closeness run on the same blocks and differ only in how a block's
+losses are reduced.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .estimators import resolve_estimator
+from .estimators import ESTIMATOR_NAMES, resolve_estimator
 from .model import Loss, draw_suff_stats
 from .numerics.rng import RngStream
 
@@ -56,17 +57,16 @@ class SimConfig:
             raise DomainError("need at least one replication")
         if self.threads < 1:
             raise DomainError(f"threads must be positive, got {self.threads}")
-        if any(e < 0 for e in self.eta_grid):
-            raise DomainError("eta values must be >= 0 under the mean ordering")
-        names = [_name_of(e) for e in self.estimators]
+        if not self.eta_grid or any(e < 0 for e in self.eta_grid):
+            raise DomainError("eta_grid needs values, each >= 0 under the mean ordering")
+        names = self.estimators
+        unknown = [e for e in names if e not in ESTIMATOR_NAMES]
+        if unknown:
+            raise DomainError(f"unknown estimators {unknown}; expected one of {ESTIMATOR_NAMES}")
         if len(set(names)) < len(names):
-            raise DomainError(f"estimators repeat a name: {names}")
+            raise DomainError(f"estimators repeat a name: {list(names)}")
         if self.baseline not in names:
             raise DomainError(f"baseline {self.baseline!r} must be among the estimators")
-
-
-def _name_of(spec) -> str:
-    return spec if isinstance(spec, str) else spec.name
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,6 @@ class SimResult:
                 return c
         raise KeyError((estimator, eta))
 
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(risk_csv([self]))
-
 
 def risk_csv(results) -> str:
     """CSV text of the cells of one or more results, header first."""
@@ -118,43 +115,55 @@ def map_blocks(nblocks: int, fn, threads: int) -> list:
         return list(ex.map(fn, range(nblocks)))
 
 
-def simulate_risk(cfg: SimConfig) -> SimResult:
-    """Estimate risk and bias of each estimator across the eta grid.
+def _replications(cfg: SimConfig, reduce) -> np.ndarray:
+    """Fold ``reduce(lv, delta)`` over every block and eta of ``cfg``.
 
-    Data are drawn at mu1 = 0, sigma = 1 (risk depends on the parameters
-    only through eta), so the estimation error is the estimate itself.
+    ``delta`` holds the estimates of the configured estimators, one row
+    each, on one block at one eta, and ``lv`` their losses.  Data are drawn
+    at mu1 = 0, sigma = 1 (risk depends on the parameters only through
+    eta), so an estimate is its own error.  The result stacks the reduced
+    values on a last axis over eta and sums them over blocks in block order.
     """
-    n = cfg.n
-    etas = tuple(float(e) for e in cfg.eta_grid)
-    names, fns = zip(*(resolve_estimator(e, n, cfg.loss) for e in cfg.estimators))
-    ibase = names.index(cfg.baseline)
-    ne, nt = len(names), len(etas)
-    shift = np.array(etas) / math.sqrt(n)
-    nblocks = (cfg.replications + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n, reps = cfg.n, cfg.replications
+    fns = [resolve_estimator(e, n, cfg.loss)[1] for e in cfg.estimators]
+    shift = np.array(cfg.eta_grid, dtype=float) / math.sqrt(n)
+    nblocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def one_block(ib: int):
-        b = min(BLOCK_SIZE, cfg.replications - ib * BLOCK_SIZE)
+    def one_block(ib: int) -> np.ndarray:
+        b = min(BLOCK_SIZE, reps - ib * BLOCK_SIZE)
         m1, m2, ss1, ss2 = draw_suff_stats(RngStream(cfg.master_seed, ib).generator, b, n)
         s2 = ss1 + ss2
         lns = 0.5 * np.log(s2)
         s = np.sqrt(s2)
-        sums = np.empty((5, ne, nt))
-        for t in range(nt):
-            w = (m2 - m1 + shift[t]) / s
+        d = m2 - m1
+        out = []
+        for t, sh in enumerate(shift):
+            w = (d + sh) / s
             delta = np.stack([fn(lns, w) for fn in fns])
             finite = np.isfinite(delta)
             if not finite.all():
                 e, bad = np.argwhere(~finite)[0]
                 raise NumericError(
-                    f"estimator {names[e]!r} failed at replication "
-                    f"{ib * BLOCK_SIZE + int(bad)} (eta={etas[t]})")
-            lv = cfg.loss.value(delta)
-            sums[:, :, t] = (lv.sum(axis=1), np.square(lv).sum(axis=1), delta.sum(axis=1),
-                             np.square(delta).sum(axis=1), (lv * lv[ibase]).sum(axis=1))
-        return sums
+                    f"estimator {cfg.estimators[e]!r} failed at replication "
+                    f"{ib * BLOCK_SIZE + int(bad)} (eta={float(cfg.eta_grid[t])})")
+            lv = cfg.loss.value(delta)  # held until the next eta: half the page faults
+            out.append(reduce(lv, delta))
+        return np.stack(out, axis=-1)
 
-    blocks = map_blocks(nblocks, one_block, cfg.threads)
-    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.sum(blocks, axis=0)
+    return np.sum(map_blocks(nblocks, one_block, cfg.threads), axis=0)
+
+
+def simulate_risk(cfg: SimConfig) -> SimResult:
+    """Estimate risk and bias of each estimator across the eta grid."""
+    names = cfg.estimators
+    etas = tuple(float(e) for e in cfg.eta_grid)
+    ibase = names.index(cfg.baseline)
+
+    def sums(lv, delta):
+        return (lv.sum(axis=1), np.square(lv).sum(axis=1), delta.sum(axis=1),
+                np.square(delta).sum(axis=1), (lv * lv[ibase]).sum(axis=1))
+
+    sum_l, sum_l2, sum_d, sum_d2, sum_lb = _replications(cfg, sums)
     reps = cfg.replications
     risk, bias = sum_l / reps, sum_d / reps
     stderr = np.sqrt(np.maximum(sum_l2 / reps - np.square(risk), 0.0) / reps)
@@ -165,15 +174,9 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
     rri = 100.0 * (risk[ibase] - risk) / risk[ibase]
     stats = np.stack([risk, stderr, bias, bias_stderr, rri, diff, diff_stderr])
     cells = tuple(RiskCell(names[e], etas[t], *stats[:, e, t].tolist())
-                  for t in range(nt) for e in range(ne))
-    return SimResult(n=n, loss=cfg.loss, replications=reps,
+                  for t in range(len(etas)) for e in range(len(names)))
+    return SimResult(n=cfg.n, loss=cfg.loss, replications=reps,
                      master_seed=cfg.master_seed, baseline=cfg.baseline, cells=cells)
-
-
-def rri_curve(cfg: SimConfig) -> list[tuple[float, str, float]]:
-    """(eta, estimator, rri) rows relative to the configured baseline."""
-    res = simulate_risk(cfg)
-    return [(c.eta, c.estimator, c.rri) for c in res.cells]
 
 
 # ---------------------------------------------------------------------------
@@ -190,34 +193,15 @@ class GpcResult:
     replications: int
 
 
-def gpc_estimate(est1, est2, loss: Loss, n: int, eta: float, reps: int,
+def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int,
                  seed: int, threads: int = 1) -> GpcResult:
     """P[L(err1) < L(err2)] + P[tie]/2 by simulation with common random
     numbers; identical estimators give exactly 1/2."""
-    if eta < 0:
-        raise DomainError("eta must be >= 0")
-    if reps < 1:
-        raise DomainError("need at least one replication")
-    if threads < 1:
-        raise DomainError(f"threads must be positive, got {threads}")
-    name1, fn1 = resolve_estimator(est1, n, loss)
-    name2, fn2 = resolve_estimator(est2, n, loss)
-    shift = eta / math.sqrt(n)
-    nblocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def one_block(ib: int):
-        b = min(BLOCK_SIZE, reps - ib * BLOCK_SIZE)
-        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(seed, ib).generator, b, n)
-        s2 = ss1 + ss2
-        lns = 0.5 * np.log(s2)
-        w = (m2 - m1 + shift) / np.sqrt(s2)
-        l1 = loss.value(fn1(lns, w))
-        l2 = loss.value(fn2(lns, w))
-        return int((l1 < l2).sum()), int((l1 == l2).sum())
-
-    partials = map_blocks(nblocks, one_block, threads)
-    n_less = sum(p[0] for p in partials)
-    n_tie = sum(p[1] for p in partials)
+    cfg = SimConfig(n=n, eta_grid=(eta,), loss=loss, replications=reps, master_seed=seed,
+                    estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2, threads=threads)
+    i1, i2 = cfg.estimators.index(est1), cfg.estimators.index(est2)
+    n_less, n_tie = _replications(
+        cfg, lambda lv, delta: ((lv[i1] < lv[i2]).sum(), (lv[i1] == lv[i2]).sum()))[:, 0].tolist()
     p = (n_less + 0.5 * n_tie) / reps
     return GpcResult(value=p, stderr=math.sqrt(max(p * (1.0 - p), 1e-300) / reps),
                      n_less=n_less, n_tie=n_tie, replications=reps)

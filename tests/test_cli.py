@@ -188,6 +188,14 @@ class TestRisk:
         assert out == ""
         assert "repeat" in err
 
+    def test_unknown_estimator_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "risk", "--n", "8", "--reps", "100", "--seed", "1",
+                                 "--estimators", "foo")
+        assert code == 4
+        assert out == ""
+        assert "unknown estimators ['foo']" in err
+        assert "baseline" not in err
+
     def test_multiple_n(self, capsys):
         code, out, _ = run_cli(capsys, "risk", "--n", "6,8", "--eta-from", "0",
                                "--eta-to", "0.5", "--eta-step", "0.5",
@@ -214,6 +222,15 @@ class TestCoverage:
                                "--seed", "1", *flags)
         assert code == 4
         assert "must be positive" in err
+
+    @pytest.mark.parametrize("flags", [("--methods", "gci", "--gci-draws", "1"),
+                                       ("--methods", "boot-p", "--boot-k", "1")])
+    def test_one_inner_draw_is_domain_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "coverage", "--n", "10", "--outer", "10",
+                                 "--seed", "1", *flags)
+        assert code == 4
+        assert out == ""
+        assert "need 2 or more" in err
 
     def test_non_integer_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "coverage", "--n", "10,a", "--outer", "10",

@@ -12,7 +12,6 @@ from entropy_lab import estimators
 from entropy_lab.errors import DomainError
 from entropy_lab.estimators import (
     _TABLE_CACHE,
-    TabulatedEstimator,
     bz_table,
     median_ln_v_eta0,
     resolve_estimator,
@@ -154,15 +153,10 @@ class TestSmoothShrinkageSolver:
         with pytest.raises(DomainError):
             el.bz_r0(-0.1, 6, l1)
 
-    def test_table_accuracy_and_export(self, l1, tmp_path):
+    def test_table_accuracy_and_export(self, l1):
         tab = bz_table(6, l1)
         for w in (0.0, 0.05, 0.3, 1.0, 4.0):
             assert float(tab(np.array(w))) == pytest.approx(el.bz_r0(w, 6, l1), abs=2e-6)
-        out = tmp_path / "r0.csv"
-        tab.to_csv(out)
-        head = out.read_text().splitlines()
-        assert head[0] == "absw,r0"
-        assert len(head) == 801
 
 
 def _r0_oracle(absw, n, loss):
@@ -382,12 +376,6 @@ class TestScalarVectorAgreement:
     def test_unknown_name(self, l1):
         with pytest.raises(DomainError):
             resolve_estimator("nope", 6, l1)
-
-    def test_tabulated_estimator(self, l1):
-        custom = TabulatedEstimator("flat", (1e-6, 1.0, 100.0), (-1.0, -1.0, -1.0))
-        name, fn = resolve_estimator(custom, 6, l1)
-        assert name == "flat"
-        assert float(fn(np.array(0.0), np.array(0.3))) == pytest.approx(-1.0)
 
 
 class TestWindowMassRatio:

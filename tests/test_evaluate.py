@@ -47,10 +47,8 @@ class TestCoverageStudy:
             assert gci.cp >= bt.cp - 3.0 * (gci.cp_stderr + bt.cp_stderr)
             assert bt.cp >= bp.cp + 3.0 * (bt.cp_stderr + bp.cp_stderr) / 2.0
 
-    def test_csv_schema(self, study, tmp_path):
-        out = tmp_path / "cov.csv"
-        study.to_csv(out)
-        lines = out.read_text().splitlines()
+    def test_csv_schema(self, study):
+        lines = study.csv_text().splitlines()
         assert lines[0] == "method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed"
         assert len(lines) == 1 + 15
 

@@ -218,9 +218,3 @@ class TestIngestion:
         f.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="header"):
             load_paired_csv(f)
-
-    def test_params_eta(self):
-        p = el.Params(mu1=0.0, mu2=1.0, sigma=2.0)
-        assert p.eta(4) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            el.Params(0.0, 1.0, 0.0)

@@ -8,9 +8,16 @@ import pytest
 from scipy import special
 
 import entropy_lab as el
+from entropy_lab import estimators
 from entropy_lab.errors import DomainError, NumericError
-from entropy_lab.estimators import TabulatedEstimator
-from entropy_lab.risk import BLOCK_SIZE
+from entropy_lab.risk import BLOCK_SIZE, risk_csv
+
+
+@pytest.fixture
+def nan_stein(monkeypatch):
+    """Swap the stein rule for one whose every estimate is NaN."""
+    monkeypatch.setitem(estimators._BUILDERS, "stein",
+                        lambda n, loss: lambda lns, w: lns + math.nan)
 
 
 class TestClosedForms:
@@ -127,25 +134,21 @@ class TestSimulateRisk:
         r3 = el.simulate_risk(el.SimConfig(**base, threads=1))
         assert r1.cells == r2.cells == r3.cells
 
-    def test_csv_schema(self, l1, tmp_path):
+    def test_csv_schema(self, l1):
         cfg = el.SimConfig(n=6, eta_grid=(0.0,), loss=el.Loss.linex(-3.0),
                            replications=2_000, master_seed=1,
                            estimators=("baee", "stein"))
         res = el.simulate_risk(cfg)
-        out = tmp_path / "risk.csv"
-        res.to_csv(out)
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = list(csv.DictReader(risk_csv([res]).splitlines()))
         assert set(rows[0]) == {"n", "eta", "loss", "a1", "estimator",
                                 "risk", "stderr", "bias", "rri"}
         assert len(rows) == 2
         assert rows[0]["loss"] == "linex" and float(rows[0]["a1"]) == -3.0
         assert float(rows[0]["stderr"]) > 0
 
-    def test_estimator_failure_reports_replication(self, l1):
-        broken = TabulatedEstimator("broken", (1e-9, 1.0), (math.nan, math.nan))
+    def test_estimator_failure_reports_replication(self, l1, nan_stein):
         cfg = el.SimConfig(n=6, eta_grid=(0.0,), loss=l1, replications=500,
-                           master_seed=1, estimators=("baee", broken))
+                           master_seed=1, estimators=("baee", "stein"))
         with pytest.raises(NumericError, match="replication"):
             el.simulate_risk(cfg)
 
@@ -154,6 +157,10 @@ class TestSimulateRisk:
             el.SimConfig(n=1, loss=l1)
         with pytest.raises(DomainError):
             el.SimConfig(n=6, loss=l1, eta_grid=(-1.0,))
+        with pytest.raises(DomainError, match="eta_grid"):
+            el.SimConfig(n=6, loss=l1, eta_grid=())
+        with pytest.raises(DomainError, match="unknown estimators"):
+            el.SimConfig(n=6, loss=l1, estimators=("baee", "foo"))
         with pytest.raises(DomainError):
             el.SimConfig(n=6, loss=l1, estimators=("stein",), baseline="baee")
         with pytest.raises(DomainError):
@@ -175,13 +182,6 @@ class TestSimulateRisk:
 
         peak(5)  # the first call in a process makes one-off allocations
         assert peak(60) <= 1.5 * peak(5)
-
-    def test_rri_curve_rows(self, l1):
-        cfg = el.SimConfig(n=6, eta_grid=(0.0, 0.5), loss=l1, replications=5_000,
-                           master_seed=4, estimators=("baee", "stein"))
-        rows = el.rri_curve(cfg)
-        assert len(rows) == 4
-        assert {r[1] for r in rows} == {"baee", "stein"}
 
 
 class TestGpc:
@@ -205,3 +205,8 @@ class TestGpc:
             el.gpc_estimate("baee", "stein", l1, 8, -1.0, 100, seed=1)
         with pytest.raises(DomainError, match="threads"):
             el.gpc_estimate("baee", "stein", l1, 8, 0.0, 100, seed=1, threads=0)
+
+    def test_nan_rule_reports_replication(self, l1, nan_stein):
+        for pair in (("stein", "baee"), ("baee", "stein")):
+            with pytest.raises(NumericError, match="'stein' failed at replication 0"):
+                el.gpc_estimate(*pair, l1, 8, 0.5, 1_000, seed=1)
