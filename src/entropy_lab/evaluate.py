@@ -1,27 +1,23 @@
 """Coverage / average-length / PCD study across the interval methods, and
 the data-screening tests (normality, equal variances, mean ordering).
 
-The study draws outer replications at mu1 = mu2 = 0 and the configured
-sigma as (xbar_1, xbar_2, SS_1, SS_2) from their exact law
-(:func:`model.draw_suff_stats`), since no interval uses more of the data,
-applies each requested interval method with its own deterministic
-substream, and reports coverage probability (CP), average length (AL), and
-their ratio PCD = CP / AL.  Blocks of outer replications are the unit of
-parallelism; stream indices encode (sample-size slot, block, method slot),
-so results do not depend on the worker count.
-
-The hpd chains run after the other methods, in lockstep groups of
-consecutive (n, block) pairs of up to ``GROUP_CHAINS`` chains.  Within a
-group each block still draws its own step noise from its own stream, so a
-chain's path does not depend on the grouping either, and each chain keeps
-only the tails of its draws that the Chen–Shao window reads.
+Every interval method reads a dataset only through SS_0 = SS_1 + SS_2, so
+the study draws each outer replication at mu1 = mu2 = 0 and the configured
+sigma as SS_0 = sigma^2 chi-square(2n - 2) alone, applies each requested
+interval method with its own deterministic substream, and reports coverage
+probability (CP), average length (AL), and their ratio PCD = CP / AL.
+Block ``ib`` holds replications [ib B, (ib + 1) B) at every n of the grid
+and is the unit of parallelism; stream indices encode (sample-size slot,
+block, method slot), so results depend neither on the worker count nor on
+which methods run.  The hpd chains of a block, every n together, advance
+in lockstep on the block's one step-noise stream, and each chain keeps only
+the tails of its draws that the Chen–Shao window reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +30,6 @@ from .intervals import (
     gci_bounds,
     run_variance_chains,
 )
-from .model import draw_suff_stats
 from .numerics import f_cdf, kolmogorov_sf, std_normal_cdf, student_t_cdf
 from .numerics.rng import RngStream
 from .risk import map_blocks
@@ -43,8 +38,8 @@ COVERAGE_METHODS = ("aci", "gci", "boot-p", "boot-t", "hpd")
 
 _SLOT_DATA, _SLOT_GCI, _SLOT_BOOT, _SLOT_MCMC = 0, 1, 2, 3
 
-# hpd chains advanced in lockstep by one job; whole blocks join a group
-GROUP_CHAINS = 1024
+# hpd chains one block advances in lockstep, every n of the grid together
+BLOCK_CHAINS = 1024
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,6 @@ class CoverageConfig:
     mcmc_n: int = 2500
     mcmc_burnin: int = 500
     threads: int = 1
-    block_size: ClassVar[int] = 256  # fixed: the block index keys the streams
 
     def __post_init__(self) -> None:
         if self.outer_reps < 1:
@@ -82,6 +76,12 @@ class CoverageConfig:
             raise DomainError("gci_draws, boot_k and threads must be positive")
         if self.gci_draws < 2 or self.boot_k < 2:
             raise DomainError("gci_draws and boot_k need 2 or more: one draw gives no interval")
+
+    @property
+    def block_size(self) -> int:
+        """Replications of a block at each n, so that a block holds at most
+        BLOCK_CHAINS hpd chains; the block index keys the streams."""
+        return max(1, BLOCK_CHAINS // len(self.n_grid))
 
 
 @dataclass(frozen=True)
@@ -128,38 +128,6 @@ class CoverageResult:
             f"{cfg.outer_reps},{inner_reps[r.method]},{cfg.master_seed}\n" for r in self.rows)
 
 
-class _BlockStreams:
-    """Step noise for a group of blocks: each block's generator fills its
-    own slice with the draws it makes when its block runs alone."""
-
-    def __init__(self, parts) -> None:
-        self._parts = list(parts)    # (generator, slice of the group)
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        out = np.empty(size)
-        for gen, part in self._parts:
-            gen.standard_normal(out=out[part])
-        return out
-
-    def standard_exponential(self, size: int) -> np.ndarray:
-        out = np.empty(size)
-        for gen, part in self._parts:
-            gen.standard_exponential(out=out[part])
-        return out
-
-
-def _groups(sizes: list) -> list:
-    """Consecutive index ranges whose sizes sum to at most GROUP_CHAINS,
-    or one larger block alone."""
-    groups, start, total = [], 0, 0
-    for i, size in enumerate(sizes):
-        if i > start and total + size > GROUP_CHAINS:
-            groups.append(range(start, i))
-            start, total = i, 0
-        total += size
-    return groups + [range(start, len(sizes))]
-
-
 def _tally(tau: float, lower: np.ndarray, upper: np.ndarray,
            length: np.ndarray) -> tuple[int, float, int]:
     """(intervals covering tau, summed finite length, non-finite intervals)."""
@@ -171,69 +139,53 @@ def _tally(tau: float, lower: np.ndarray, upper: np.ndarray,
 def coverage_study(cfg: CoverageConfig) -> CoverageResult:
     """Run the CP/AL/PCD study over the configured n grid and methods.
 
-    Each block of outer replications goes, as sufficient statistics, to the
-    batched interval functions that the single-dataset intervals call on a
-    batch of one; this function keys the streams and tallies the results.
-    Both bootstrap methods come from one draw of order statistics.  The hpd
-    chains of all blocks then run in groups (module docstring); a block's
-    tallies and acceptance summary are the same whatever its group.
+    Each block of outer replications goes, as SS_0, to the batched interval
+    functions that the single-dataset intervals call on a batch of one; this
+    function keys the streams and tallies the results.  Both bootstrap
+    methods come from one draw of order statistics.
     """
     tau = math.log(cfg.sigma)
-    nblocks = (cfg.outer_reps + cfg.block_size - 1) // cfg.block_size
-    pairs = [(ni, n, ib) for ni, n in enumerate(cfg.n_grid) for ib in range(nblocks)]
+    size = cfg.block_size
+    nblocks = (cfg.outer_reps + size - 1) // size
+    k = len(cfg.n_grid)
     hpd = "hpd" in cfg.methods
     mcmc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level) if hpd else None
 
-    def one_block(i: int):
-        ni, n, ib = pairs[i]
-
-        def stream(slot: int) -> np.random.Generator:
+    def one_block(ib: int):
+        def stream(ni: int, slot: int) -> np.random.Generator:
             return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
 
-        b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
-        _, _, ss1, ss2 = draw_suff_stats(stream(_SLOT_DATA), b, n, cfg.sigma)
-        s2 = ss1 + ss2
-        lns = 0.5 * np.log(s2)
-        tallies = {}
-        if "aci" in cfg.methods:
-            tallies["aci"] = _tally(tau, *aci_bounds(lns, n, cfg.level))
-        if "gci" in cfg.methods:
-            tallies["gci"] = _tally(tau, *gci_bounds(lns, n, cfg.level, cfg.gci_draws,
-                                                     stream(_SLOT_GCI)))
-        if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
-            pct, stud = boot_bounds(s2, n, cfg.level, cfg.boot_k, stream(_SLOT_BOOT))
-            tallies["boot-p"], tallies["boot-t"] = _tally(tau, *pct), _tally(tau, *stud)
-        chains = (n, ss1, ss2, stream(_SLOT_MCMC)) if hpd else None
-        return tallies, chains
-
-    blocks = map_blocks(len(pairs), one_block, cfg.threads)
-    health = []
-    if hpd:
-        groups = _groups([len(chains[1]) for _, chains in blocks])
-
-        def one_group(g: int) -> list:
-            ns, ss1s, ss2s, gens = zip(*(blocks[i][1] for i in groups[g]))
-            sizes = [len(ss1) for ss1 in ss1s]
-            parts = [slice(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes))]
-            ss1, ss2 = np.concatenate(ss1s), np.concatenate(ss2s)
-            tails, acc, _ = run_variance_chains(
-                np.zeros_like(ss1), np.zeros_like(ss2), ss1, ss2, np.repeat(ns, sizes),
-                mcmc, _BlockStreams(zip(gens, parts)))
-            lower, upper = _shortest_window(*tails)
-            return [(_tally(tau, lower[p], upper[p], upper[p] - lower[p]), acc[p]) for p in parts]
-
-        hpd_parts = [p for group in map_blocks(len(groups), one_group, cfg.threads) for p in group]
-        for (tallies, _), (tally, _) in zip(blocks, hpd_parts):
-            tallies["hpd"] = tally
+        b = min(size, cfg.outer_reps - ib * size)
+        ss0 = np.stack([cfg.sigma * cfg.sigma * stream(ni, _SLOT_DATA).chisquare(2 * n - 2, b)
+                        for ni, n in enumerate(cfg.n_grid)])
+        tallies = []
         for ni, n in enumerate(cfg.n_grid):
-            acc = np.concatenate([a for _, a in hpd_parts[ni * nblocks:(ni + 1) * nblocks]])
-            outside = (acc < 0.05) | (acc > 0.7)          # hpd_mcmc's warning band
-            health.append(ChainHealth(n=n, mean=float(acc.mean()), min=float(acc.min()),
-                                      max=float(acc.max()), outside_share=float(outside.mean())))
+            lns, t = 0.5 * np.log(ss0[ni]), {}
+            if "aci" in cfg.methods:
+                t["aci"] = _tally(tau, *aci_bounds(lns, n, cfg.level))
+            if "gci" in cfg.methods:
+                t["gci"] = _tally(tau, *gci_bounds(lns, n, cfg.level, cfg.gci_draws,
+                                                   stream(ni, _SLOT_GCI)))
+            if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
+                pct, stud = boot_bounds(ss0[ni], n, cfg.level, cfg.boot_k, stream(ni, _SLOT_BOOT))
+                t["boot-p"], t["boot-t"] = _tally(tau, *pct), _tally(tau, *stud)
+            tallies.append(t)
+        if not hpd:
+            return tallies, None
+        # the chains of every n share the block's step-noise stream, keyed at
+        # the first n's slot; a chain reads only ss1 + ss2
+        zeros = np.zeros(k * b)
+        tails, acc, _ = run_variance_chains(zeros, zeros, ss0.ravel(), zeros,
+                                            np.repeat(cfg.n_grid, b), mcmc, stream(0, _SLOT_MCMC))
+        lower, upper = (w.reshape(k, b) for w in _shortest_window(*tails))
+        for ni, t in enumerate(tallies):
+            t["hpd"] = _tally(tau, lower[ni], upper[ni], upper[ni] - lower[ni])
+        return tallies, acc.reshape(k, b)
 
-    rows = []
+    blocks = map_blocks(nblocks, one_block, cfg.threads)
+    rows, health = [], []
     for ni, n in enumerate(cfg.n_grid):
-        partials = [tallies for tallies, _ in blocks[ni * nblocks:(ni + 1) * nblocks]]
+        partials = [tallies[ni] for tallies, _ in blocks]
         for method in cfg.methods:
             contains = sum(p[method][0] for p in partials)
             length = sum(p[method][1] for p in partials)
@@ -248,6 +200,11 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
                 method=method, n=n, cp=cp,
                 cp_stderr=math.sqrt(max(cp * (1.0 - cp), 1e-300) / good),
                 al=al, pcd=cp / al, failures=failures))
+        if hpd:
+            acc = np.concatenate([a[ni] for _, a in blocks])
+            outside = (acc < 0.05) | (acc > 0.7)          # hpd_mcmc's warning band
+            health.append(ChainHealth(n=n, mean=float(acc.mean()), min=float(acc.min()),
+                                      max=float(acc.max()), outside_share=float(outside.mean())))
     return CoverageResult(rows=tuple(rows), config=cfg, hpd_acceptance=tuple(health))
 
 

@@ -218,12 +218,15 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def _beta_front(a: float, b: float, x: float) -> float:
     """x^a (1-x)^b / B(a, b), 0 < x < 1: in range, as two powers times a
-    ratio of gamma functions; exp(a ln x + b ln(1-x) - ln B(a, b)) loses
-    |exponent| ulps, and each ln Gamma its own magnitude in ulps."""
+    ratio of gamma functions, and where the powers' product is subnormal, as
+    the square of the same product of square roots; exp(a ln x + b ln(1-x)
+    - ln B(a, b)) loses |exponent| ulps, and each ln Gamma its own magnitude."""
     if a + b < 170.0:
+        ratio = math.gamma(a + b) / math.gamma(a) / math.gamma(b)
         lead = math.pow(x, a) * math.pow(1.0 - x, b)
         if lead >= sys.float_info.min:
-            return lead * (math.gamma(a + b) / math.gamma(a) / math.gamma(b))
+            return lead * ratio
+        return (math.pow(x, 0.5 * a) * math.pow(1.0 - x, 0.5 * b) * math.sqrt(ratio)) ** 2
     return math.exp(ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
                     + a * math.log(x) + b * math.log1p(-x))
 

@@ -196,12 +196,14 @@ class GpcResult:
 def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int,
                  seed: int, threads: int = 1) -> GpcResult:
     """P[L(err1) < L(err2)] + P[tie]/2 by simulation with common random
-    numbers; identical estimators give exactly 1/2."""
+    numbers; identical estimators give exactly 1/2 with stderr 0.  The
+    stderr is that of the mean score, a replication scoring 1, 1/2 or 0."""
     cfg = SimConfig(n=n, eta_grid=(eta,), loss=loss, replications=reps, master_seed=seed,
                     estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2, threads=threads)
     i1, i2 = cfg.estimators.index(est1), cfg.estimators.index(est2)
     n_less, n_tie = _replications(
         cfg, lambda lv, delta: ((lv[i1] < lv[i2]).sum(), (lv[i1] == lv[i2]).sum()))[:, 0].tolist()
     p = (n_less + 0.5 * n_tie) / reps
-    return GpcResult(value=p, stderr=math.sqrt(max(p * (1.0 - p), 1e-300) / reps),
+    var = (n_less + 0.25 * n_tie) / reps - p * p
+    return GpcResult(value=p, stderr=math.sqrt(max(var, 0.0) / reps),
                      n_less=n_less, n_tie=n_tie, replications=reps)

@@ -11,9 +11,13 @@ from entropy_lab import evaluate
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
 from entropy_lab.errors import DataError, DomainError
 from entropy_lab.intervals import run_variance_chains
-from entropy_lab.model import draw_suff_stats
 from entropy_lab.numerics import kolmogorov_sf
 from entropy_lab.numerics.rng import RngStream
+
+
+# four n of 256 reps a block: blocks of 256, 256 and a partial 188
+BLOCKS_BASE = dict(n_grid=(4, 9, 15, 23), outer_reps=700, master_seed=21, gci_draws=300,
+                   boot_k=200, mcmc_n=600, mcmc_burnin=100)
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +57,11 @@ class TestCoverageStudy:
         assert len(lines) == 1 + 15
 
     def test_thread_independence(self):
-        base = dict(n_grid=(10,), methods=("gci", "hpd"), outer_reps=500,
-                    master_seed=8, gci_draws=400, mcmc_n=1_100, mcmc_burnin=100)
-        r1 = el.coverage_study(el.CoverageConfig(**base, threads=1))
-        r8 = el.coverage_study(el.CoverageConfig(**base, threads=8))
-        assert r1.rows == r8.rows
+        r1, r2, r8 = (el.coverage_study(el.CoverageConfig(**BLOCKS_BASE, threads=t))
+                      for t in (1, 2, 8))
+        assert el.CoverageConfig(**BLOCKS_BASE).block_size == 256   # three blocks
+        assert r1.rows == r2.rows == r8.rows
+        assert r1.hpd_acceptance == r2.hpd_acceptance == r8.hpd_acceptance
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -90,27 +94,34 @@ class TestCoverageStudy:
         assert peak <= 1.3 * m * b * 8
 
 
-class TestHpdGroups:
-    """The hpd chains of a study run in lockstep groups of blocks; neither
-    the grouping nor the worker count shows in any output."""
+class TestCoverageBlocks:
+    """Block ib holds replications [ib B, (ib + 1) B) at every n, and the
+    set of methods a study runs shows in no row."""
 
-    # three n of three blocks each (256, 256 and a partial 188)
-    BASE = dict(n_grid=(4, 9, 23), outer_reps=700, master_seed=21, gci_draws=300,
-                boot_k=200, mcmc_n=600, mcmc_burnin=100)
+    @pytest.fixture(scope="class")
+    def full(self):
+        return el.coverage_study(el.CoverageConfig(**BLOCKS_BASE))
 
-    def test_default_groups_are_several(self):
-        assert [len(g) for g in evaluate._groups([256, 256, 188] * 3)] == [4, 4, 1]
+    @pytest.mark.parametrize("methods", [("hpd",), ("aci",), ("boot-p", "boot-t"), ("gci", "hpd")])
+    def test_rows_do_not_depend_on_methods(self, full, methods):
+        res = el.coverage_study(el.CoverageConfig(**{**BLOCKS_BASE, "methods": methods}))
+        assert res.rows == tuple(r for r in full.rows if r.method in methods)
+        assert res.hpd_acceptance == (full.hpd_acceptance if "hpd" in methods else ())
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("level", [0.9, 0.95])
-    def test_rows_do_not_depend_on_grouping(self, monkeypatch, threads, level):
-        cfg = el.CoverageConfig(**self.BASE, level=level, threads=threads)
-        grouped = el.coverage_study(cfg)
-        monkeypatch.setattr(evaluate, "GROUP_CHAINS", 1)
-        alone = el.coverage_study(cfg)
-        assert grouped.rows == alone.rows
-        assert grouped.hpd_acceptance == alone.hpd_acceptance
-        assert grouped.csv_text() == alone.csv_text()
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_chains_per_block_are_bounded(self, monkeypatch, k):
+        sizes = []
+
+        def counting(x1bar, x2bar, ss1, ss2, n, cfg, gen):
+            sizes.append(len(ss1))
+            return run_variance_chains(x1bar, x2bar, ss1, ss2, n, cfg, gen)
+
+        monkeypatch.setattr(evaluate, "run_variance_chains", counting)
+        cfg = el.CoverageConfig(n_grid=tuple(range(5, 5 + k)), methods=("hpd",),
+                                outer_reps=1_100, mcmc_n=110, mcmc_burnin=10)
+        el.coverage_study(cfg)
+        assert max(sizes) <= evaluate.BLOCK_CHAINS
+        assert sum(sizes) == k * cfg.outer_reps
 
 
 class TestHpdAcceptance:
@@ -129,17 +140,21 @@ class TestHpdAcceptance:
             "method,n,level,cp,cp_stderr,al,pcd,outer_reps,inner_reps,seed")
 
     def test_summary_reads_the_block_chains(self):
-        # one block, rerun by hand on the streams the study keys for it
-        cfg = el.CoverageConfig(n_grid=(7,), methods=("hpd",), outer_reps=40,
+        # one block, redrawn by hand on the streams the study keys for it:
+        # SS0 per n from slot 0 of that n, the step noise from slot 3 of the first
+        cfg = el.CoverageConfig(n_grid=(7, 12), methods=("hpd",), outer_reps=40,
                                 master_seed=5, mcmc_n=1_100, mcmc_burnin=100)
-        (h,) = el.coverage_study(cfg).hpd_acceptance
-        _, _, ss1, ss2 = draw_suff_stats(RngStream(5, 0).generator, 40, 7, 1.0)
-        _, acc, _ = run_variance_chains(np.zeros(40), np.zeros(40), ss1, ss2, 7,
+        health = el.coverage_study(cfg).hpd_acceptance
+        ss0 = np.concatenate([RngStream(5, ni << 28).generator.chisquare(2 * n - 2, 40)
+                              for ni, n in enumerate((7, 12))])
+        zeros = np.zeros(80)
+        _, acc, _ = run_variance_chains(zeros, zeros, ss0, zeros, np.repeat([7, 12], 40),
                                         el.McmcConfig(N=1_100, N0=100, level=0.95),
                                         RngStream(5, 3).generator)
-        outside = np.mean((acc < 0.05) | (acc > 0.7))
-        assert (h.n, h.mean, h.min, h.max, h.outside_share) == (
-            7, acc.mean(), acc.min(), acc.max(), outside)
+        for h, n, a in zip(health, (7, 12), (acc[:40], acc[40:])):
+            outside = np.mean((a < 0.05) | (a > 0.7))
+            assert (h.n, h.mean, h.min, h.max, h.outside_share) == (
+                n, a.mean(), a.min(), a.max(), outside)
 
     def test_empty_without_hpd(self):
         cfg = el.CoverageConfig(n_grid=(10,), methods=("aci",), outer_reps=10)

@@ -116,6 +116,9 @@ class TestIncompleteFunctions:
         (4.5, 20.0, 0.002, 1.372508425655935991312e-8),
         (60.0, 1.5, 0.95, 0.1031447463269799509469),
         (12.0, 7.0, 0.3, 0.001429768822571243484552),
+        # x^a (1-x)^b is subnormal here; integer a, b make I_x the binomial
+        # tail sum_{j>=39} C(58, j) x^j (1-x)^(58-j), summed in exact rationals
+        (39.0, 20.0, 1e-8, 9.4730931734833263365370965801465591603337e-298),
     ])
     def test_reg_inc_beta_tails_vs_40_digits(self, a, b, x, ref):
         assert abs(reg_inc_beta(a, b, x) - ref) <= 5e-15 * ref

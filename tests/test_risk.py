@@ -4,12 +4,15 @@ import csv
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from scipy import special
 
 import entropy_lab as el
 from entropy_lab import estimators
 from entropy_lab.errors import DomainError, NumericError
+from entropy_lab.model import draw_suff_stats
+from entropy_lab.numerics.rng import RngStream
 from entropy_lab.risk import BLOCK_SIZE, risk_csv
 
 
@@ -189,6 +192,20 @@ class TestGpc:
         g = el.gpc_estimate("baee", "baee", l1, 8, 1.0, 10_000, seed=5)
         assert g.value == 0.5
         assert g.n_tie == 10_000
+        assert g.stderr == 0.0      # every replication scores 1/2
+
+    def test_stderr_is_that_of_the_scores(self, l1):
+        # one block, redrawn by hand: a replication scores 1, 1/2 on a tie or 0
+        n, eta, reps = 8, 0.0, 2_000
+        g = el.gpc_estimate("pitman", "baee", l1, n, eta, reps, seed=7)
+        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(7, 0).generator, reps, n)
+        lns, w = 0.5 * np.log(ss1 + ss2), (m2 - m1 + eta / math.sqrt(n)) / np.sqrt(ss1 + ss2)
+        lv1, lv2 = (l1.value(estimators.resolve_estimator(e, n, l1)[1](lns, w))
+                    for e in ("pitman", "baee"))
+        scores = np.where(lv1 < lv2, 1.0, np.where(lv1 == lv2, 0.5, 0.0))
+        assert 0 < g.n_tie < reps
+        assert g.value == pytest.approx(scores.mean(), abs=1e-15)
+        assert g.stderr == pytest.approx(scores.std() / math.sqrt(reps), rel=1e-10)
 
     def test_stein_beats_baseline_at_origin(self, l1):
         g = el.gpc_estimate("stein", "baee", l1, 8, 0.0, 50_000, seed=5)
