@@ -8,20 +8,12 @@ __version__ = "0.1.0"
 from .errors import BracketError, DataError, DomainError, EntropyLabError, NumericError
 from .estimators import (
     EstimateReport,
-    baee,
-    brewster_zidek,
     bz_r0,
     bz_r0_defining,
     conditional_median,
+    estimate,
     estimate_all,
     ierd_check,
-    improved_mle,
-    improved_rmle,
-    mle,
-    pitman_clipped,
-    rmle,
-    stein,
-    umvue,
 )
 from .intervals import (
     BootConfig,
@@ -44,7 +36,6 @@ from .model import (
     entropy_of_log_sigma,
     m0,
     suff_stats,
-    two_sample_data,
 )
 from .risk import (
     GpcResult,
@@ -67,12 +58,10 @@ __all__ = [
     "DataError", "DomainError", "EntropyLabError", "EstimateReport",
     "GpcResult", "IntervalResult", "Loss", "McmcConfig", "NumericError",
     "SimConfig", "SimResult", "SuffStats", "TwoSampleData",
-    "aci", "baee", "boot_p", "boot_t", "brewster_zidek", "bz_r0",
-    "bz_r0_defining", "chen_shao_hpd", "closed_form_bias_baee",
-    "closed_form_risk_baee", "conditional_median", "coverage_study", "d0",
-    "entropy_of_log_sigma", "estimate_all", "f_test_equal_var", "gci_umvue",
-    "gpc_estimate", "hpd_mcmc", "ierd_check", "improved_mle",
-    "improved_rmle", "ks_normality", "m0", "mle",
-    "pitman_clipped", "rmle", "simulate_risk", "stein",
-    "suff_stats", "t_test_ordered_means", "two_sample_data", "umvue",
+    "aci", "boot_p", "boot_t", "bz_r0", "bz_r0_defining", "chen_shao_hpd",
+    "closed_form_bias_baee", "closed_form_risk_baee", "conditional_median",
+    "coverage_study", "d0", "entropy_of_log_sigma", "estimate",
+    "estimate_all", "f_test_equal_var", "gci_umvue", "gpc_estimate",
+    "hpd_mcmc", "ierd_check", "ks_normality", "m0", "simulate_risk",
+    "suff_stats", "t_test_ordered_means",
 ]

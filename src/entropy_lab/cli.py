@@ -33,7 +33,7 @@ from .errors import DataError, EntropyLabError
 from .estimators import estimate_all
 from .evaluate import COVERAGE_METHODS, CoverageConfig, coverage_study, t_test_ordered_means
 from .intervals import BootConfig, McmcConfig, aci, boot_p, boot_t, gci_umvue, hpd_mcmc
-from .model import Loss, TwoSampleData, load_paired_csv, load_samples, suff_stats, two_sample_data
+from .model import Loss, TwoSampleData, load_paired_csv, load_samples, suff_stats
 from .risk import DEFAULT_ESTIMATORS, SimConfig, risk_csv, simulate_risk
 
 # Campaign sizes of ``reproduce``; ``risk``/``coverage --paper-scale`` take
@@ -104,7 +104,7 @@ def _load_data(args) -> TwoSampleData:
     if getattr(args, "csv", None):
         return load_paired_csv(args.csv)
     if getattr(args, "data1", None) and getattr(args, "data2", None):
-        return two_sample_data(load_samples(args.data1), load_samples(args.data2))
+        return TwoSampleData(load_samples(args.data1), load_samples(args.data2))
     raise DataError("no input data: use --dataset boeing, --csv FILE, or --data1/--data2")
 
 
@@ -210,7 +210,8 @@ def _cmd_risk(args, argv) -> int:
         raise _UsageError("risk: --n lists no sample size")
     if len(set(n_values)) < len(n_values):
         raise _UsageError("risk: --n repeats a sample size")
-    if step <= 0 or args.eta_to < args.eta_from:
+    if (not all(map(math.isfinite, (args.eta_from, args.eta_to, step))) or step <= 0
+            or args.eta_to < args.eta_from):
         raise _UsageError("risk: invalid eta grid")
     seed = _resolve_seed(args)
     etas = _eta_grid(args.eta_from, args.eta_to, step)

@@ -1,6 +1,6 @@
 """Built-in datasets."""
 
-from .model import TwoSampleData, two_sample_data
+from .model import TwoSampleData
 
 # Failure times (hours) of the air-conditioning systems of two Boeing 720
 # jet planes, six failures each.
@@ -9,4 +9,4 @@ BOEING_PLANE_7916 = (50.0, 254.0, 5.0, 283.0, 35.0, 12.0)
 
 
 def boeing() -> TwoSampleData:
-    return two_sample_data(BOEING_PLANE_7907, BOEING_PLANE_7916)
+    return TwoSampleData(BOEING_PLANE_7907, BOEING_PLANE_7916)

@@ -11,19 +11,19 @@ estimators replace the constant by a data-driven term that shrinks the
 estimate when W is small and positive (data agreeing with the ordering) and,
 for the restricted-MLE family, inflates it when W is negative:
 
-* ``stein``            hard min/max switch between d0 and m0 + T(w),
-                       with T(w) = ln sqrt(1 + n w^2 / 2);
-* ``brewster_zidek``   smooth shrinkage ln(S) + r0(|w|), where r0 solves the
-                       first-order risk condition conditional on |W| <= w;
+* ``stein``          hard min/max switch between d0 and m0 + T(w),
+                     with T(w) = ln sqrt(1 + n w^2 / 2);
+* ``bz``             smooth shrinkage ln(S) + r0(|w|), where r0 solves the
+                     first-order risk condition conditional on |W| <= w;
 * ``improved_mle`` / ``improved_rmle``  the same switch applied to the
-                       (restricted) maximum likelihood constants;
-* ``pitman_clipped``   clips any additive term at the conditional-median
-                       target, improving Pitman closeness for every eta >= 0.
+                     (restricted) maximum likelihood constants;
+* ``pitman``         clips the baee term at the conditional-median target,
+                     improving Pitman closeness for every eta >= 0.
 
 Each rule is defined once, as a vectorized function of arrays (ln S, W)
-returned by :func:`resolve_estimator`.  The single-dataset functions
-(``baee`` ... ``pitman_clipped``, :func:`estimate_all`) evaluate the same
-rule on a batch of one.
+returned by :func:`resolve_estimator`.  On a single dataset,
+:func:`estimate` and :func:`estimate_all` evaluate the same rule on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -304,7 +304,11 @@ def _bz_rule(lns, w, r0: Callable[[np.ndarray], np.ndarray]):
 
 def _pitman_rule(lns, w, c: float, n: int):
     """Clip the additive term c at the eta = 0 conditional-median target
-    t(w) = -median[ln sqrt(V) | W = w, eta = 0]."""
+    t(w) = -median[ln sqrt(V) | W = w, eta = 0]: the estimate is capped at
+    ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
+    conditional median is monotone in eta, the clipped estimator is closer
+    to tau in the generalized Pitman sense for every eta >= 0, whatever
+    bowl-shaped loss is used for the comparison."""
     target = -0.5 * median_ln_v_eta0(w, n)
     return lns + _clip(w, c, target, target)
 
@@ -395,78 +399,27 @@ def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float, alpha:
 # ---------------------------------------------------------------------------
 
 
-def _batch_of_one(rule: VectorFn, st: SuffStats) -> float:
+def estimate(name: str, st: SuffStats, loss: Loss) -> float:
+    """The named estimate of tau on one dataset: its rule on a batch of one.
+    ``bz`` uses the exact r0, so no lookup table is built; ``umvue``, ``mle``
+    and ``rmle`` ignore ``loss``."""
+    if name == "bz":
+        return math.log(st.s) + bz_r0(abs(st.w), st.n, loss)
+    rule = resolve_estimator(name, st.n, loss)[1]
     return float(rule(np.array([math.log(st.s)]), np.array([st.w]))[0])
-
-
-def _estimate(name: str, st: SuffStats, loss: Loss) -> float:
-    return _batch_of_one(_BUILDERS[name](st.n, loss), st)
-
-
-def baee(st: SuffStats, loss: Loss) -> float:
-    """Best affine equivariant estimator ln(S) + d0; constant risk."""
-    return _estimate("baee", st, loss)
-
-
-def umvue(st: SuffStats) -> float:
-    """Unbiased estimator; identical to ``baee`` under squared error."""
-    return _estimate("umvue", st, Loss.squared_error())
-
-
-def mle(st: SuffStats) -> float:
-    return _estimate("mle", st, Loss.squared_error())
-
-
-def rmle(st: SuffStats) -> float:
-    """Restricted MLE: equals the MLE when W >= 0, otherwise absorbs the
-    squared mean gap into the scale estimate."""
-    return _estimate("rmle", st, Loss.squared_error())
-
-
-def stein(st: SuffStats, loss: Loss) -> float:
-    """Hard-threshold improvement on ``baee``: min/max of d0 against
-    m0 + T(w) by the sign of W."""
-    return _estimate("stein", st, loss)
-
-
-def improved_mle(st: SuffStats, loss: Loss) -> float:
-    return _estimate("improved_mle", st, loss)
-
-
-def improved_rmle(st: SuffStats, loss: Loss) -> float:
-    return _estimate("improved_rmle", st, loss)
-
-
-def brewster_zidek(st: SuffStats, loss: Loss) -> float:
-    """Smooth improvement on ``baee``: ln(S) + r0(|W|), with the exact r0."""
-    return math.log(st.s) + bz_r0(abs(st.w), st.n, loss)
-
-
-def pitman_clipped(st: SuffStats, loss: Loss) -> float:
-    """Clip ``baee`` at the eta = 0 conditional-median target.
-
-    With t(w) = -median[ln sqrt(V) | W = w, eta = 0], the estimate is capped
-    at ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
-    conditional median is monotone in eta, the clipped estimator is closer
-    to tau in the generalized Pitman sense for every eta >= 0, whatever
-    bowl-shaped loss is used for the comparison.
-    """
-    return _estimate("pitman", st, loss)
 
 
 @dataclass(frozen=True)
 class EstimateReport:
     kind: str
-    loss: Loss
     value: float
     entropy_value: float
 
 
 def estimate_all(st: SuffStats, loss: Loss) -> list[EstimateReport]:
-    """All point estimators on one dataset, in canonical order.  bz uses the
-    exact r0, so no lookup table is built."""
+    """All point estimators on one dataset, in canonical order."""
     reports = []
     for name in ESTIMATOR_NAMES:
-        value = brewster_zidek(st, loss) if name == "bz" else _estimate(name, st, loss)
-        reports.append(EstimateReport(name, loss, value, entropy_of_log_sigma(value)))
+        value = estimate(name, st, loss)
+        reports.append(EstimateReport(name, value, entropy_of_log_sigma(value)))
     return reports

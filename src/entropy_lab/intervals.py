@@ -20,14 +20,13 @@ read by the Chen & Shao (1999) window.  With M draws the window at a level
 reads only the r = M - floor(level M) lowest and the r highest, so a chain
 run for an interval keeps just those: its draws go into a bounded buffer
 that, when full, is sorted in place and cut back to its two tails.  Chains
-of different n advance in lockstep, each on its own stream when the
-coverage study groups its blocks.
+of different n advance in lockstep on one step-noise stream.
 
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and the
 Chen–Shao window).  The coverage study calls it on blocks of replications,
-and hpd on lockstep groups of blocks; ``aci`` ... ``hpd_mcmc`` call it on a
-batch of one and add input floors and diagnostics.
+every n of a block together; ``aci`` ... ``hpd_mcmc`` call it on a batch
+of one and add input floors and diagnostics.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .estimators import mle
 from .model import SuffStats, TwoSampleData, suff_stats
 from .numerics import chi_square_quantile, std_normal_quantile
 from .numerics.rng import RngStream
@@ -93,8 +91,8 @@ class McmcConfig:
     def __post_init__(self) -> None:
         if not self.N > self.N0 >= 0:
             raise DomainError(f"need N > N0 >= 0, got N={self.N}, N0={self.N0}")
-        if self.proposal_sd is not None and self.proposal_sd <= 0:
-            raise DomainError("proposal_sd must be positive")
+        if self.proposal_sd is not None and not 0 < self.proposal_sd < math.inf:
+            raise DomainError(f"proposal_sd must be positive and finite, got {self.proposal_sd!r}")
         if self.level is not None:
             _window_offset(self.N - self.N0, _check_level(self.level))
 
@@ -129,7 +127,7 @@ def aci(data: TwoSampleData, level: float = 0.95) -> IntervalResult:
     level = _check_level(level)
     st = suff_stats(data)
     return _result("aci", level, aci_bounds(np.array([math.log(st.s)]), st.n, level),
-                   {"center": mle(st)})
+                   {"center": math.log(st.s) - 0.5 * math.log(2.0 * st.n)})
 
 
 # ---------------------------------------------------------------------------

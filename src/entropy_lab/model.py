@@ -21,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -297,8 +297,4 @@ def load_paired_csv(path: str | Path) -> TwoSampleData:
                     raise DataError(f"{path}:{lineno}: not numeric: {row!r}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return TwoSampleData(np.asarray(col1), np.asarray(col2))
-
-
-def two_sample_data(sample1: Sequence[float], sample2: Sequence[float]) -> TwoSampleData:
-    return TwoSampleData(np.asarray(sample1, dtype=float), np.asarray(sample2, dtype=float))
+    return TwoSampleData(col1, col2)

@@ -31,6 +31,8 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = [self.master_seed & _MASK64, self.stream_index & _MASK64]
+            # a uint64 array: a plain list past 2**63 goes through float64
+            key = np.array([self.master_seed & _MASK64, self.stream_index & _MASK64],
+                           dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen

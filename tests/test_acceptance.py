@@ -49,18 +49,18 @@ def report(num: str, ok: bool, detail: str) -> None:
 def test_criterion_01_boeing_point_estimates(boeing_stats, l1):
     t0 = time.perf_counter()
     errors = []
-    got = el.baee(boeing_stats, l1)
+    got = el.estimate("baee", boeing_stats, l1)
     if abs(got - PAPER_BAEE[None]) > 5e-4:
         errors.append(f"baee l1 {got}")
     for a1 in (-3.0, -2.0, 2.0, 4.0):
-        got = el.baee(boeing_stats, el.Loss.linex(a1))
+        got = el.estimate("baee", boeing_stats, el.Loss.linex(a1))
         if abs(got - PAPER_BAEE[a1]) > 5e-4:
             errors.append(f"baee linex({a1}) {got}")
-    st_val = el.stein(boeing_stats, l1)
+    st_val = el.estimate("stein", boeing_stats, l1)
     if abs(st_val - 4.6855) > 5e-4:
         errors.append(f"stein l1 {st_val}")
-    bz_val = el.brewster_zidek(boeing_stats, l1)
-    baee_val = el.baee(boeing_stats, l1)
+    bz_val = el.estimate("bz", boeing_stats, l1)
+    baee_val = el.estimate("baee", boeing_stats, l1)
     if not baee_val >= st_val >= bz_val:
         errors.append(f"verified ordering broken: {baee_val}, {st_val}, {bz_val}")
     elapsed = time.perf_counter() - t0
@@ -74,9 +74,9 @@ def test_criterion_01_boeing_point_estimates(boeing_stats, l1):
                    reason="stated sandwich contradicts the defining-equation solver; "
                           "verified ordering is baee >= stein >= bz (see module docstring)")
 def test_criterion_01_sandwich_as_stated(boeing_stats, l1):
-    baee_val = el.baee(boeing_stats, l1)
-    st_val = el.stein(boeing_stats, l1)
-    bz_val = el.brewster_zidek(boeing_stats, l1)
+    baee_val = el.estimate("baee", boeing_stats, l1)
+    st_val = el.estimate("stein", boeing_stats, l1)
+    bz_val = el.estimate("bz", boeing_stats, l1)
     report("01b", False, "literal 'baee >= bz >= stein' is a documented spec defect "
                          f"(bz={bz_val:.6f} < stein={st_val:.6f})")
     assert baee_val >= bz_val >= st_val

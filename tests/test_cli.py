@@ -175,11 +175,13 @@ class TestRisk:
         assert "usage error" in err
 
     def test_zero_eta_step_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "risk", "--n", "8", "--eta-step", "0",
-                                 "--reps", "100", "--seed", "1")
-        assert code == 2
-        assert out == ""
-        assert "invalid eta grid" in err
+        for flag, value in (("--eta-step", "0"), ("--eta-step", "nan"), ("--eta-to", "nan"),
+                            ("--eta-to", "inf")):
+            code, out, err = run_cli(capsys, "risk", "--n", "8", flag, value,
+                                     "--reps", "100", "--seed", "1")
+            assert code == 2
+            assert out == ""
+            assert "invalid eta grid" in err
 
     def test_repeated_estimator_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "risk", "--n", "8", "--eta-to", "0", "--reps", "100",

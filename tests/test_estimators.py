@@ -38,71 +38,73 @@ def unit_scale_stats(n=6, w=0.0):
 
 class TestBaseline:
     def test_baee_boeing_l1(self, boeing_stats, l1):
-        assert el.baee(boeing_stats, l1) == pytest.approx(BOEING_BAEE_L1, abs=1e-9)
-        assert el.baee(boeing_stats, l1) == pytest.approx(4.7293, abs=5e-4)
+        assert el.estimate("baee", boeing_stats, l1) == pytest.approx(BOEING_BAEE_L1, abs=1e-9)
+        assert el.estimate("baee", boeing_stats, l1) == pytest.approx(4.7293, abs=5e-4)
 
     @pytest.mark.parametrize("a1,table_value", [(-3.0, 4.8233), (-2.0, 4.7892),
                                                 (2.0, 4.6776), (4.0, 4.6321)])
     def test_baee_boeing_linex_table(self, boeing_stats, a1, table_value):
-        assert el.baee(boeing_stats, el.Loss.linex(a1)) == pytest.approx(table_value, abs=5e-4)
+        assert el.estimate("baee", boeing_stats, el.Loss.linex(a1)) == pytest.approx(
+            table_value, abs=5e-4)
 
     def test_baee_unit_scale_is_d0(self, l1):
-        assert el.baee(unit_scale_stats(), l1) == pytest.approx(el.d0(l1, 6), abs=1e-14)
+        assert el.estimate("baee", unit_scale_stats(), l1) == pytest.approx(
+            el.d0(l1, 6), abs=1e-14)
 
     def test_umvue_equals_baee_under_l1(self, l1):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            data = el.two_sample_data(rng.normal(0, 2, 7), rng.normal(1, 2, 7))
+            data = el.TwoSampleData(rng.normal(0, 2, 7), rng.normal(1, 2, 7))
             st = el.suff_stats(data)
-            assert el.umvue(st) == el.baee(st, l1)
+            assert el.estimate("umvue", st, l1) == el.estimate("baee", st, l1)
 
 
 class TestMleFamily:
-    def test_mle_boeing(self, boeing_stats):
-        assert el.mle(boeing_stats) == pytest.approx(BOEING_MLE, abs=1e-9)
+    def test_mle_boeing(self, boeing_stats, l1):
+        assert el.estimate("mle", boeing_stats, l1) == pytest.approx(BOEING_MLE, abs=1e-9)
 
-    def test_rmle_equals_mle_for_positive_w(self, boeing_stats):
-        assert el.rmle(boeing_stats) == el.mle(boeing_stats)
+    def test_rmle_equals_mle_for_positive_w(self, boeing_stats, l1):
+        assert el.estimate("rmle", boeing_stats, l1) == el.estimate("mle", boeing_stats, l1)
 
-    def test_rmle_swapped(self, boeing_data):
-        swapped = el.two_sample_data(boeing_data.sample2, boeing_data.sample1)
+    def test_rmle_swapped(self, boeing_data, l1):
+        swapped = el.TwoSampleData(boeing_data.sample2, boeing_data.sample1)
         st = el.suff_stats(swapped)
         assert st.w < 0
-        assert el.rmle(st) == pytest.approx(BOEING_RMLE_SWAPPED, abs=1e-9)
+        assert el.estimate("rmle", st, l1) == pytest.approx(BOEING_RMLE_SWAPPED, abs=1e-9)
         # explicit arithmetic: + ln(1 + 3 w^2)/2 at n = 6
-        assert el.rmle(st) == pytest.approx(
-            el.mle(st) + 0.5 * math.log1p(3.0 * st.w ** 2), abs=1e-12)
+        assert el.estimate("rmle", st, l1) == pytest.approx(
+            el.estimate("mle", st, l1) + 0.5 * math.log1p(3.0 * st.w ** 2), abs=1e-12)
 
-    def test_rmle_continuous_at_zero(self):
+    def test_rmle_continuous_at_zero(self, l1):
         st = unit_scale_stats(w=0.0)
-        assert el.rmle(st) == el.mle(st)
+        assert el.estimate("rmle", st, l1) == el.estimate("mle", st, l1)
 
 
 class TestSteinFamily:
     def test_stein_boeing_l1(self, boeing_stats, l1):
-        assert el.stein(boeing_stats, l1) == pytest.approx(BOEING_STEIN_L1, abs=1e-9)
-        assert el.stein(boeing_stats, l1) == pytest.approx(4.6855, abs=5e-4)
+        assert el.estimate("stein", boeing_stats, l1) == pytest.approx(BOEING_STEIN_L1, abs=1e-9)
+        assert el.estimate("stein", boeing_stats, l1) == pytest.approx(4.6855, abs=5e-4)
 
     def test_stein_at_w_zero_is_baee(self, l1):
         st = unit_scale_stats(w=0.0)
-        assert el.stein(st, l1) == el.baee(st, l1)
+        assert el.estimate("stein", st, l1) == el.estimate("baee", st, l1)
 
     def test_stein_saturates_for_large_w(self, l1):
         st = unit_scale_stats(w=50.0)
-        assert el.stein(st, l1) == el.baee(st, l1)
+        assert el.estimate("stein", st, l1) == el.estimate("baee", st, l1)
 
     def test_improved_mle_boeing(self, boeing_stats, l1):
         # threshold does not bind here, MLE retained
-        assert el.improved_mle(boeing_stats, l1) == pytest.approx(BOEING_MLE, abs=1e-9)
+        assert el.estimate("improved_mle", boeing_stats, l1) == pytest.approx(BOEING_MLE, abs=1e-9)
 
     def test_improved_mle_at_zero(self, l1):
         st = unit_scale_stats(w=0.0)
-        assert el.improved_mle(st, l1) == el.mle(st)
+        assert el.estimate("improved_mle", st, l1) == el.estimate("mle", st, l1)
 
     def test_improved_rmle_swapped(self, boeing_data, l1):
-        swapped = el.two_sample_data(boeing_data.sample2, boeing_data.sample1)
+        swapped = el.TwoSampleData(boeing_data.sample2, boeing_data.sample1)
         st = el.suff_stats(swapped)
-        assert el.improved_rmle(st, l1) == pytest.approx(BOEING_STEIN_L1, abs=1e-9)
+        assert el.estimate("improved_rmle", st, l1) == pytest.approx(BOEING_STEIN_L1, abs=1e-9)
 
     def test_improved_rmle_takes_larger_arm_for_negative_w(self, l1):
         # for w < 0 the improvement replaces the restricted term by the
@@ -110,8 +112,8 @@ class TestSteinFamily:
         st = unit_scale_stats(w=-0.9)
         t = 0.5 * math.log1p(0.5 * 6 * 0.81)
         want = max(-0.5 * math.log(12.0) + t, el.m0(l1, 6) + t)
-        assert el.improved_rmle(st, l1) == pytest.approx(want, abs=1e-14)
-        assert el.improved_rmle(st, l1) >= el.rmle(st)
+        assert el.estimate("improved_rmle", st, l1) == pytest.approx(want, abs=1e-14)
+        assert el.estimate("improved_rmle", st, l1) >= el.estimate("rmle", st, l1)
 
 
 class TestSmoothShrinkageSolver:
@@ -142,12 +144,12 @@ class TestSmoothShrinkageSolver:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_brewster_zidek_boeing(self, boeing_stats, l1):
-        assert el.brewster_zidek(boeing_stats, l1) == pytest.approx(BOEING_BZ_L1, abs=1e-8)
-        assert el.brewster_zidek(boeing_stats, l1) <= el.baee(boeing_stats, l1)
+        assert el.estimate("bz", boeing_stats, l1) == pytest.approx(BOEING_BZ_L1, abs=1e-8)
+        assert el.estimate("bz", boeing_stats, l1) <= el.estimate("baee", boeing_stats, l1)
 
     def test_brewster_zidek_at_zero(self, l1):
         st = unit_scale_stats(w=0.0)
-        assert el.brewster_zidek(st, l1) == pytest.approx(el.m0(l1, 6), abs=1e-14)
+        assert el.estimate("bz", st, l1) == pytest.approx(el.m0(l1, 6), abs=1e-14)
 
     def test_negative_absw_rejected(self, l1):
         with pytest.raises(DomainError):
@@ -301,25 +303,25 @@ class TestPitmanClip:
     def test_no_clip_far_from_target(self, l1):
         # at w = 1 the median target sits above d0, so the baseline is kept
         st = unit_scale_stats(w=1.0)
-        assert el.pitman_clipped(st, l1) == el.baee(st, l1)
+        assert el.estimate("pitman", st, l1) == el.estimate("baee", st, l1)
 
     def test_w_zero_keeps_base(self, l1):
         st = unit_scale_stats(w=0.0)
-        assert el.pitman_clipped(st, l1) == el.baee(st, l1)
+        assert el.estimate("pitman", st, l1) == el.estimate("baee", st, l1)
 
     def test_clips_down_for_small_positive_w(self, boeing_stats, l1):
         # boeing w is small positive: estimate capped at the median target
         target = math.log(boeing_stats.s) - 0.5 * median_ln_v_eta0(boeing_stats.w, 6)
-        assert el.pitman_clipped(boeing_stats, l1) == pytest.approx(target, abs=1e-12)
-        assert el.pitman_clipped(boeing_stats, l1) < el.baee(boeing_stats, l1)
+        assert el.estimate("pitman", boeing_stats, l1) == pytest.approx(target, abs=1e-12)
+        assert el.estimate("pitman", boeing_stats, l1) < el.estimate("baee", boeing_stats, l1)
 
     def test_clips_up_for_moderate_negative_w(self, l1):
         # the floor binds once the median target rises above d0
         st = unit_scale_stats(w=-0.5)
         target = -0.5 * median_ln_v_eta0(-0.5, 6)
         assert target > el.d0(l1, 6)
-        assert el.pitman_clipped(st, l1) == pytest.approx(target, abs=1e-12)
-        assert el.pitman_clipped(st, l1) > el.baee(st, l1)
+        assert el.estimate("pitman", st, l1) == pytest.approx(target, abs=1e-12)
+        assert el.estimate("pitman", st, l1) > el.estimate("baee", st, l1)
 
 
 class TestEquivariance:
@@ -330,8 +332,8 @@ class TestEquivariance:
         x = rng.normal(0.0, 1.5, 8)
         y = rng.normal(0.5, 1.5, 8)
         a = 2.5
-        st1 = el.suff_stats(el.two_sample_data(x, y))
-        st2 = el.suff_stats(el.two_sample_data(a * x + 3.0, a * y + 3.0))
+        st1 = el.suff_stats(el.TwoSampleData(x, y))
+        st2 = el.suff_stats(el.TwoSampleData(a * x + 3.0, a * y + 3.0))
         _, fn = resolve_estimator(name, 8, l1)
         v1 = float(fn(np.array(math.log(st1.s)), np.array(st1.w)))
         v2 = float(fn(np.array(math.log(st2.s)), np.array(st2.w)))
@@ -340,16 +342,9 @@ class TestEquivariance:
 
 class TestScalarVectorAgreement:
     def test_all_estimators(self, l1, linex_m3):
-        # the single-dataset functions are the rules on a batch of one, so
-        # they equal the rules on a whole block exactly; bz differs only
-        # because the block interpolates the r0 table
-        scalar = {
-            "baee": el.baee, "umvue": lambda st, loss: el.umvue(st),
-            "mle": lambda st, loss: el.mle(st), "rmle": lambda st, loss: el.rmle(st),
-            "stein": el.stein, "improved_mle": el.improved_mle,
-            "improved_rmle": el.improved_rmle, "bz": el.brewster_zidek,
-            "pitman": el.pitman_clipped,
-        }
+        # a single-dataset estimate is the rule on a batch of one, so it
+        # equals the rule on a whole block exactly; bz differs only because
+        # the block interpolates the r0 table
         rng = np.random.default_rng(21)
         s = rng.uniform(0.2, 40.0, 60)
         w = np.concatenate([rng.normal(0.0, 0.6, 57), [0.0, 1e-9, -1e-9]])
@@ -357,25 +352,32 @@ class TestScalarVectorAgreement:
                   for sv, wv in zip(s, w)]
         lns = np.array([math.log(sv) for sv in s])
         for loss in (l1, linex_m3):
-            for name, fn_scalar in scalar.items():
+            for name in estimators.ESTIMATOR_NAMES:
                 _, fn = resolve_estimator(name, 6, loss)
-                got = [fn_scalar(st, loss) for st in stats_]
+                got = [el.estimate(name, st, loss) for st in stats_]
                 if name == "bz":
                     np.testing.assert_allclose(fn(lns, w), got, rtol=0.0, atol=2e-6)
                 else:
                     assert fn(lns, w).tolist() == got, (name, loss)
 
     def test_estimate_all_builds_no_table(self, linex_m3):
-        st = el.suff_stats(el.two_sample_data([1.0, 4.0, 2.5, 7.0, 3.0, 9.5, 2.0],
-                                              [2.0, 6.0, 3.5, 8.0, 5.0, 9.0, 4.0]))
+        st = el.suff_stats(el.TwoSampleData([1.0, 4.0, 2.5, 7.0, 3.0, 9.5, 2.0],
+                                            [2.0, 6.0, 3.5, 8.0, 5.0, 9.0, 4.0]))
         before = dict(_TABLE_CACHE)
         bz = next(r.value for r in el.estimate_all(st, linex_m3) if r.kind == "bz")
         assert _TABLE_CACHE == before
-        assert bz == el.brewster_zidek(st, linex_m3)
+        assert bz == el.estimate("bz", st, linex_m3)
 
     def test_unknown_name(self, l1):
         with pytest.raises(DomainError):
             resolve_estimator("nope", 6, l1)
+        with pytest.raises(DomainError):
+            el.estimate("nope", unit_scale_stats(), l1)
+
+    @pytest.mark.parametrize("name", ["umvue", "mle", "rmle"])
+    def test_loss_free_rules_ignore_loss(self, name, boeing_stats, l1, linex_m3):
+        for st in (boeing_stats, unit_scale_stats(w=-0.7)):
+            assert el.estimate(name, st, l1) == el.estimate(name, st, linex_m3)
 
 
 class TestWindowMassRatio:

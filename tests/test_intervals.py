@@ -319,7 +319,7 @@ class TestMcmc:
         # width 2 z_{0.975} / (2 sqrt(n))
         n = 1000
         rng = np.random.default_rng(30)
-        data = el.two_sample_data(rng.standard_normal(n), rng.standard_normal(n))
+        data = el.TwoSampleData(rng.standard_normal(n), rng.standard_normal(n))
         r = el.hpd_mcmc(data, 0.95, el.McmcConfig(N=9_000, N0=2_000, seed=31))
         want = 2.0 * 1.959964 / (2.0 * math.sqrt(n))
         assert r.length == pytest.approx(want, rel=0.15)
@@ -346,8 +346,9 @@ class TestMcmc:
     def test_config_validation(self, boeing_data):
         with pytest.raises(DomainError):
             el.McmcConfig(N=100, N0=200)
-        with pytest.raises(DomainError):
-            el.McmcConfig(N=5_000, N0=1_000, proposal_sd=-1.0)
+        for sd in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                el.McmcConfig(N=5_000, N0=1_000, proposal_sd=sd)
         with pytest.raises(DomainError):
             # fewer than 1000 kept draws is rejected at run time
             el.hpd_mcmc(boeing_data, 0.95, el.McmcConfig(N=1_500, N0=1_000))
@@ -356,8 +357,8 @@ class TestMcmc:
 class TestEquivariance:
     @pytest.mark.parametrize("a,b", [(3.0, 0.0), (1.0, 11.0), (0.25, -4.0)])
     def test_all_methods_shift_by_log_scale(self, boeing_data, a, b):
-        scaled = el.two_sample_data(a * boeing_data.sample1 + b,
-                                    a * boeing_data.sample2 + b)
+        scaled = el.TwoSampleData(a * boeing_data.sample1 + b,
+                                  a * boeing_data.sample2 + b)
         shift = math.log(a)
         st1, st2 = el.suff_stats(boeing_data), el.suff_stats(scaled)
 

@@ -24,39 +24,39 @@ class TestSuffStats:
         assert st.w * st.s == pytest.approx(st.mean2 - st.mean1, rel=1e-12)
 
     def test_symmetric_toy(self):
-        st = el.suff_stats(el.two_sample_data([0.0, 2.0], [0.0, 2.0]))
+        st = el.suff_stats(el.TwoSampleData([0.0, 2.0], [0.0, 2.0]))
         assert st.mean1 == st.mean2 == 1.0
         assert st.s2 == 4.0
         assert st.w == 0.0
 
     def test_degenerate(self):
         with pytest.raises(DataError):
-            el.suff_stats(el.two_sample_data([0.0, 0.0], [0.0, 0.0]))
+            el.suff_stats(el.TwoSampleData([0.0, 0.0], [0.0, 0.0]))
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(DataError):
-            el.two_sample_data([1.0, 2.0, 3.0], [1.0, 2.0])
+            el.TwoSampleData([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_too_small(self):
         with pytest.raises(DataError):
-            el.two_sample_data([1.0], [2.0])
+            el.TwoSampleData([1.0], [2.0])
 
     def test_nonfinite(self):
         with pytest.raises(DataError):
-            el.two_sample_data([1.0, math.nan], [1.0, 2.0])
+            el.TwoSampleData([1.0, math.nan], [1.0, 2.0])
 
     def test_affine_invariance_of_w(self):
         rng = np.random.default_rng(3)
         x = rng.normal(2.0, 3.0, 9)
         y = rng.normal(4.0, 3.0, 9)
-        st = el.suff_stats(el.two_sample_data(x, y))
+        st = el.suff_stats(el.TwoSampleData(x, y))
         a, b1, b2 = 2.5, 3.0, -1.0
-        st2 = el.suff_stats(el.two_sample_data(a * x + b1, a * y + b2))
+        st2 = el.suff_stats(el.TwoSampleData(a * x + b1, a * y + b2))
         # w is invariant up to the shift moving mean2 - mean1
         assert st2.w == pytest.approx((a * (st.mean2 - st.mean1) + b2 - b1) / (a * st.s), rel=1e-12)
         assert math.log(st2.s) == pytest.approx(math.log(st.s) + math.log(a), rel=1e-12)
         # pure scaling without shifts leaves w unchanged
-        st3 = el.suff_stats(el.two_sample_data(a * x, a * y))
+        st3 = el.suff_stats(el.TwoSampleData(a * x, a * y))
         assert st3.w == pytest.approx(st.w, rel=1e-12)
 
 

@@ -353,6 +353,13 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_seeds_past_two_to_the_63_stay_distinct(self):
+        # keyed modulo 2**64, not through a float cast that mapped -5, -6, -7
+        # and 0 to one key with a RuntimeWarning (an error in this suite)
+        draws = [RngStream(s, 0).generator.random(4).tolist()
+                 for s in (-5, -6, -7, 0, 2**63, 2**63 + 1)]
+        assert len({tuple(d) for d in draws}) == len(draws)
+
     def test_chi_square_moments(self):
         draws = RngStream(42, 0).generator.chisquare(10, 1_000_000)
         assert draws.mean() == pytest.approx(10.0, abs=0.02)
