@@ -48,8 +48,6 @@ from .evaluate import (
     CoverageConfig,
     CoverageResult,
     coverage_study,
-    f_test_equal_var,
-    ks_normality,
     t_test_ordered_means,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "aci", "boot_p", "boot_t", "bz_r0", "bz_r0_defining", "chen_shao_hpd",
     "closed_form_bias_baee", "closed_form_risk_baee", "conditional_median",
     "coverage_study", "d0", "entropy_of_log_sigma", "estimate",
-    "estimate_all", "f_test_equal_var", "gci_umvue", "gpc_estimate",
-    "hpd_mcmc", "ierd_check", "ks_normality", "m0", "simulate_risk",
-    "suff_stats", "t_test_ordered_means",
+    "estimate_all", "gci_umvue", "gpc_estimate", "hpd_mcmc", "ierd_check",
+    "m0", "simulate_risk", "suff_stats", "t_test_ordered_means",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import boeing
-from .errors import DataError, EntropyLabError
+from .errors import DataError, EntropyLabError, NumericError
 from .estimators import estimate_all
 from .evaluate import COVERAGE_METHODS, CoverageConfig, coverage_study, t_test_ordered_means
 from .intervals import BootConfig, McmcConfig, aci, boot_p, boot_t, gci_umvue, hpd_mcmc
@@ -70,7 +70,10 @@ def _resolve_seed(args) -> int:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in JSON output: {exc}") from None
 
 
 def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
@@ -186,11 +189,12 @@ def _risk_table(n_values, **cfg) -> str:
 
 def _cmd_estimate(args, argv) -> int:
     data = _load_data(args)
+    text = _point_csv(data, _losses_from(args))  # rejects bad data before the t test reads it
     order = t_test_ordered_means(data.sample1, data.sample2)
     if order.p_value < 0.05:
         print(f"# warning: ordering test rejects mu1 <= mu2 (p = {order.p_value:.4f})",
               file=sys.stderr)
-    _write_output(args, argv, _point_csv(data, _losses_from(args)),
+    _write_output(args, argv, text,
                   {"command": "estimate", "loss": args.loss, "a1": args.a1}, 0)
     return 0
 

@@ -1,5 +1,5 @@
 """Coverage / average-length / PCD study across the interval methods, and
-the data-screening tests (normality, equal variances, mean ordering).
+the one-sided t test of the mean ordering that ``estimate`` screens with.
 
 Every interval method reads a dataset only through SS_0 = SS_1 + SS_2, so
 the study draws each outer replication at mu1 = mu2 = 0 and the configured
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError
 from .intervals import (
+    ACCEPTANCE_BAND,
     McmcConfig,
     _shortest_window,
     aci_bounds,
@@ -30,7 +31,7 @@ from .intervals import (
     gci_bounds,
     run_variance_chains,
 )
-from .numerics import f_cdf, kolmogorov_sf, std_normal_cdf, student_t_cdf
+from .numerics import student_t_cdf
 from .numerics.rng import RngStream
 from .risk import map_blocks
 
@@ -103,7 +104,7 @@ class ChainHealth:
     mean: float
     min: float
     max: float
-    outside_share: float  # share of chains outside [0.05, 0.7]
+    outside_share: float  # share of chains outside ACCEPTANCE_BAND
 
 
 @dataclass(frozen=True)
@@ -202,14 +203,14 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
                 al=al, pcd=cp / al, failures=failures))
         if hpd:
             acc = np.concatenate([a[ni] for _, a in blocks])
-            outside = (acc < 0.05) | (acc > 0.7)          # hpd_mcmc's warning band
+            outside = (acc < ACCEPTANCE_BAND[0]) | (acc > ACCEPTANCE_BAND[1])
             health.append(ChainHealth(n=n, mean=float(acc.mean()), min=float(acc.min()),
                                       max=float(acc.max()), outside_share=float(outside.mean())))
     return CoverageResult(rows=tuple(rows), config=cfg, hpd_acceptance=tuple(health))
 
 
 # ---------------------------------------------------------------------------
-# screening tests
+# screening test of the mean ordering
 # ---------------------------------------------------------------------------
 
 
@@ -217,51 +218,6 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
 class TestResult:
     statistic: float
     p_value: float
-
-
-def ks_normality(sample, mean: float | None = None, sd: float | None = None) -> TestResult:
-    """One-sample Kolmogorov-Smirnov test of normality; p-value from the
-    asymptotic Kolmogorov distribution at sqrt(n) D, no small-sample
-    correction.
-
-    By default the reference normal is fitted (N(xbar, s^2)); pass ``mean``
-    and ``sd`` for a fully specified null, under which the p-value is
-    asymptotically uniform.  With fitted parameters the p-value is
-    conservative and only the accept/reject decision should be relied on.
-    """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = len(x)
-    if n < 3:
-        raise DataError(f"KS test needs n >= 3, got {n}")
-    if not np.isfinite(x).all():
-        raise DataError("sample contains non-finite values")
-    if sd is None:
-        sd = float(x.std(ddof=1))
-    if sd <= 0.0:
-        raise DataError("degenerate sample: zero variance")
-    center = float(x.mean()) if mean is None else float(mean)
-    z = (x - center) / sd
-    cdf = std_normal_cdf(z)
-    steps = np.arange(1, n + 1) / n
-    d_plus = float(np.max(steps - cdf))
-    d_minus = float(np.max(cdf - (np.arange(n) / n)))
-    d = max(d_plus, d_minus)
-    return TestResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d))
-
-
-def f_test_equal_var(sample1, sample2) -> TestResult:
-    """Two-sided variance-ratio F test, statistic var1/var2."""
-    x = np.asarray(sample1, dtype=float)
-    y = np.asarray(sample2, dtype=float)
-    if len(x) < 2 or len(y) < 2:
-        raise DataError("F test needs n >= 2 in each sample")
-    v1 = float(x.var(ddof=1))
-    v2 = float(y.var(ddof=1))
-    if v1 == 0.0 or v2 == 0.0:
-        raise DataError("degenerate sample: zero variance")
-    f = v1 / v2
-    cdf = f_cdf(len(x) - 1.0, len(y) - 1.0, f)
-    return TestResult(statistic=f, p_value=min(1.0, 2.0 * min(cdf, 1.0 - cdf)))
 
 
 def t_test_ordered_means(sample1, sample2) -> TestResult:

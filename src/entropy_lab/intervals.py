@@ -244,6 +244,9 @@ def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarr
 # draws a chain buffers beyond its two tails before it sorts and folds
 FOLD_DRAWS = 256
 
+# post-burn-in acceptance rates of a healthy chain; outside, hpd_mcmc warns
+ACCEPTANCE_BAND = (0.05, 0.7)
+
 
 def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
                         ss1: np.ndarray, ss2: np.ndarray, n: int | np.ndarray,
@@ -341,9 +344,10 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     rate = float(acc[0])
     diag = {"acceptance_rate": rate, "ess": _autocorr_ess(theta[:, 0]),
             "draws": len(theta), "proposal_sd": float(prop_sd[0])}
-    if not 0.05 <= rate <= 0.7:
+    lo, hi = ACCEPTANCE_BAND
+    if not lo <= rate <= hi:
         diag["acceptance_warning"] = True
-        warnings.warn(f"MH acceptance rate {rate:.3f} outside [0.05, 0.7]",
+        warnings.warn(f"MH acceptance rate {rate:.3f} outside [{lo}, {hi}]",
                       RuntimeWarning, stacklevel=2)
     theta.sort(axis=0)
     lower, upper = chen_shao_hpd(theta, level)

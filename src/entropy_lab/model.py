@@ -78,25 +78,16 @@ def suff_stats(data: TwoSampleData) -> SuffStats:
     """Reduce raw data to (n, mean1, mean2, s2, s, w)."""
     s1, s2_arr = data.sample1, data.sample2
     n = data.n
-    mean1 = float(s1.mean())
-    mean2 = float(s2_arr.mean())
-    ss = float(((s1 - mean1) ** 2).sum() + ((s2_arr - mean2) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean1 = float(s1.mean())
+        mean2 = float(s2_arr.mean())
+        ss = float(((s1 - mean1) ** 2).sum() + ((s2_arr - mean2) ** 2).sum())
+    if not math.isfinite(ss):
+        raise DataError("samples too large: pooled sum of squares overflows")
     if ss <= 0.0:
         raise DataError("degenerate data: pooled sum of squares is zero")
     s = math.sqrt(ss)
     return SuffStats(n=n, mean1=mean1, mean2=mean2, s2=ss, s=s, w=(mean2 - mean1) / s)
-
-
-def draw_suff_stats(gen: np.random.Generator, b: int, n: int, sigma: float = 1.0):
-    """b replications of (xbar_1, xbar_2, SS_1, SS_2) for two samples of
-    size n from N(0, sigma^2), drawn from their exact joint law: the four are
-    independent, xbar_i ~ N(0, sigma^2/n) and SS_i ~ sigma^2 chi-square(n-1)
-    (Cochran 1934)."""
-    sd = sigma / math.sqrt(n)
-    m1 = sd * gen.standard_normal(b)
-    m2 = sd * gen.standard_normal(b)
-    ss1, ss2 = sigma * sigma * gen.chisquare(n - 1, (2, b))
-    return m1, m2, ss1, ss2
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +145,14 @@ class Loss:
         V: c = -E[ln sqrt(V)] = -``mean_log_root()`` under squared error and
         c = -ln E[V^(a1/2)] / a1 = -``log_root_mgf(a1)`` / a1 under linex.
         Only the moment the loss needs is called.  The density of V is
-        ~ v^(shape-1) near 0, so the linex moment needs shape + a1/2 > 0."""
-        if self.kind == SQUARED_ERROR:
-            return -mean_log_root()
-        if shape + 0.5 * self.a1 <= 0.0:
+        ~ v^(shape-1) near 0, so the linex moment needs shape + a1/2 > 0,
+        and a shift that overflows is a DomainError too."""
+        if self.kind == LINEX and shape + 0.5 * self.a1 <= 0.0:
             raise DomainError(f"linex shift needs shape + a1/2 > 0 (shape={shape}, a1={self.a1})")
-        return -log_root_mgf(self.a1) / self.a1
+        c = -mean_log_root() if self.kind == SQUARED_ERROR else -log_root_mgf(self.a1) / self.a1
+        if not np.isfinite(c).all():
+            raise DomainError(f"{self.label} shift is not finite (shape={shape}, a1={self.a1})")
+        return c
 
     @property
     def label(self) -> str:

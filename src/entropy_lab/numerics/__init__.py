@@ -9,8 +9,6 @@ from .special import (
     chi_square_cdf,
     chi_square_quantile,
     digamma,
-    f_cdf,
-    kolmogorov_sf,
     ln_gamma,
     reg_inc_beta,
     reg_lower_gamma,
@@ -29,10 +27,8 @@ __all__ = [
     "chi_square_quantile",
     "cumulative_J",
     "digamma",
-    "f_cdf",
     "find_root",
     "integrate_J",
-    "kolmogorov_sf",
     "ln_gamma",
     "reg_inc_beta",
     "reg_lower_gamma",

@@ -373,42 +373,3 @@ def student_t_cdf(df: float, t: float) -> float:
     x = df / (df + t * t)
     tail = 0.5 * reg_inc_beta(0.5 * df, 0.5, x)
     return tail if t < 0.0 else 1.0 - tail
-
-
-def f_cdf(d1: float, d2: float, x: float) -> float:
-    d1 = _check_positive(d1, "f_cdf")
-    d2 = _check_positive(d2, "f_cdf")
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    return reg_inc_beta(0.5 * d1, 0.5 * d2, d1 * x / (d1 * x + d2))
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution,
-    Q(lam) = 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2)."""
-    lam = float(lam)
-    if lam <= 0.0:
-        return 1.0
-    if lam < 1.18:
-        # Jacobi theta form converges fast for small lam
-        t = math.pi * math.pi / (8.0 * lam * lam)
-        cdf = 0.0
-        k = 1
-        while k < 200:
-            term = math.exp(-((2 * k - 1) ** 2) * t)
-            cdf += term
-            if term < 1e-16 * max(cdf, 1e-300):
-                break
-            k += 1
-        cdf *= math.sqrt(2.0 * math.pi) / lam
-        return max(0.0, min(1.0, 1.0 - cdf))
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 200):
-        term = sign * math.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < 1e-16:
-            break
-        sign = -sign
-    return max(0.0, min(1.0, 2.0 * total))

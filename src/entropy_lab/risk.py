@@ -1,16 +1,16 @@
 """Monte Carlo engine for risk, bias, relative risk improvement, and
 generalized Pitman closeness.
 
-A replication enters only through (xbar_1, xbar_2, SS_1, SS_2), so it is
-drawn as those four from their exact law (:func:`model.draw_suff_stats`).
-Replications are processed in blocks of ``BLOCK_SIZE``.  Block ``i`` draws
-from the counter-based stream ``(master_seed, i)`` and partial sums are
-folded in block order, so results are bit-identical for any worker count.
-Within a replication every estimator sees the same data (common random
-numbers), and one draw of (xbar_2 - xbar_1, S^2) serves every point on the
-eta grid: eta only shifts the mean difference, so only W moves.  Risk and
-Pitman closeness run on the same blocks and differ only in how a block's
-losses are reduced.
+Every estimator is ln S + phi(W) with W = D / S and D = xbar_2 - xbar_1, so
+a replication is the pair (D, S^2), drawn from its exact law at sigma = 1:
+D ~ N(0, 2/n) independent of S^2 ~ chi-square(2n - 2).  Replications are
+processed in blocks of ``BLOCK_SIZE``.  Block ``i`` draws from the
+counter-based stream ``(master_seed, i)`` and partial sums are folded in
+block order, so results are bit-identical for any worker count.  Within a
+replication every estimator sees the same data (common random numbers), and
+one draw of (D, S^2) serves every point on the eta grid: eta only shifts D,
+so only W moves.  Risk and Pitman closeness run on the same blocks and
+differ only in how a block's losses are reduced.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .estimators import ESTIMATOR_NAMES, resolve_estimator
-from .model import Loss, draw_suff_stats
+from .model import Loss
 from .numerics.rng import RngStream
 
 DEFAULT_ESTIMATORS = ("baee", "umvue", "mle", "rmle", "stein",
@@ -131,11 +131,11 @@ def _replications(cfg: SimConfig, reduce) -> np.ndarray:
 
     def one_block(ib: int) -> np.ndarray:
         b = min(BLOCK_SIZE, reps - ib * BLOCK_SIZE)
-        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(cfg.master_seed, ib).generator, b, n)
-        s2 = ss1 + ss2
+        gen = RngStream(cfg.master_seed, ib).generator
+        d = math.sqrt(2.0 / n) * gen.standard_normal(b)
+        s2 = gen.chisquare(2 * n - 2, b)
         lns = 0.5 * np.log(s2)
         s = np.sqrt(s2)
-        d = m2 - m1
         out = []
         for t, sh in enumerate(shift):
             w = (d + sh) / s

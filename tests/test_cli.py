@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from entropy_lab import cli
 from entropy_lab.cli import main
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
+from entropy_lab.errors import NumericError
 from entropy_lab.evaluate import CoverageResult
 from entropy_lab.risk import SimResult
 
@@ -386,6 +388,36 @@ def test_non_positive_threads_is_usage_error(capsys, tmp_path, monkeypatch, argv
     assert out == ""
     assert "--threads" in err and "positive" in err
     assert not any(tmp_path.iterdir())
+
+
+# inputs whose arithmetic overflows, each with its documented exit code;
+# HUGE stands for a paired CSV of two samples of three values near 1e200
+_OVERFLOWING_INPUTS = [
+    pytest.param(("estimate", "--dataset", "boeing", "--loss", "linex", "--a1", "1e308"), 4,
+                 id="estimate-a1-1e308"),
+    pytest.param(("estimate", "--dataset", "boeing", "--loss", "linex", "--a1=-1e308"), 4,
+                 id="estimate-a1-minus-1e308"),
+    pytest.param(("estimate", "--csv", "HUGE"), 3, id="estimate-huge"),
+    *(pytest.param(("ci", "--method", m, "--csv", "HUGE", "--seed", "1"), 3, id=f"ci-{m}-huge")
+      for m in ("aci", "gci", "boot-p", "boot-t", "hpd")),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, want", _OVERFLOWING_INPUTS)
+def test_overflowing_input_prints_no_non_finite_number(capsys, tmp_path, argv, want):
+    huge = tmp_path / "huge.csv"
+    huge.write_text("sample1,sample2\n1e200,1.5e200\n2e200,2.5e200\n3e200,3.1e200\n")
+    code, out, err = run_cli(capsys, *(str(huge) if a == "HUGE" else a for a in argv))
+    assert code == want
+    assert not re.search(r"\b(inf|nan|infinity)\b", out + err, re.IGNORECASE)
+
+
+def test_json_text_refuses_non_finite():
+    assert cli._json_text({"x": 1.5}) == json.dumps({"x": 1.5}, indent=2) + "\n"
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NumericError, match="non-finite"):
+            cli._json_text({"x": bad})
 
 
 class TestMisc:

@@ -1,4 +1,4 @@
-"""Coverage study bookkeeping and the data-screening tests."""
+"""Coverage study bookkeeping and the screening t test of the mean ordering."""
 
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +11,6 @@ from entropy_lab import evaluate
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
 from entropy_lab.errors import DataError, DomainError
 from entropy_lab.intervals import run_variance_chains
-from entropy_lab.numerics import kolmogorov_sf
 from entropy_lab.numerics.rng import RngStream
 
 
@@ -161,64 +160,7 @@ class TestHpdAcceptance:
         assert el.coverage_study(cfg).hpd_acceptance == ()
 
 
-class TestKsNormality:
-    def test_boeing_decisions(self):
-        # both planes pass the normality screen at the 5% level
-        for sample, ref_p in ((BOEING_PLANE_7907, 0.374), (BOEING_PLANE_7916, 0.405)):
-            r = el.ks_normality(sample)
-            assert r.p_value > 0.05
-            assert r.p_value == pytest.approx(ref_p, abs=0.25)
-
-    def test_statistic_definition(self):
-        r = el.ks_normality(BOEING_PLANE_7907)
-        assert 0.0 < r.statistic < 1.0
-        assert r.p_value == pytest.approx(
-            kolmogorov_sf(np.sqrt(6) * r.statistic), abs=1e-14)
-
-    def test_simple_null_p_uniformity(self):
-        # under a fully specified null the p-values are uniform; the
-        # secondary KS on the p-sample stays under its 10% critical value
-        rng = np.random.default_rng(1)
-        pvals = []
-        for _ in range(150):
-            x = rng.standard_normal(400)
-            pvals.append(el.ks_normality(x, mean=0.0, sd=1.0).p_value)
-        pvals = np.sort(pvals)
-        grid = np.arange(1, 151) / 150.0
-        d = max(np.max(grid - pvals), np.max(pvals - (grid - 1 / 150.0)))
-        assert d < 1.224 / np.sqrt(150)
-
-    def test_rejects_gross_nonnormality(self):
-        rng = np.random.default_rng(2)
-        x = rng.exponential(1.0, 500)
-        assert el.ks_normality(x).p_value < 0.01
-
-    def test_degenerate(self):
-        with pytest.raises(DataError):
-            el.ks_normality([3.0, 3.0, 3.0, 3.0])
-        with pytest.raises(DataError):
-            el.ks_normality([1.0, 2.0])
-
-
 class TestVarianceAndOrderTests:
-    def test_boeing_equal_variance_not_rejected(self):
-        r = el.f_test_equal_var(BOEING_PLANE_7907, BOEING_PLANE_7916)
-        assert r.p_value > 0.05
-
-    def test_identical_samples(self):
-        r = el.f_test_equal_var([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert r.statistic == 1.0
-        assert r.p_value == pytest.approx(1.0, abs=1e-12)
-
-    def test_detects_unequal_variances(self):
-        rng = np.random.default_rng(3)
-        r = el.f_test_equal_var(rng.normal(0, 1, 60), rng.normal(0, 5, 60))
-        assert r.p_value < 0.01
-
-    def test_zero_variance(self):
-        with pytest.raises(DataError):
-            el.f_test_equal_var([1.0, 1.0], [1.0, 2.0])
-
     def test_boeing_order_consistent(self):
         r = el.t_test_ordered_means(BOEING_PLANE_7907, BOEING_PLANE_7916)
         assert r.p_value > 0.05

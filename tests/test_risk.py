@@ -6,14 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 import entropy_lab as el
 from entropy_lab import estimators
 from entropy_lab.errors import DomainError, NumericError
-from entropy_lab.model import draw_suff_stats
+from entropy_lab.numerics import chi_square_cdf
 from entropy_lab.numerics.rng import RngStream
-from entropy_lab.risk import BLOCK_SIZE, risk_csv
+from entropy_lab.risk import BLOCK_SIZE, SimConfig, _replications, risk_csv
 
 
 @pytest.fixture
@@ -21,6 +21,40 @@ def nan_stein(monkeypatch):
     """Swap the stein rule for one whose every estimate is NaN."""
     monkeypatch.setitem(estimators._BUILDERS, "stein",
                         lambda n, loss: lambda lns, w: lns + math.nan)
+
+
+def hand_draw(seed: int, b: int, n: int):
+    """One block's (D, S^2), drawn as the engine draws block 0 of ``seed``."""
+    gen = RngStream(seed, 0).generator
+    return math.sqrt(2.0 / n) * gen.standard_normal(b), gen.chisquare(2 * n - 2, b)
+
+
+class TestPairDraw:
+    """A replication is the pair (D, S^2) = (xbar_2 - xbar_1, SS_0), whose
+    exact law at sigma = 1 is N(0, 2/n) x chi-square(2n - 2)."""
+
+    DRAWS = 200_000
+
+    @pytest.mark.parametrize("n", [2, 6, 26])
+    def test_block_is_the_hand_draw(self, l1, n):
+        names, etas, b = ("baee", "stein", "rmle"), (0.0, 1.5), 3_000
+        cfg = SimConfig(n=n, eta_grid=etas, loss=l1, replications=b, master_seed=9,
+                        estimators=names)
+        got = _replications(cfg, lambda lv, delta: delta.copy())
+        d, s2 = hand_draw(9, b, n)
+        for t, eta in enumerate(etas):
+            lns, w = 0.5 * np.log(s2), (d + eta / math.sqrt(n)) / np.sqrt(s2)
+            for e, name in enumerate(names):
+                want = estimators.resolve_estimator(name, n, l1)[1](lns, w)
+                assert np.array_equal(got[e, :, t], want)
+
+    @pytest.mark.parametrize("n", [2, 6, 26])
+    def test_laws(self, n):
+        d, s2 = hand_draw(40 + n, self.DRAWS, n)
+        var = 2.0 / n
+        assert abs(d.mean()) <= 5.0 * math.sqrt(var / self.DRAWS)
+        assert abs(d.var() - var) <= 5.0 * var * math.sqrt(2.0 / self.DRAWS)
+        assert stats.kstest(s2, lambda v: chi_square_cdf(2 * n - 2, v)).pvalue > 1e-3
 
 
 class TestClosedForms:
@@ -198,8 +232,8 @@ class TestGpc:
         # one block, redrawn by hand: a replication scores 1, 1/2 on a tie or 0
         n, eta, reps = 8, 0.0, 2_000
         g = el.gpc_estimate("pitman", "baee", l1, n, eta, reps, seed=7)
-        m1, m2, ss1, ss2 = draw_suff_stats(RngStream(7, 0).generator, reps, n)
-        lns, w = 0.5 * np.log(ss1 + ss2), (m2 - m1 + eta / math.sqrt(n)) / np.sqrt(ss1 + ss2)
+        d, s2 = hand_draw(7, reps, n)
+        lns, w = 0.5 * np.log(s2), (d + eta / math.sqrt(n)) / np.sqrt(s2)
         lv1, lv2 = (l1.value(estimators.resolve_estimator(e, n, l1)[1](lns, w))
                     for e in ("pitman", "baee"))
         scores = np.where(lv1 < lv2, 1.0, np.where(lv1 == lv2, 0.5, 0.0))
