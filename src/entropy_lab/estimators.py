@@ -20,8 +20,9 @@ for the restricted-MLE family, inflates it when W is negative:
 * ``pitman``         clips the baee term at the conditional-median target,
                      improving Pitman closeness for every eta >= 0.
 
-Each rule is defined once, as a vectorized function of arrays (ln S, W)
-returned by :func:`resolve_estimator`.  On a single dataset,
+Each rule is defined once, as a vectorized function of ln S and the
+:class:`WTerms` of W (W with its signs and T(W), computed once for all
+rules), returned by :func:`resolve_estimator`.  On a single dataset,
 :func:`estimate` and :func:`estimate_all` evaluate the same rule on a batch
 of one.
 """
@@ -48,12 +49,29 @@ from .numerics import (
     ln_gamma,
 )
 
-VectorFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
     """T(w) = ln sqrt(1 + n w^2 / 2), the conditional scale correction."""
     return 0.5 * np.log1p(0.5 * n * np.square(w))
+
+
+class WTerms:
+    """W of a batch at sample size n with the terms the rules share, each
+    computed once for every rule: T(W), T(W) where W < 0 and 0 elsewhere,
+    the sign of W as +1 or -1, and the mask of W = 0 (None when no W is 0)."""
+
+    __slots__ = ("w", "t", "t_neg", "sign", "zero")
+
+    def __init__(self, w: np.ndarray, n: int):
+        self.w = w
+        self.t = _shrink_term(w, n)
+        self.t_neg = self.t * (w < 0.0)
+        self.sign = np.copysign(1.0, w)
+        zero = w == 0.0
+        self.zero = zero if zero.any() else None
+
+
+VectorFn = Callable[[np.ndarray, WTerms], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +168,20 @@ _TABLE_POINTS, _TABLE_Y_CAP = 800, 1600.0
 class BzTable:
     """Dense lookup table for r0(|w|), for vectorized Monte Carlo use.
 
-    The grid has ``_TABLE_POINTS`` nodes uniform in ln(1 + n w^2) out to
+    The grid has ``_TABLE_POINTS`` nodes uniform in x = ln(1 + n w^2) out to
     ``_TABLE_Y_CAP``, where r0 has saturated at d0 to well below Monte Carlo
     resolution; larger |w| clamp to the last node.  The node values are the
     closed form of :func:`bz_r0` on kernel integrals from one cumulative
     quadrature pass over the grid.  Linear interpolation error, measured at
     grid midpoints, grows with n: about 4e-7 at n = 3, 1.2e-6 at n = 8 and
     5.4e-6 at n = 26, far below Monte Carlo standard errors (about 3e-4).
+
+    Because the nodes are uniform in x, a lookup finds its interval by
+    direct index, j = floor(x / step), and moves j by one where rounding
+    put x on the other side of a stored node; there is no binary search.
+    With the slopes precomputed as ``np.interp`` forms them, the value is
+    ``np.interp``'s bit for bit.  ``absw`` is read only through its
+    square, so a signed w gives r0(|w|).
     """
 
     def __init__(self, n: int, loss: Loss):
@@ -164,13 +189,27 @@ class BzTable:
         self.loss = loss
         x = np.linspace(0.0, math.log1p(_TABLE_Y_CAP), _TABLE_POINTS)
         y = np.expm1(x)
-        self._x = x
-        self._vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
+        vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
+        self._x = np.append(x, np.inf)  # x[j + 1] > any x at the last node
+        self._x_max = x[-1]
+        self._per_step = (_TABLE_POINTS - 1) / x[-1]
+        self._vals = vals
+        self._slopes = np.append(np.diff(vals) / np.diff(x), 0.0)  # flat past the cap
         self.absw_grid = np.sqrt(y / n)
 
     def __call__(self, absw: np.ndarray) -> np.ndarray:
-        x = np.log1p(self.n * np.square(absw))
-        return np.interp(x, self._x, self._vals)
+        return self.at_x(np.log1p(self.n * np.square(absw)))
+
+    def at_x(self, x: np.ndarray) -> np.ndarray:
+        """r0 at x = ln(1 + n w^2): ``np.interp(x, nodes, values)``."""
+        x = np.minimum(x, self._x_max)
+        j = np.fmin(x * self._per_step, _TABLE_POINTS - 1).astype(np.intp)  # NaN -> last
+        xj = self._x[j]
+        below, above = xj > x, self._x[1:][j] <= x
+        if below.any() or above.any():  # x * per_step rounded across a node
+            j = j - below + above
+            xj = self._x[j]
+        return self._slopes[j] * (x - xj) + self._vals[j]
 
 
 _TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}
@@ -260,7 +299,7 @@ def conditional_median(w: float, eta: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the rules: arrays (ln S, W) -> ln S + phi(W), constants bound by _BUILDERS
+# the rules: (ln S, WTerms) -> ln S + phi(W), constants bound by _BUILDERS
 # ---------------------------------------------------------------------------
 
 
@@ -268,65 +307,73 @@ def _mle_shift(n: int) -> float:
     return -0.5 * math.log(2.0 * n)
 
 
-def _clip(w: np.ndarray, phi, cap, floor) -> np.ndarray:
-    """phi capped at ``cap`` where W > 0 and floored at ``floor`` where
-    W < 0; W = 0 keeps phi."""
-    return np.where(w > 0.0, np.minimum(phi, cap), np.where(w < 0.0, np.maximum(phi, floor), phi))
+def _clip(wt: WTerms, phi, bound) -> np.ndarray:
+    """phi capped at ``bound`` where W > 0 and floored there where W < 0;
+    W = 0 keeps phi.  A floor is a negated cap, max(phi, b) =
+    -min(-phi, -b), and negation is exact, so both are
+    sign * min(sign * phi, sign * b): one pass with no branch on the sign."""
+    out = wt.sign * np.minimum(wt.sign * phi, wt.sign * bound)
+    return out if wt.zero is None else np.where(wt.zero, phi, out)
 
 
-def _shift_rule(lns, w, c: float):
+def _shift_rule(lns, wt, c: float):
     """ln(S) + c: baee (c = d0), umvue (d0 under squared error), mle."""
     return lns + c
 
 
-def _rmle_rule(lns, w, n: int):
-    """Restricted MLE: equals the MLE when W >= 0, otherwise absorbs the
-    squared mean gap into the scale estimate."""
-    return lns + _mle_shift(n) + np.where(w < 0.0, _shrink_term(w, n), 0.0)
+def _rmle_rule(lns, wt, c: float):
+    """Restricted MLE: equals the MLE (shift c) when W >= 0, otherwise
+    absorbs the squared mean gap into the scale estimate."""
+    return lns + c + wt.t_neg
 
 
-def _switch_rule(lns, w, c: float, c_m0: float, n: int):
+def _switch_rule(lns, wt, c: float, c_m0: float):
     """Hard threshold: min/max of the constant c against m0 + T(w) by the
     sign of W.  stein uses c = d0, improved_mle the MLE shift."""
-    arm = c_m0 + _shrink_term(w, n)
-    return lns + _clip(w, c, arm, arm)
+    arm = c_m0 + wt.t
+    return lns + _clip(wt, c, arm)
 
 
-def _improved_rmle_rule(lns, w, c_m0: float, n: int):
-    """The hard threshold applied to the restricted-MLE term."""
-    t = _shrink_term(w, n)
-    arm = c_m0 + t
-    return lns + _clip(w, _mle_shift(n) + np.where(w < 0.0, t, 0.0), arm, arm)
+def _improved_rmle_rule(lns, wt, c: float, c_m0: float):
+    """The hard threshold applied to the restricted-MLE term (MLE shift c)."""
+    arm = c_m0 + wt.t
+    return lns + _clip(wt, c + wt.t_neg, arm)
 
 
-def _bz_rule(lns, w, r0: Callable[[np.ndarray], np.ndarray]):
+def _bz_rule(lns, wt, r0: Callable[[np.ndarray], np.ndarray]):
     """Smooth shrinkage ln(S) + r0(|W|), with r0 from its table."""
-    return lns + r0(np.abs(w))
+    return lns + r0(wt.w)
 
 
-def _pitman_rule(lns, w, c: float, n: int):
+def _pitman_rule(lns, wt, c: float, half_ln_med: float):
     """Clip the additive term c at the eta = 0 conditional-median target
-    t(w) = -median[ln sqrt(V) | W = w, eta = 0]: the estimate is capped at
-    ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
-    conditional median is monotone in eta, the clipped estimator is closer
-    to tau in the generalized Pitman sense for every eta >= 0, whatever
-    bowl-shaped loss is used for the comparison."""
-    target = -0.5 * median_ln_v_eta0(w, n)
-    return lns + _clip(w, c, target, target)
+    t(w) = -median[ln sqrt(V) | W = w, eta = 0] = T(w) - ln(med)/2, with med
+    the median of chi-square(2n - 1) (see :func:`median_ln_v_eta0`): the
+    estimate is capped at ln(S) + t(w) for w > 0 and floored there for
+    w < 0.  Because the conditional median is monotone in eta, the clipped
+    estimator is closer to tau in the generalized Pitman sense for every
+    eta >= 0, whatever bowl-shaped loss is used for the comparison."""
+    target = wt.t - half_ln_med
+    return lns + _clip(wt, c, target)
 
 
 _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
     "baee": lambda n, loss: partial(_shift_rule, c=d0(loss, n)),
     "umvue": lambda n, loss: partial(_shift_rule, c=d0(Loss.squared_error(), n)),
     "mle": lambda n, loss: partial(_shift_rule, c=_mle_shift(n)),
-    "rmle": lambda n, loss: partial(_rmle_rule, n=n),
-    "stein": lambda n, loss: partial(_switch_rule, c=d0(loss, n), c_m0=m0(loss, n), n=n),
-    "improved_mle": lambda n, loss: partial(_switch_rule, c=_mle_shift(n), c_m0=m0(loss, n), n=n),
-    "improved_rmle": lambda n, loss: partial(_improved_rmle_rule, c_m0=m0(loss, n), n=n),
+    "rmle": lambda n, loss: partial(_rmle_rule, c=_mle_shift(n)),
+    "stein": lambda n, loss: partial(_switch_rule, c=d0(loss, n), c_m0=m0(loss, n)),
+    "improved_mle": lambda n, loss: partial(_switch_rule, c=_mle_shift(n), c_m0=m0(loss, n)),
+    "improved_rmle": lambda n, loss: partial(_improved_rmle_rule, c=_mle_shift(n),
+                                             c_m0=m0(loss, n)),
     "bz": lambda n, loss: partial(_bz_rule, r0=bz_table(n, loss)),
-    "pitman": lambda n, loss: partial(_pitman_rule, c=d0(loss, n), n=n),
+    "pitman": lambda n, loss: partial(_pitman_rule, c=d0(loss, n),
+                                      half_ln_med=0.5 * _ln_chi2_median(2 * n - 1)),
 }
 ESTIMATOR_NAMES = tuple(_BUILDERS)
+# the _shift_rule family: phi does not read W, so a replication's estimate is
+# the same at every eta
+ETA_FREE_RULES = ("baee", "umvue", "mle")
 
 
 def resolve_estimator(name: str, n: int, loss: Loss) -> tuple[str, VectorFn]:
@@ -408,7 +455,7 @@ def estimate(name: str, st: SuffStats, loss: Loss) -> float:
     if name == "bz":
         return math.log(st.s) + bz_r0(abs(st.w), st.n, loss)
     rule = resolve_estimator(name, st.n, loss)[1]
-    return float(rule(np.array([math.log(st.s)]), np.array([st.w]))[0])
+    return float(rule(np.array([math.log(st.s)]), WTerms(np.array([st.w]), st.n))[0])
 
 
 @dataclass(frozen=True)

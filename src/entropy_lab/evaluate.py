@@ -31,6 +31,7 @@ from .intervals import (
     gci_bounds,
     run_variance_chains,
 )
+from .model import pooled_ss, scaled_ratio
 from .numerics import student_t_cdf
 from .numerics.rng import RngStream
 from .risk import map_blocks
@@ -228,9 +229,7 @@ def t_test_ordered_means(sample1, sample2) -> TestResult:
     n1, n2 = len(x), len(y)
     if n1 < 2 or n2 < 2:
         raise DataError("t test needs n >= 2 in each sample")
-    pooled = (float(((x - x.mean()) ** 2).sum()) + float(((y - y.mean()) ** 2).sum())) / (n1 + n2 - 2)
-    if pooled == 0.0:
-        raise DataError("degenerate samples: zero pooled variance")
-    se = math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
-    t = (float(x.mean()) - float(y.mean())) / se
+    mx, my, q, k = pooled_ss(x, y)
+    t = scaled_ratio(mx - my, k, math.sqrt(q / (n1 + n2 - 2) * (1.0 / n1 + 1.0 / n2)),
+                     "t statistic")
     return TestResult(statistic=t, p_value=1.0 - student_t_cdf(n1 + n2 - 2.0, t))

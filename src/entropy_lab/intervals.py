@@ -32,12 +32,13 @@ of one and add input floors and diagnostics.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .model import SuffStats, TwoSampleData, suff_stats
 from .numerics import chi_square_quantile, std_normal_quantile
 from .numerics.rng import RngStream
@@ -195,10 +196,19 @@ def boot_bounds(s2: np.ndarray, n: int, level: float, K: int, gen: np.random.Gen
     return (two_eta_hat - upper, two_eta_hat - lower, length), (lower, upper, length)
 
 
+def _normal_s2(data: TwoSampleData) -> SuffStats:
+    """suff_stats of data whose pooled sum of squares is a normal number:
+    the methods that read s2 refuse data whose s2 underflows."""
+    st = suff_stats(data)
+    if st.s2 < sys.float_info.min:
+        raise DataError("samples too small: pooled sum of squares underflows")
+    return st
+
+
 def _boot(data: TwoSampleData, level: float,
           cfg: BootConfig) -> tuple[IntervalResult, IntervalResult]:
     level = _check_level(level)
-    st = suff_stats(data)
+    st = _normal_s2(data)
     pct, stud = boot_bounds(np.array([st.s2]), st.n, level, cfg.K,
                             RngStream(cfg.seed, 0).generator)
     diag = {"K": cfg.K}
@@ -336,7 +346,7 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     level = _check_level(level)
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
-    st = suff_stats(data)
+    st = _normal_s2(data)
     gen = RngStream(cfg.seed, 0).generator
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]),

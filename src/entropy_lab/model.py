@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -74,20 +75,54 @@ class SuffStats:
     w: float
 
 
-def suff_stats(data: TwoSampleData) -> SuffStats:
-    """Reduce raw data to (n, mean1, mean2, s2, s, w)."""
-    s1, s2_arr = data.sample1, data.sample2
-    n = data.n
+def pooled_ss(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, int]:
+    """Means of x and y and the pooled sum of squared deviations SS0 about
+    them, as (mean_x, mean_y, q, k) with SS0 = q * 4^k.
+
+    k = 0 and q = SS0 unless SS0 falls below the normal range; then the
+    deviations are scaled by 2^-k, an exact step, before they are squared,
+    so that q keeps full precision however small the data.  DataError when
+    a mean or SS0 overflows, or every deviation is 0.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean1 = float(s1.mean())
-        mean2 = float(s2_arr.mean())
-        ss = float(((s1 - mean1) ** 2).sum() + ((s2_arr - mean2) ** 2).sum())
-    if not math.isfinite(ss):
+        mx, my = float(x.mean()), float(y.mean())
+        dx, dy = x - mx, y - my
+        q = float((dx ** 2).sum() + (dy ** 2).sum())
+    if not math.isfinite(q):
         raise DataError("samples too large: pooled sum of squares overflows")
-    if ss <= 0.0:
-        raise DataError("degenerate data: pooled sum of squares is zero")
-    s = math.sqrt(ss)
-    return SuffStats(n=n, mean1=mean1, mean2=mean2, s2=ss, s=s, w=(mean2 - mean1) / s)
+    k = 0
+    if q < sys.float_info.min:
+        peak = max(float(np.abs(dx).max()), float(np.abs(dy).max()))
+        if peak == 0.0:
+            raise DataError("degenerate data: pooled sum of squares is zero")
+        k = math.frexp(peak)[1]
+        q = float((np.ldexp(dx, -k) ** 2).sum() + (np.ldexp(dy, -k) ** 2).sum())
+    return mx, my, q, k
+
+
+def scaled_ratio(num: float, k: int, den: float, what: str) -> float:
+    """num * 2^-k / den for a den formed from :func:`pooled_ss`'s q, which
+    undoes its scaling; DataError when the ratio overflows."""
+    try:
+        ratio = math.ldexp(num, -k) / den
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise DataError(f"sample means too far apart for their spread: {what} overflows")
+    return ratio
+
+
+def suff_stats(data: TwoSampleData) -> SuffStats:
+    """Reduce raw data to (n, mean1, mean2, s2, s, w).
+
+    Data whose SS0 underflows are reduced on deviations rescaled by a power
+    of two (:func:`pooled_ss`): W is scale-free and S scales back exactly,
+    so s and w keep full precision, while s2 may then be subnormal or 0.
+    """
+    mean1, mean2, q, k = pooled_ss(data.sample1, data.sample2)
+    root = math.sqrt(q)
+    return SuffStats(n=data.n, mean1=mean1, mean2=mean2, s2=math.ldexp(q, 2 * k),
+                     s=math.ldexp(root, k), w=scaled_ratio(mean2 - mean1, k, root, "W"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,18 @@ counter-based stream ``(master_seed, i)`` and partial sums are folded in
 block order, so results are bit-identical for any worker count.  Within a
 replication every estimator sees the same data (common random numbers), and
 one draw of (D, S^2) serves every point on the eta grid: eta only shifts D,
-so only W moves.  Risk and Pitman closeness run on the same blocks and
-differ only in how a block's losses are reduced.
+so only W moves.
+
+A block does each piece of work once.  At each eta the terms of W that
+several rules read (its sign and T(W)) are computed once, as a
+:class:`~entropy_lab.estimators.WTerms`.  Each estimator's row of the block
+is then evaluated, checked finite, turned into losses and reduced while
+that one array is still in cache, the baseline's row first, since every
+reduction reads its losses.  A rule that does not read W (one of
+``ETA_FREE_RULES``) is evaluated once per block; when the baseline is such
+a rule too, the row's reduced values serve every eta as well.  Risk and
+Pitman closeness run on the same blocks and differ only in how a row is
+reduced.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .estimators import ESTIMATOR_NAMES, resolve_estimator
+from .estimators import ESTIMATOR_NAMES, ETA_FREE_RULES, WTerms, resolve_estimator
 from .model import Loss
 from .numerics.rng import RngStream
 
@@ -116,16 +126,22 @@ def map_blocks(nblocks: int, fn, threads: int) -> list:
 
 
 def _replications(cfg: SimConfig, reduce) -> np.ndarray:
-    """Fold ``reduce(lv, delta)`` over every block and eta of ``cfg``.
+    """Fold ``reduce(l, d, l_base)`` over every block, eta and estimator of
+    ``cfg``.
 
-    ``delta`` holds the estimates of the configured estimators, one row
-    each, on one block at one eta, and ``lv`` their losses.  Data are drawn
-    at mu1 = 0, sigma = 1 (risk depends on the parameters only through
-    eta), so an estimate is its own error.  The result stacks the reduced
-    values on a last axis over eta and sums them over blocks in block order.
+    ``d`` holds one estimator's estimates on one block at one eta, ``l``
+    their losses and ``l_base`` the baseline estimator's losses there.  Data
+    are drawn at mu1 = 0, sigma = 1 (risk depends on the parameters only
+    through eta), so an estimate is its own error.  The result has the
+    estimators on its first axis, the reduced values next and eta last,
+    summed over blocks in block order.
     """
-    n, reps = cfg.n, cfg.replications
-    fns = [resolve_estimator(e, n, cfg.loss)[1] for e in cfg.estimators]
+    n, reps, loss = cfg.n, cfg.replications, cfg.loss
+    names = cfg.estimators
+    fns = [resolve_estimator(e, n, loss)[1] for e in names]
+    ibase = names.index(cfg.baseline)
+    order = [ibase] + [e for e in range(len(names)) if e != ibase]
+    eta_free = [e in ETA_FREE_RULES for e in names]
     shift = np.array(cfg.eta_grid, dtype=float) / math.sqrt(n)
     nblocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -136,19 +152,35 @@ def _replications(cfg: SimConfig, reduce) -> np.ndarray:
         s2 = gen.chisquare(2 * n - 2, b)
         lns = 0.5 * np.log(s2)
         s = np.sqrt(s2)
-        out = []
-        for t, sh in enumerate(shift):
-            w = (d + sh) / s
-            delta = np.stack([fn(lns, w) for fn in fns])
-            finite = np.isfinite(delta)
+
+        def row(e: int, t: int, wt: WTerms) -> tuple[np.ndarray, np.ndarray]:
+            """Estimates and losses of estimator e at eta t, checked finite."""
+            de = fns[e](lns, wt)
+            finite = np.isfinite(de)
             if not finite.all():
-                e, bad = np.argwhere(~finite)[0]
                 raise NumericError(
-                    f"estimator {cfg.estimators[e]!r} failed at replication "
-                    f"{ib * BLOCK_SIZE + int(bad)} (eta={float(cfg.eta_grid[t])})")
-            lv = cfg.loss.value(delta)  # held until the next eta: half the page faults
-            out.append(reduce(lv, delta))
-        return np.stack(out, axis=-1)
+                    f"estimator {names[e]!r} failed at replication "
+                    f"{ib * BLOCK_SIZE + int(np.argmin(finite))} (eta={float(cfg.eta_grid[t])})")
+            return de, loss.value(de)
+
+        rows = {}   # eta-free estimator -> (estimates, losses), the same at every eta
+        fixed = {}  # eta-free estimator -> reduced values, if the baseline is eta-free
+        out = [[None] * len(shift) for _ in names]
+        for t, sh in enumerate(shift):
+            wt = WTerms((d + sh) / s, n)
+            for e in order:
+                if e in fixed:
+                    out[e][t] = fixed[e]
+                    continue
+                de, le = rows[e] if e in rows else row(e, t, wt)
+                if eta_free[e]:
+                    rows[e] = de, le
+                if e == ibase:
+                    l_base = le
+                out[e][t] = reduce(le, de, l_base)
+                if eta_free[e] and eta_free[ibase]:
+                    fixed[e] = out[e][t]
+        return np.moveaxis(np.array(out), 1, -1)
 
     return np.sum(map_blocks(nblocks, one_block, cfg.threads), axis=0)
 
@@ -159,11 +191,10 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
     etas = tuple(float(e) for e in cfg.eta_grid)
     ibase = names.index(cfg.baseline)
 
-    def sums(lv, delta):
-        return (lv.sum(axis=1), np.square(lv).sum(axis=1), delta.sum(axis=1),
-                np.square(delta).sum(axis=1), (lv * lv[ibase]).sum(axis=1))
+    def sums(l, d, l_base):
+        return l.sum(), np.square(l).sum(), d.sum(), np.square(d).sum(), (l * l_base).sum()
 
-    sum_l, sum_l2, sum_d, sum_d2, sum_lb = _replications(cfg, sums)
+    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(_replications(cfg, sums), 1, 0)
     reps = cfg.replications
     risk, bias = sum_l / reps, sum_d / reps
     stderr = np.sqrt(np.maximum(sum_l2 / reps - np.square(risk), 0.0) / reps)
@@ -200,9 +231,9 @@ def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int
     stderr is that of the mean score, a replication scoring 1, 1/2 or 0."""
     cfg = SimConfig(n=n, eta_grid=(eta,), loss=loss, replications=reps, master_seed=seed,
                     estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2, threads=threads)
-    i1, i2 = cfg.estimators.index(est1), cfg.estimators.index(est2)
     n_less, n_tie = _replications(
-        cfg, lambda lv, delta: ((lv[i1] < lv[i2]).sum(), (lv[i1] == lv[i2]).sum()))[:, 0].tolist()
+        cfg, lambda l, d, l_base: ((l < l_base).sum(), (l == l_base).sum())
+    )[cfg.estimators.index(est1), :, 0].tolist()
     p = (n_less + 0.5 * n_tie) / reps
     var = (n_less + 0.25 * n_tie) / reps - p * p
     return GpcResult(value=p, stderr=math.sqrt(max(var, 0.0) / reps),

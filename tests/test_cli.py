@@ -14,6 +14,7 @@ from entropy_lab import cli
 from entropy_lab.cli import main
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
 from entropy_lab.errors import NumericError
+from entropy_lab.estimators import ESTIMATOR_NAMES
 from entropy_lab.evaluate import CoverageResult
 from entropy_lab.risk import SimResult
 
@@ -411,6 +412,52 @@ def test_overflowing_input_prints_no_non_finite_number(capsys, tmp_path, argv, w
     code, out, err = run_cli(capsys, *(str(huge) if a == "HUGE" else a for a in argv))
     assert code == want
     assert not re.search(r"\b(inf|nan|infinity)\b", out + err, re.IGNORECASE)
+
+
+def _scaled_csv(path, exponent: int):
+    """Two samples of three values scaled by 10^exponent, as a paired CSV."""
+    scale = 10.0 ** exponent
+    path.write_text("sample1,sample2\n" + "".join(
+        f"{a * scale!r},{b * scale!r}\n" for a, b in ((1.0, 1.5), (2.0, 2.5), (3.0, 4.0))))
+    return str(path)
+
+
+# data scales from 1e-300 to 1e300: SS0 underflows from about 1e-154 down and
+# is rescaled by a power of two; from about 1e154 up SS0 overflows (exit 3)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent, want", [(-300, 0), (-250, 0), (-200, 0), (-150, 0),
+                                            (150, 0), (200, 3), (250, 3), (300, 3)])
+def test_estimate_across_data_scales(capsys, tmp_path, exponent, want):
+    code, unit, _ = run_cli(capsys, "estimate", "--loss", "all",
+                            "--csv", _scaled_csv(tmp_path / "unit.csv", 0))
+    assert code == 0
+    code, out, err = run_cli(capsys, "estimate", "--loss", "all",
+                             "--csv", _scaled_csv(tmp_path / "scaled.csv", exponent))
+    assert code == want
+    if want:
+        assert "overflows" in err and out == ""
+        return
+    rows, unit_rows = (list(csv.DictReader(t.splitlines())) for t in (out, unit))
+    assert len(rows) == len(unit_rows) == len(cli._ALL_LOSSES) * len(ESTIMATOR_NAMES)
+    for row, unit_row in zip(rows, unit_rows):
+        # every estimate is ln S + phi(W), W scale-free: only ln S moves
+        assert float(row["tau"]) == pytest.approx(
+            float(unit_row["tau"]) + exponent * math.log(10.0), abs=1e-9)
+        assert math.isfinite(float(row["entropy"]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, want", [("aci", 0), ("gci", 0), ("boot-p", 3), ("boot-t", 3),
+                                          ("hpd", 3)])
+def test_ci_on_data_whose_sum_of_squares_underflows(capsys, tmp_path, method, want):
+    # aci and gci read ln S; boot and hpd read S^2 itself, which underflows
+    code, out, err = run_cli(capsys, "ci", "--method", method, "--seed", "1",
+                             "--csv", _scaled_csv(tmp_path / "tiny.csv", -200))
+    assert code == want
+    if want:
+        assert "underflows" in err
+    else:
+        assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
 
 
 def test_json_text_refuses_non_finite():

@@ -12,6 +12,7 @@ from entropy_lab import estimators
 from entropy_lab.errors import DomainError
 from entropy_lab.estimators import (
     _TABLE_CACHE,
+    WTerms,
     bz_table,
     median_ln_v_eta0,
     resolve_estimator,
@@ -219,6 +220,37 @@ class TestBzTable:
             exact = np.array([el.bz_r0(w, n, loss) for w in mid])
             assert np.max(np.abs(tab(mid) - exact)) <= 1e-5
 
+    @pytest.mark.parametrize("n,loss", [(2, el.Loss.squared_error()), (8, el.Loss.linex(-3.0)),
+                                        (26, el.Loss.linex(1.0))])
+    def test_lookup_is_np_interp_bit_for_bit(self, n, loss):
+        tab = bz_table(n, loss)
+        xp, fp = np.linspace(0.0, math.log1p(1600.0), 800), tab._vals
+        assert np.array_equal(tab._x[:-1], xp)
+        rng = np.random.default_rng(n)
+        # the nodes, each node 1 ulp either side, random points, and past the cap
+        x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:],
+                            rng.uniform(0.0, xp[-1], 100_000), xp[-1] + np.array([1e-9, 1.0, 1e3])])
+        assert np.array_equal(tab.at_x(x), np.interp(x, xp, fp))
+        w = np.concatenate([[0.0, -0.0, 1e3, -1e6], rng.normal(0.0, 1.0, 100_000)])
+        assert np.array_equal(tab(w), np.interp(np.log1p(n * np.square(w)), xp, fp))
+        assert np.array_equal(tab(-w), tab(w))
+        assert tab(0.0) == fp[0] and tab(1e6) == fp[-1]
+        one = tab(np.array(0.3))
+        assert np.ndim(one) == 0
+        assert one == np.interp(np.log1p(n * 0.09), xp, fp)
+        assert np.isnan(tab.at_x(np.array([np.nan]))).all()
+
+    def test_lookup_is_np_interp_for_rough_node_values(self, l1, monkeypatch):
+        # r0 varies so slowly that a lookup one node off rounds to the same
+        # value; on rough values only the correct node gives np.interp's bits
+        rng = np.random.default_rng(5)
+        monkeypatch.setattr(estimators, "_r0_on_nodes",
+                            lambda n, loss, u: rng.normal(0.0, 1.0, len(u) - 1))
+        tab = estimators.BzTable(8, l1)
+        xp = np.linspace(0.0, math.log1p(1600.0), 800)
+        x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:]])
+        assert np.array_equal(tab.at_x(x), np.interp(x, xp, tab._vals))
+
     def test_build_runs_no_adaptive_quadrature(self, l1, monkeypatch):
         calls = []
         adaptive_quad = quadrature.adaptive_quad
@@ -335,8 +367,8 @@ class TestEquivariance:
         st1 = el.suff_stats(el.TwoSampleData(x, y))
         st2 = el.suff_stats(el.TwoSampleData(a * x + 3.0, a * y + 3.0))
         _, fn = resolve_estimator(name, 8, l1)
-        v1 = float(fn(np.array(math.log(st1.s)), np.array(st1.w)))
-        v2 = float(fn(np.array(math.log(st2.s)), np.array(st2.w)))
+        v1 = float(fn(np.array(math.log(st1.s)), WTerms(np.array(st1.w), 8)))
+        v2 = float(fn(np.array(math.log(st2.s)), WTerms(np.array(st2.w), 8)))
         assert v2 == pytest.approx(v1 + math.log(a), abs=1e-10)
 
 
@@ -351,14 +383,15 @@ class TestScalarVectorAgreement:
         stats_ = [SuffStats(n=6, mean1=0.0, mean2=wv * sv, s2=sv * sv, s=sv, w=wv)
                   for sv, wv in zip(s, w)]
         lns = np.array([math.log(sv) for sv in s])
+        wt = WTerms(w, 6)
         for loss in (l1, linex_m3):
             for name in estimators.ESTIMATOR_NAMES:
                 _, fn = resolve_estimator(name, 6, loss)
                 got = [el.estimate(name, st, loss) for st in stats_]
                 if name == "bz":
-                    np.testing.assert_allclose(fn(lns, w), got, rtol=0.0, atol=2e-6)
+                    np.testing.assert_allclose(fn(lns, wt), got, rtol=0.0, atol=2e-6)
                 else:
-                    assert fn(lns, w).tolist() == got, (name, loss)
+                    assert fn(lns, wt).tolist() == got, (name, loss)
 
     def test_estimate_all_builds_no_table(self, linex_m3):
         st = el.suff_stats(el.TwoSampleData([1.0, 4.0, 2.5, 7.0, 3.0, 9.5, 2.0],

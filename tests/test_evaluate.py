@@ -180,3 +180,16 @@ class TestVarianceAndOrderTests:
     def test_degenerate(self):
         with pytest.raises(DataError):
             el.t_test_ordered_means([1.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pooled_variance(self):
+        with pytest.raises(DataError, match="overflows"):
+            el.t_test_ordered_means([1e200, 2e200, 3e200], [1.0, 2.0, 4.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_scale_free_down_to_underflow(self):
+        # a power-of-two scale is exact, and the statistic does not move by a bit
+        x, y = np.array(BOEING_PLANE_7907), np.array(BOEING_PLANE_7916)
+        r = el.t_test_ordered_means(x, y)
+        for k in (-500, -1000):
+            assert el.t_test_ordered_means(np.ldexp(x, k), np.ldexp(y, k)) == r

@@ -51,6 +51,17 @@ class TestSuffStats:
         with pytest.raises(DataError, match="overflows"):
             el.suff_stats(el.TwoSampleData(sample, [1.0, 2.0, 4.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-520, -700, -1000])
+    def test_underflowing_sum_of_squares_is_rescaled(self, k):
+        # SS0 underflows below 2^-1022; W and S keep every bit of the unscaled data's
+        x, y = np.array([1.0, 4.0, 2.5, 7.0]), np.array([2.0, 6.5, 3.5, 8.0])
+        st = el.suff_stats(el.TwoSampleData(x, y))
+        tiny = el.suff_stats(el.TwoSampleData(np.ldexp(x, k), np.ldexp(y, k)))
+        assert tiny.w == st.w
+        assert tiny.s == math.ldexp(st.s, k)
+        assert tiny.s2 == math.ldexp(st.s2, 2 * k)  # subnormal or 0
+
     def test_affine_invariance_of_w(self):
         rng = np.random.default_rng(3)
         x = rng.normal(2.0, 3.0, 9)

@@ -40,12 +40,12 @@ class TestPairDraw:
         names, etas, b = ("baee", "stein", "rmle"), (0.0, 1.5), 3_000
         cfg = SimConfig(n=n, eta_grid=etas, loss=l1, replications=b, master_seed=9,
                         estimators=names)
-        got = _replications(cfg, lambda lv, delta: delta.copy())
+        got = _replications(cfg, lambda l, d, l_base: d.copy())
         d, s2 = hand_draw(9, b, n)
         for t, eta in enumerate(etas):
             lns, w = 0.5 * np.log(s2), (d + eta / math.sqrt(n)) / np.sqrt(s2)
             for e, name in enumerate(names):
-                want = estimators.resolve_estimator(name, n, l1)[1](lns, w)
+                want = estimators.resolve_estimator(name, n, l1)[1](lns, estimators.WTerms(w, n))
                 assert np.array_equal(got[e, :, t], want)
 
     @pytest.mark.parametrize("n", [2, 6, 26])
@@ -55,6 +55,48 @@ class TestPairDraw:
         assert abs(d.mean()) <= 5.0 * math.sqrt(var / self.DRAWS)
         assert abs(d.var() - var) <= 5.0 * var * math.sqrt(2.0 / self.DRAWS)
         assert stats.kstest(s2, lambda v: chi_square_cdf(2 * n - 2, v)).pvalue > 1e-3
+
+
+class TestRowEngine:
+    """Each estimator's row of a block is evaluated, checked, lossed and
+    reduced on its own; a rule whose phi does not read W (baee, umvue, mle)
+    is evaluated once per block and shared by every eta."""
+
+    def test_eta_free_rule_evaluated_once_per_block(self, l1, monkeypatch):
+        calls = {}
+        for name in ("baee", "stein"):
+            def counting(n, loss, build=estimators._BUILDERS[name], name=name):
+                rule = build(n, loss)
+
+                def counted(lns, wt):
+                    calls[name] += 1
+                    return rule(lns, wt)
+
+                return counted
+
+            monkeypatch.setitem(estimators._BUILDERS, name, counting)
+        etas, nblocks = (0.0, 0.5, 1.0, 2.0), 3
+        for baseline in ("baee", "stein"):
+            calls.update(baee=0, stein=0)
+            el.simulate_risk(SimConfig(n=6, eta_grid=etas, loss=l1,
+                                       replications=(nblocks - 1) * BLOCK_SIZE + 10,
+                                       master_seed=4, estimators=("baee", "stein"),
+                                       baseline=baseline))
+            assert calls == {"baee": nblocks, "stein": nblocks * len(etas)}
+
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
+                             ids=["l1", "linex-3"])
+    def test_baseline_moves_no_rule_own_fields(self, loss):
+        # baee's eta-free rows are reduced once per block; under the stein
+        # baseline every row is reduced at every eta
+        base = dict(n=8, eta_grid=(0.0, 0.75, 2.5), loss=loss, replications=BLOCK_SIZE + 999,
+                    master_seed=17, estimators=estimators.ESTIMATOR_NAMES)
+        by_baee = el.simulate_risk(SimConfig(**base, baseline="baee"))
+        by_stein = el.simulate_risk(SimConfig(**base, baseline="stein"))
+        for a, b in zip(by_baee.cells, by_stein.cells, strict=True):
+            assert (a.estimator, a.eta) == (b.estimator, b.eta)
+            assert (a.risk, a.stderr, a.bias, a.bias_stderr) == (b.risk, b.stderr, b.bias,
+                                                                 b.bias_stderr)
 
 
 class TestClosedForms:
@@ -234,7 +276,8 @@ class TestGpc:
         g = el.gpc_estimate("pitman", "baee", l1, n, eta, reps, seed=7)
         d, s2 = hand_draw(7, reps, n)
         lns, w = 0.5 * np.log(s2), (d + eta / math.sqrt(n)) / np.sqrt(s2)
-        lv1, lv2 = (l1.value(estimators.resolve_estimator(e, n, l1)[1](lns, w))
+        wt = estimators.WTerms(w, n)
+        lv1, lv2 = (l1.value(estimators.resolve_estimator(e, n, l1)[1](lns, wt))
                     for e in ("pitman", "baee"))
         scores = np.where(lv1 < lv2, 1.0, np.where(lv1 == lv2, 0.5, 0.0))
         assert 0 < g.n_tie < reps
