@@ -51,8 +51,10 @@ from .numerics import (
 
 
 def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
-    """T(w) = ln sqrt(1 + n w^2 / 2), the conditional scale correction."""
-    return 0.5 * np.log1p(0.5 * n * np.square(w))
+    """T(w) = ln sqrt(1 + n w^2 / 2), the conditional scale correction; inf,
+    its limit, where n w^2 / 2 overflows."""
+    with np.errstate(over="ignore"):
+        return 0.5 * np.log1p(0.5 * n * np.square(w))
 
 
 class WTerms:
@@ -65,7 +67,7 @@ class WTerms:
     def __init__(self, w: np.ndarray, n: int):
         self.w = w
         self.t = _shrink_term(w, n)
-        self.t_neg = self.t * (w < 0.0)
+        self.t_neg = np.where(w < 0.0, self.t, 0.0)  # 0, not inf * 0, where T(W) overflows
         self.sign = np.copysign(1.0, w)
         zero = w == 0.0
         self.zero = zero if zero.any() else None
@@ -371,9 +373,6 @@ _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
                                       half_ln_med=0.5 * _ln_chi2_median(2 * n - 1)),
 }
 ESTIMATOR_NAMES = tuple(_BUILDERS)
-# the _shift_rule family: phi does not read W, so a replication's estimate is
-# the same at every eta
-ETA_FREE_RULES = ("baee", "umvue", "mle")
 
 
 def resolve_estimator(name: str, n: int, loss: Loss) -> tuple[str, VectorFn]:

@@ -16,11 +16,8 @@ several rules read (its sign and T(W)) are computed once, as a
 :class:`~entropy_lab.estimators.WTerms`.  Each estimator's row of the block
 is then evaluated, checked finite, turned into losses and reduced while
 that one array is still in cache, the baseline's row first, since every
-reduction reads its losses.  A rule that does not read W (one of
-``ETA_FREE_RULES``) is evaluated once per block; when the baseline is such
-a rule too, the row's reduced values serve every eta as well.  Risk and
-Pitman closeness run on the same blocks and differ only in how a row is
-reduced.
+reduction reads its losses.  Risk and Pitman closeness run on the same
+blocks and differ only in how a row is reduced.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .estimators import ESTIMATOR_NAMES, ETA_FREE_RULES, WTerms, resolve_estimator
+from .estimators import ESTIMATOR_NAMES, WTerms, resolve_estimator
 from .model import Loss
 from .numerics.rng import RngStream
 
@@ -141,7 +138,6 @@ def _replications(cfg: SimConfig, reduce) -> np.ndarray:
     fns = [resolve_estimator(e, n, loss)[1] for e in names]
     ibase = names.index(cfg.baseline)
     order = [ibase] + [e for e in range(len(names)) if e != ibase]
-    eta_free = [e in ETA_FREE_RULES for e in names]
     shift = np.array(cfg.eta_grid, dtype=float) / math.sqrt(n)
     nblocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -152,34 +148,21 @@ def _replications(cfg: SimConfig, reduce) -> np.ndarray:
         s2 = gen.chisquare(2 * n - 2, b)
         lns = 0.5 * np.log(s2)
         s = np.sqrt(s2)
-
-        def row(e: int, t: int, wt: WTerms) -> tuple[np.ndarray, np.ndarray]:
-            """Estimates and losses of estimator e at eta t, checked finite."""
-            de = fns[e](lns, wt)
-            finite = np.isfinite(de)
-            if not finite.all():
-                raise NumericError(
-                    f"estimator {names[e]!r} failed at replication "
-                    f"{ib * BLOCK_SIZE + int(np.argmin(finite))} (eta={float(cfg.eta_grid[t])})")
-            return de, loss.value(de)
-
-        rows = {}   # eta-free estimator -> (estimates, losses), the same at every eta
-        fixed = {}  # eta-free estimator -> reduced values, if the baseline is eta-free
         out = [[None] * len(shift) for _ in names]
         for t, sh in enumerate(shift):
             wt = WTerms((d + sh) / s, n)
             for e in order:
-                if e in fixed:
-                    out[e][t] = fixed[e]
-                    continue
-                de, le = rows[e] if e in rows else row(e, t, wt)
-                if eta_free[e]:
-                    rows[e] = de, le
+                de = fns[e](lns, wt)
+                finite = np.isfinite(de)
+                if not finite.all():
+                    raise NumericError(
+                        f"estimator {names[e]!r} failed at replication "
+                        f"{ib * BLOCK_SIZE + int(np.argmin(finite))} "
+                        f"(eta={float(cfg.eta_grid[t])})")
+                le = loss.value(de)
                 if e == ibase:
                     l_base = le
                 out[e][t] = reduce(le, de, l_base)
-                if eta_free[e] and eta_free[ibase]:
-                    fixed[e] = out[e][t]
         return np.moveaxis(np.array(out), 1, -1)
 
     return np.sum(map_blocks(nblocks, one_block, cfg.threads), axis=0)

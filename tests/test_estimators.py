@@ -2,6 +2,7 @@
 Pitman clip, and the dominance checker."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ class TestMleFamily:
     def test_rmle_continuous_at_zero(self, l1):
         st = unit_scale_stats(w=0.0)
         assert el.estimate("rmle", st, l1) == el.estimate("mle", st, l1)
+
+    @pytest.mark.parametrize("name", ["rmle", "improved_rmle"])
+    def test_rmle_at_huge_positive_w(self, name, l1):
+        # n W^2 / 2 overflows, so T(W) is inf; for W > 0 the restricted term
+        # is 0, not inf * 0, and no RuntimeWarning is raised
+        st = el.suff_stats(el.TwoSampleData([0.0, 1e-150], [1e10, 1e10]))
+        assert st.w > 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = el.estimate(name, st, l1)
+        assert got == el.estimate("mle", st, l1) == math.log(st.s) - 0.5 * math.log(4.0)
 
 
 class TestSteinFamily:

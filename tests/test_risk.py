@@ -59,36 +59,12 @@ class TestPairDraw:
 
 class TestRowEngine:
     """Each estimator's row of a block is evaluated, checked, lossed and
-    reduced on its own; a rule whose phi does not read W (baee, umvue, mle)
-    is evaluated once per block and shared by every eta."""
-
-    def test_eta_free_rule_evaluated_once_per_block(self, l1, monkeypatch):
-        calls = {}
-        for name in ("baee", "stein"):
-            def counting(n, loss, build=estimators._BUILDERS[name], name=name):
-                rule = build(n, loss)
-
-                def counted(lns, wt):
-                    calls[name] += 1
-                    return rule(lns, wt)
-
-                return counted
-
-            monkeypatch.setitem(estimators._BUILDERS, name, counting)
-        etas, nblocks = (0.0, 0.5, 1.0, 2.0), 3
-        for baseline in ("baee", "stein"):
-            calls.update(baee=0, stein=0)
-            el.simulate_risk(SimConfig(n=6, eta_grid=etas, loss=l1,
-                                       replications=(nblocks - 1) * BLOCK_SIZE + 10,
-                                       master_seed=4, estimators=("baee", "stein"),
-                                       baseline=baseline))
-            assert calls == {"baee": nblocks, "stein": nblocks * len(etas)}
+    reduced on its own, the baseline's first."""
 
     @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
                              ids=["l1", "linex-3"])
     def test_baseline_moves_no_rule_own_fields(self, loss):
-        # baee's eta-free rows are reduced once per block; under the stein
-        # baseline every row is reduced at every eta
+        # the baseline enters only the cross term and the RRI
         base = dict(n=8, eta_grid=(0.0, 0.75, 2.5), loss=loss, replications=BLOCK_SIZE + 999,
                     master_seed=17, estimators=estimators.ESTIMATOR_NAMES)
         by_baee = el.simulate_risk(SimConfig(**base, baseline="baee"))
