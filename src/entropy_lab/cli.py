@@ -11,7 +11,11 @@ share, so ``estimate --dataset boeing`` prints the bytes of ``reproduce``'s
 stdout; with ``--out`` it writes that text to the file instead, next to a
 manifest capturing enough to re-run it bit-identically, and prints nothing.
 Every seeded command honors ``--seed``; without it a fresh seed is drawn and
-recorded.  Exit codes: 0 success, 2 usage, 3 data error, 4 numeric failure.
+recorded.  ``--threads`` counts worker processes; ``reproduce`` hands every
+piece of its work to one pool of them as one job list and writes the files
+itself, so no byte depends on the count.  No CSV row is written with a
+non-finite field.  Exit codes: 0 success, 2 usage, 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import os
 import secrets
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +36,18 @@ from . import __version__
 from .datasets import boeing
 from .errors import DataError, EntropyLabError, NumericError
 from .estimators import estimate_all
-from .evaluate import COVERAGE_METHODS, CoverageConfig, coverage_study, t_test_ordered_means
+from .evaluate import (
+    COVERAGE_METHODS,
+    CoverageConfig,
+    coverage_jobs,
+    coverage_study,
+    fold_coverage,
+    t_test_ordered_means,
+)
 from .intervals import BootConfig, McmcConfig, aci, boot_p, boot_t, gci_umvue, hpd_mcmc
 from .model import Loss, TwoSampleData, load_paired_csv, load_samples, suff_stats
 from .risk import DEFAULT_ESTIMATORS, SimConfig, risk_csv, simulate_risk
+from .workers import run_jobs
 
 # Campaign sizes of ``reproduce``; ``risk``/``coverage --paper-scale`` take
 # their part of the paper row.  ``pivot_draws`` sizes the Boeing gci interval.
@@ -90,8 +103,20 @@ def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
     path.write_text(_json_text(manifest))
 
 
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _refuse_non_finite(name: str, text: str) -> None:
+    """Raise ``NumericError`` naming the first line of ``text`` with a
+    comma-separated field that reads as a non-finite float."""
+    for i, line in enumerate(text.splitlines(), start=1):
+        if not _NON_FINITE.isdisjoint(line.split(",")):
+            raise NumericError(f"non-finite value in {name}, line {i}: {line}")
+
+
 def _write_output(args, argv: list[str], text: str, config: dict, seed: int) -> None:
     """``text`` to ``--out`` next to its manifest, or to stdout without one."""
+    _refuse_non_finite(args.out or "stdout", text)
     if not args.out:
         sys.stdout.write(text)
         return
@@ -180,6 +205,18 @@ def _intervals_csv(results) -> str:
 def _risk_table(n_values, **cfg) -> str:
     """The risk/RRI table of one campaign per sample size."""
     return risk_csv([simulate_risk(SimConfig(n=n, **cfg)) for n in n_values])
+
+
+def _boeing_tables(seed: int, pivot_draws: int) -> tuple[str, str, str]:
+    """The point-estimate CSV, interval CSV and interval JSON of the Boeing
+    data."""
+    data = boeing()
+    point = _point_csv(data, _ALL_LOSSES)
+    # the interval methods in table order; the two bootstraps share a stream
+    intervals = [_interval(method, data, 0.95, seed + offset, draws=pivot_draws,
+                           boot_k=3000, n_draws=12_000, burnin=2_000)
+                 for method, offset in zip(COVERAGE_METHODS, (0, 1, 2, 2, 3))]
+    return point, _intervals_csv(intervals), _json_text([r.to_json_dict() for r in intervals])
 
 
 # ---------------------------------------------------------------------------
@@ -303,39 +340,35 @@ def _cmd_reproduce(args, argv) -> int:
     tables.mkdir(parents=True, exist_ok=True)
     scale_name = "paper" if args.paper_scale else "desk"
     scale = _SCALES[scale_name]
-    outputs: list[str] = []
-
-    def write(path: Path, text: str) -> None:
-        path.write_text(text)
-        outputs.append(str(path))
-
-    data = boeing()
-    write(tables / "point_estimates_boeing.csv", _point_csv(data, _ALL_LOSSES))
-
-    # the interval methods in table order; the two bootstraps share a stream
-    intervals = [_interval(method, data, 0.95, seed + offset, draws=scale["pivot_draws"],
-                           boot_k=3000, n_draws=12_000, burnin=2_000)
-                 for method, offset in zip(COVERAGE_METHODS, (0, 1, 2, 2, 3))]
-    write(tables / "intervals_boeing.csv", _intervals_csv(intervals))
-    write(tables / "intervals_boeing.json", _json_text([r.to_json_dict() for r in intervals]))
 
     etas = _eta_grid(0.0, 5.0, scale["eta_step"])
-    for label, loss in (("l1", Loss.squared_error()), ("linex_am3", Loss.linex(-3.0))):
-        write(tables / f"risk_rri_{label}.csv",
-              _risk_table(scale["risk_n"], eta_grid=etas, loss=loss, replications=scale["reps"],
-                          master_seed=seed + 10, threads=args.threads))
-
-    # restricted-MLE improvement relative to the MLE
-    write(tables / "rmle_rri_l1.csv",
-          _risk_table(scale["rmle_n"], eta_grid=etas, loss=Loss.squared_error(),
-                      replications=scale["reps"], master_seed=seed + 20,
-                      estimators=("mle", "rmle"), baseline="mle", threads=args.threads))
-
+    risk = partial(_risk_table, eta_grid=etas, replications=scale["reps"], threads=1)
     cov_cfg = CoverageConfig(n_grid=scale["coverage_n"], methods=COVERAGE_METHODS, level=0.95,
                              master_seed=seed + 30, threads=args.threads, **scale["coverage"])
-    write(tables / "coverage.csv", coverage_study(cov_cfg).csv_text())
-    write(out_dir / "DISCREPANCIES.md", _DISCREPANCIES)
+    # longest first: the Boeing tables (their one 12,000-step chain), the
+    # coverage blocks, then the risk tables and the restricted-MLE
+    # improvement relative to the MLE
+    jobs = [partial(_boeing_tables, seed, scale["pivot_draws"]), *coverage_jobs(cov_cfg),
+            partial(risk, scale["risk_n"], loss=Loss.squared_error(), master_seed=seed + 10),
+            partial(risk, scale["risk_n"], loss=Loss.linex(-3.0), master_seed=seed + 10),
+            partial(risk, scale["rmle_n"], loss=Loss.squared_error(), master_seed=seed + 20,
+                    estimators=("mle", "rmle"), baseline="mle")]
+    (point, intervals_csv, intervals_json), *blocks, risk_l1, risk_linex, rmle = \
+        run_jobs(jobs, args.threads)
 
+    files = [(tables / "point_estimates_boeing.csv", point),
+             (tables / "intervals_boeing.csv", intervals_csv),
+             (tables / "intervals_boeing.json", intervals_json),
+             (tables / "risk_rri_l1.csv", risk_l1),
+             (tables / "risk_rri_linex_am3.csv", risk_linex),
+             (tables / "rmle_rri_l1.csv", rmle),
+             (tables / "coverage.csv", fold_coverage(cov_cfg, blocks).csv_text()),
+             (out_dir / "DISCREPANCIES.md", _DISCREPANCIES)]
+    for path, text in files:  # every check before the first write
+        _refuse_non_finite(path.name, text)
+    for path, text in files:
+        path.write_text(text)
+    outputs = [str(path) for path, _ in files]
     _write_manifest(out_dir / "manifest.json", argv,
                     {"command": "reproduce", "scale": scale_name,
                      "threads": args.threads}, seed, outputs)
@@ -346,6 +379,10 @@ def _cmd_reproduce(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+_THREADS_HELP = ("worker processes (default 1); at most one per job and per CPU this "
+                 "process may run on, and no output byte depends on the count")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -381,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-scale", action="store_true",
                    help="70,000 replications on the full n grid")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_risk)
 
@@ -409,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_coverage)
 
@@ -418,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--desk-scale", action="store_true", default=True)
     scale.add_argument("--paper-scale", dest="paper_scale", action="store_true", default=False)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     p.add_argument("--out-dir", default="reproduction")
     p.set_defaults(fn=_cmd_reproduce)
 

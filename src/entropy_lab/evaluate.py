@@ -7,9 +7,9 @@ sigma as SS_0 = sigma^2 chi-square(2n - 2) alone, applies each requested
 interval method with its own deterministic substream, and reports coverage
 probability (CP), average length (AL), and their ratio PCD = CP / AL.
 Block ``ib`` holds replications [ib B, (ib + 1) B) at every n of the grid
-and is the unit of parallelism; stream indices encode (sample-size slot,
-block, method slot), so results depend neither on the worker count nor on
-which methods run.  The hpd chains of a block, every n together, advance
+and is one job for the worker processes; stream indices encode
+(sample-size slot, block, method slot), so results depend neither on the
+worker count nor on which methods run.  The hpd chains of a block, every n together, advance
 in lockstep on the block's one step-noise stream, and each chain keeps only
 the tails of its draws that the Chen–Shao window reads.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .intervals import (
 from .model import pooled_ss, scaled_ratio
 from .numerics import student_t_cdf
 from .numerics.rng import RngStream
-from .risk import map_blocks
+from .workers import run_jobs
 
 COVERAGE_METHODS = ("aci", "gci", "boot-p", "boot-t", "hpd")
 
@@ -138,53 +139,53 @@ def _tally(tau: float, lower: np.ndarray, upper: np.ndarray,
     return int(contains.sum()), float(np.where(ok, length, 0.0).sum()), int(len(ok) - ok.sum())
 
 
-def coverage_study(cfg: CoverageConfig) -> CoverageResult:
-    """Run the CP/AL/PCD study over the configured n grid and methods.
+def _block(cfg: CoverageConfig, ib: int):
+    """Block ``ib``'s tallies, one dict of method -> ``_tally`` per n, and
+    its hpd chains' acceptance by n (None without hpd)."""
+    def stream(ni: int, slot: int) -> np.random.Generator:
+        return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
 
-    Each block of outer replications goes, as SS_0, to the batched interval
-    functions that the single-dataset intervals call on a batch of one; this
-    function keys the streams and tallies the results.  Both bootstrap
-    methods come from one draw of order statistics.
-    """
     tau = math.log(cfg.sigma)
-    size = cfg.block_size
-    nblocks = (cfg.outer_reps + size - 1) // size
+    b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
+    ss0 = np.stack([cfg.sigma * cfg.sigma * stream(ni, _SLOT_DATA).chisquare(2 * n - 2, b)
+                    for ni, n in enumerate(cfg.n_grid)])
+    tallies = []
+    for ni, n in enumerate(cfg.n_grid):
+        lns, t = 0.5 * np.log(ss0[ni]), {}
+        if "aci" in cfg.methods:
+            t["aci"] = _tally(tau, *aci_bounds(lns, n, cfg.level))
+        if "gci" in cfg.methods:
+            t["gci"] = _tally(tau, *gci_bounds(lns, n, cfg.level, cfg.gci_draws,
+                                               stream(ni, _SLOT_GCI)))
+        if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
+            pct, stud = boot_bounds(ss0[ni], n, cfg.level, cfg.boot_k, stream(ni, _SLOT_BOOT))
+            t["boot-p"], t["boot-t"] = _tally(tau, *pct), _tally(tau, *stud)
+        tallies.append(t)
+    if "hpd" not in cfg.methods:
+        return tallies, None
+    # the chains of every n share the block's step-noise stream, keyed at the
+    # first n's slot; a chain reads only ss1 + ss2
     k = len(cfg.n_grid)
-    hpd = "hpd" in cfg.methods
-    mcmc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level) if hpd else None
+    mcmc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level)
+    zeros = np.zeros(k * b)
+    tails, acc, _ = run_variance_chains(zeros, zeros, ss0.ravel(), zeros,
+                                        np.repeat(cfg.n_grid, b), mcmc, stream(0, _SLOT_MCMC))
+    lower, upper = (w.reshape(k, b) for w in _shortest_window(*tails))
+    for ni, t in enumerate(tallies):
+        t["hpd"] = _tally(tau, lower[ni], upper[ni], upper[ni] - lower[ni])
+    return tallies, acc.reshape(k, b)
 
-    def one_block(ib: int):
-        def stream(ni: int, slot: int) -> np.random.Generator:
-            return RngStream(cfg.master_seed, (ni << 28) | (ib << 3) | slot).generator
 
-        b = min(size, cfg.outer_reps - ib * size)
-        ss0 = np.stack([cfg.sigma * cfg.sigma * stream(ni, _SLOT_DATA).chisquare(2 * n - 2, b)
-                        for ni, n in enumerate(cfg.n_grid)])
-        tallies = []
-        for ni, n in enumerate(cfg.n_grid):
-            lns, t = 0.5 * np.log(ss0[ni]), {}
-            if "aci" in cfg.methods:
-                t["aci"] = _tally(tau, *aci_bounds(lns, n, cfg.level))
-            if "gci" in cfg.methods:
-                t["gci"] = _tally(tau, *gci_bounds(lns, n, cfg.level, cfg.gci_draws,
-                                                   stream(ni, _SLOT_GCI)))
-            if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
-                pct, stud = boot_bounds(ss0[ni], n, cfg.level, cfg.boot_k, stream(ni, _SLOT_BOOT))
-                t["boot-p"], t["boot-t"] = _tally(tau, *pct), _tally(tau, *stud)
-            tallies.append(t)
-        if not hpd:
-            return tallies, None
-        # the chains of every n share the block's step-noise stream, keyed at
-        # the first n's slot; a chain reads only ss1 + ss2
-        zeros = np.zeros(k * b)
-        tails, acc, _ = run_variance_chains(zeros, zeros, ss0.ravel(), zeros,
-                                            np.repeat(cfg.n_grid, b), mcmc, stream(0, _SLOT_MCMC))
-        lower, upper = (w.reshape(k, b) for w in _shortest_window(*tails))
-        for ni, t in enumerate(tallies):
-            t["hpd"] = _tally(tau, lower[ni], upper[ni], upper[ni] - lower[ni])
-        return tallies, acc.reshape(k, b)
+def coverage_jobs(cfg: CoverageConfig) -> list:
+    """The study's blocks as jobs for :func:`~entropy_lab.workers.run_jobs`;
+    :func:`fold_coverage` turns their results into the study's result."""
+    nblocks = (cfg.outer_reps + cfg.block_size - 1) // cfg.block_size
+    return [partial(_block, cfg, ib) for ib in range(nblocks)]
 
-    blocks = map_blocks(nblocks, one_block, cfg.threads)
+
+def fold_coverage(cfg: CoverageConfig, blocks: list) -> CoverageResult:
+    """The study's rows and chain health from its blocks' results, in block
+    order."""
     rows, health = [], []
     for ni, n in enumerate(cfg.n_grid):
         partials = [tallies[ni] for tallies, _ in blocks]
@@ -202,12 +203,23 @@ def coverage_study(cfg: CoverageConfig) -> CoverageResult:
                 method=method, n=n, cp=cp,
                 cp_stderr=math.sqrt(max(cp * (1.0 - cp), 1e-300) / good),
                 al=al, pcd=cp / al, failures=failures))
-        if hpd:
+        if "hpd" in cfg.methods:
             acc = np.concatenate([a[ni] for _, a in blocks])
             outside = (acc < ACCEPTANCE_BAND[0]) | (acc > ACCEPTANCE_BAND[1])
             health.append(ChainHealth(n=n, mean=float(acc.mean()), min=float(acc.min()),
                                       max=float(acc.max()), outside_share=float(outside.mean())))
     return CoverageResult(rows=tuple(rows), config=cfg, hpd_acceptance=tuple(health))
+
+
+def coverage_study(cfg: CoverageConfig) -> CoverageResult:
+    """Run the CP/AL/PCD study over the configured n grid and methods.
+
+    Each block of outer replications goes, as SS_0, to the batched interval
+    functions that the single-dataset intervals call on a batch of one; the
+    blocks run on ``cfg.threads`` worker processes and are tallied here.
+    Both bootstrap methods come from one draw of order statistics.
+    """
+    return fold_coverage(cfg, run_jobs(coverage_jobs(cfg), cfg.threads))
 
 
 # ---------------------------------------------------------------------------

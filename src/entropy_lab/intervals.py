@@ -241,7 +241,9 @@ def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarr
     scale ss/2.  Nonpositive proposals are rejected.
 
     ``z_prop`` is the standard normal proposal noise and ``logu`` the log
-    uniform acceptance draw; returns (new beta, accept mask).
+    uniform acceptance draw; returns (new beta, accept mask).  A proposal
+    so near 0 that 1/prop overflows, or so large that it overflows, has
+    target density 0: its ratio is -inf and it is rejected, as it must be.
     """
     prop = beta + prop_sd * z_prop
     valid = prop > 0.0
@@ -302,21 +304,23 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     accepted = np.zeros(B, dtype=np.int64)
     window = min(cfg.N0, 500)
     win_accept = np.zeros(B, dtype=np.int64)
-    for k in range(1, cfg.N + 1):
-        z_prop = gen.standard_normal(B)
-        logu = -gen.standard_exponential(B)
-        beta, accept = mh_variance_step(beta, ss0, n - 1, prop_sd, z_prop, logu)
-        if k <= window:
-            win_accept += accept
-            if k == window and window >= 50:
-                rate = win_accept / window
-                prop_sd = prop_sd * np.clip(rate / 0.40, 0.2, 5.0)
-        if k > cfg.N0:
-            if filled == trace.shape[1]:
-                filled = fold()
-            np.multiply(np.log(beta), 0.5, out=trace[:, filled])
-            filled += 1
-            accepted += accept
+    # an overflowing proposal is an exact rejection (see mh_variance_step)
+    with np.errstate(over="ignore"):
+        for k in range(1, cfg.N + 1):
+            z_prop = gen.standard_normal(B)
+            logu = -gen.standard_exponential(B)
+            beta, accept = mh_variance_step(beta, ss0, n - 1, prop_sd, z_prop, logu)
+            if k <= window:
+                win_accept += accept
+                if k == window and window >= 50:
+                    rate = win_accept / window
+                    prop_sd = prop_sd * np.clip(rate / 0.40, 0.2, 5.0)
+            if k > cfg.N0:
+                if filled == trace.shape[1]:
+                    filled = fold()
+                np.multiply(np.log(beta), 0.5, out=trace[:, filled])
+                filled += 1
+                accepted += accept
     if cfg.level is None:
         return trace.T, accepted / M, prop_sd
     filled = fold()
@@ -347,6 +351,8 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
     st = _normal_s2(data)
+    if st.s2 / (2.0 * (st.n - 1)) < sys.float_info.min:
+        raise DataError("samples too small: the hpd chain's start sigma^2 underflows")
     gen = RngStream(cfg.seed, 0).generator
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]),

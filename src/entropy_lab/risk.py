@@ -5,11 +5,12 @@ Every estimator is ln S + phi(W) with W = D / S and D = xbar_2 - xbar_1, so
 a replication is the pair (D, S^2), drawn from its exact law at sigma = 1:
 D ~ N(0, 2/n) independent of S^2 ~ chi-square(2n - 2).  Replications are
 processed in blocks of ``BLOCK_SIZE``.  Block ``i`` draws from the
-counter-based stream ``(master_seed, i)`` and partial sums are folded in
-block order, so results are bit-identical for any worker count.  Within a
-replication every estimator sees the same data (common random numbers), and
-one draw of (D, S^2) serves every point on the eta grid: eta only shifts D,
-so only W moves.
+counter-based stream ``(master_seed, i)``, blocks are independent jobs
+(:mod:`~entropy_lab.workers`) and partial sums are folded in block order,
+so results are bit-identical for any worker count.  Within a replication
+every estimator sees the same data (common random numbers), and one draw
+of (D, S^2) serves every point on the eta grid: eta only shifts D, so only
+W moves.
 
 A block does each piece of work once.  At each eta the terms of W that
 several rules read (its sign and T(W)) are computed once, as a
@@ -23,8 +24,8 @@ blocks and differ only in how a row is reduced.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import DomainError, NumericError
 from .estimators import ESTIMATOR_NAMES, WTerms, resolve_estimator
 from .model import Loss
 from .numerics.rng import RngStream
+from .workers import run_jobs
 
 DEFAULT_ESTIMATORS = ("baee", "umvue", "mle", "rmle", "stein",
                       "improved_mle", "improved_rmle", "bz")
@@ -114,12 +116,34 @@ def risk_csv(results) -> str:
     return "".join(lines)
 
 
-def map_blocks(nblocks: int, fn, threads: int) -> list:
-    """[fn(0), ..., fn(nblocks - 1)], on ``threads`` worker threads."""
-    if threads <= 1:
-        return [fn(i) for i in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(nblocks)))
+def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
+    """Block ``ib`` of :func:`_replications`: estimators by reduced values by
+    eta."""
+    n, loss, names = cfg.n, cfg.loss, cfg.estimators
+    fns = [resolve_estimator(e, n, loss)[1] for e in names]
+    ibase = names.index(cfg.baseline)
+    order = [ibase] + [e for e in range(len(names)) if e != ibase]
+    b = min(BLOCK_SIZE, cfg.replications - ib * BLOCK_SIZE)
+    gen = RngStream(cfg.master_seed, ib).generator
+    d = math.sqrt(2.0 / n) * gen.standard_normal(b)
+    s2 = gen.chisquare(2 * n - 2, b)
+    lns = 0.5 * np.log(s2)
+    s = np.sqrt(s2)
+    out = [[None] * len(cfg.eta_grid) for _ in names]
+    for t, eta in enumerate(cfg.eta_grid):
+        wt = WTerms((d + eta / math.sqrt(n)) / s, n)
+        for e in order:
+            de = fns[e](lns, wt)
+            finite = np.isfinite(de)
+            if not finite.all():
+                raise NumericError(
+                    f"estimator {names[e]!r} failed at replication "
+                    f"{ib * BLOCK_SIZE + int(np.argmin(finite))} (eta={float(eta)})")
+            le = loss.value(de)
+            if e == ibase:
+                l_base = le
+            out[e][t] = reduce(le, de, l_base)
+    return np.moveaxis(np.array(out), 1, -1)
 
 
 def _replications(cfg: SimConfig, reduce) -> np.ndarray:
@@ -131,41 +155,16 @@ def _replications(cfg: SimConfig, reduce) -> np.ndarray:
     are drawn at mu1 = 0, sigma = 1 (risk depends on the parameters only
     through eta), so an estimate is its own error.  The result has the
     estimators on its first axis, the reduced values next and eta last,
-    summed over blocks in block order.
+    summed over blocks in block order.  With more than one worker,
+    ``reduce`` must be a module-level function, so that it pickles.
     """
-    n, reps, loss = cfg.n, cfg.replications, cfg.loss
-    names = cfg.estimators
-    fns = [resolve_estimator(e, n, loss)[1] for e in names]
-    ibase = names.index(cfg.baseline)
-    order = [ibase] + [e for e in range(len(names)) if e != ibase]
-    shift = np.array(cfg.eta_grid, dtype=float) / math.sqrt(n)
-    nblocks = (reps + BLOCK_SIZE - 1) // BLOCK_SIZE
+    nblocks = (cfg.replications + BLOCK_SIZE - 1) // BLOCK_SIZE
+    jobs = [partial(_block, cfg, reduce, ib) for ib in range(nblocks)]
+    return np.sum(run_jobs(jobs, cfg.threads), axis=0)
 
-    def one_block(ib: int) -> np.ndarray:
-        b = min(BLOCK_SIZE, reps - ib * BLOCK_SIZE)
-        gen = RngStream(cfg.master_seed, ib).generator
-        d = math.sqrt(2.0 / n) * gen.standard_normal(b)
-        s2 = gen.chisquare(2 * n - 2, b)
-        lns = 0.5 * np.log(s2)
-        s = np.sqrt(s2)
-        out = [[None] * len(shift) for _ in names]
-        for t, sh in enumerate(shift):
-            wt = WTerms((d + sh) / s, n)
-            for e in order:
-                de = fns[e](lns, wt)
-                finite = np.isfinite(de)
-                if not finite.all():
-                    raise NumericError(
-                        f"estimator {names[e]!r} failed at replication "
-                        f"{ib * BLOCK_SIZE + int(np.argmin(finite))} "
-                        f"(eta={float(cfg.eta_grid[t])})")
-                le = loss.value(de)
-                if e == ibase:
-                    l_base = le
-                out[e][t] = reduce(le, de, l_base)
-        return np.moveaxis(np.array(out), 1, -1)
 
-    return np.sum(map_blocks(nblocks, one_block, cfg.threads), axis=0)
+def _risk_sums(l, d, l_base) -> tuple:
+    return l.sum(), np.square(l).sum(), d.sum(), np.square(d).sum(), (l * l_base).sum()
 
 
 def simulate_risk(cfg: SimConfig) -> SimResult:
@@ -174,10 +173,7 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
     etas = tuple(float(e) for e in cfg.eta_grid)
     ibase = names.index(cfg.baseline)
 
-    def sums(l, d, l_base):
-        return l.sum(), np.square(l).sum(), d.sum(), np.square(d).sum(), (l * l_base).sum()
-
-    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(_replications(cfg, sums), 1, 0)
+    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(_replications(cfg, _risk_sums), 1, 0)
     reps = cfg.replications
     risk, bias = sum_l / reps, sum_d / reps
     stderr = np.sqrt(np.maximum(sum_l2 / reps - np.square(risk), 0.0) / reps)
@@ -207,6 +203,10 @@ class GpcResult:
     replications: int
 
 
+def _gpc_counts(l, d, l_base) -> tuple:
+    return (l < l_base).sum(), (l == l_base).sum()
+
+
 def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int,
                  seed: int, threads: int = 1) -> GpcResult:
     """P[L(err1) < L(err2)] + P[tie]/2 by simulation with common random
@@ -214,9 +214,7 @@ def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int
     stderr is that of the mean score, a replication scoring 1, 1/2 or 0."""
     cfg = SimConfig(n=n, eta_grid=(eta,), loss=loss, replications=reps, master_seed=seed,
                     estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2, threads=threads)
-    n_less, n_tie = _replications(
-        cfg, lambda l, d, l_base: ((l < l_base).sum(), (l == l_base).sum())
-    )[cfg.estimators.index(est1), :, 0].tolist()
+    n_less, n_tie = _replications(cfg, _gpc_counts)[cfg.estimators.index(est1), :, 0].tolist()
     p = (n_less + 0.5 * n_tie) / reps
     var = (n_less + 0.25 * n_tie) / reps - p * p
     return GpcResult(value=p, stderr=math.sqrt(max(var, 0.0) / reps),

@@ -3,20 +3,36 @@
 import csv
 import json
 import math
+import multiprocessing
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entropy_lab import cli
+from entropy_lab import cli, evaluate, workers
 from entropy_lab.cli import main
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
-from entropy_lab.errors import NumericError
+from entropy_lab.errors import DataError, NumericError
 from entropy_lab.estimators import ESTIMATOR_NAMES
 from entropy_lab.evaluate import CoverageResult
+from entropy_lab.numerics.rng import RngStream
 from entropy_lab.risk import SimResult
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_command():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Let ``--threads`` start up to four worker processes whatever this
+    machine has, so that the process path runs."""
+    monkeypatch.setattr(workers, "_cpus", lambda: 4)
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +342,40 @@ class TestReproduce:
         assert _norm_manifest(tmp_path / "w1" / "manifest.json") == \
             _norm_manifest(tmp_path / "w8" / "manifest.json")
 
+    def test_tables_identical_at_one_two_and_three_workers(self, capsys, tmp_path, monkeypatch,
+                                                          four_cpus):
+        monkeypatch.chdir(tmp_path)
+        tables = []
+        for threads in ("1", "2", "3"):
+            assert main(["reproduce", "--desk-scale", "--seed", "42", "--out-dir", threads,
+                         "--threads", threads]) == 0
+            tables.append({p.name: p.read_bytes() for p in (tmp_path / threads).rglob("*")
+                           if p.is_file() and p.name != "manifest.json"})
+        capsys.readouterr()
+        assert len(tables[0]) == 8
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_non_finite_field_is_a_numeric_error(self, capsys, tmp_path, monkeypatch):
+        def stub(n_values, **cfg):
+            return "n,eta,loss,a1,estimator,risk,stderr,bias,rri\n" + "".join(
+                f"{n},0.0,l1,,baee,{'nan' if n == 15 else 0.5},0.1,0.0,0.0\n" for n in n_values)
+
+        monkeypatch.setattr(cli, "_risk_table", stub)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "reproduce", "--desk-scale", "--seed", "1",
+                                 "--out-dir", "out")
+        assert code == 4
+        assert "risk_rri_l1.csv, line 3" in err and "nan" in err
+        # the check runs before the first file is written
+        assert not any((tmp_path / "out" / "tables").iterdir())
+
+    def test_non_finite_field_on_stdout_is_a_numeric_error(self, capsys, monkeypatch):
+        # the command that prints a table takes the same guard
+        monkeypatch.setattr(cli, "_risk_table", lambda n_values, **cfg: "n,risk\n8,-inf\n")
+        code, out, err = run_cli(capsys, "risk", "--n", "8", "--seed", "1")
+        assert (code, out) == (4, "")
+        assert "stdout, line 2: 8,-inf" in err
+
     def test_estimate_prints_point_table(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["reproduce", "--desk-scale", "--seed", "1", "--out-dir", "out"]) == 0
@@ -357,8 +407,16 @@ class TestScales:
             seen["coverage"].append(replace(cfg, master_seed=0))
             return CoverageResult(rows=(), config=cfg)
 
+        def fake_coverage_jobs(cfg):
+            # reproduce runs the study's blocks in its own job list
+            seen["coverage"].append(replace(cfg, master_seed=0))
+            return []
+
         monkeypatch.setattr(cli, "simulate_risk", fake_risk)
         monkeypatch.setattr(cli, "coverage_study", fake_coverage)
+        monkeypatch.setattr(cli, "coverage_jobs", fake_coverage_jobs)
+        monkeypatch.setattr(cli, "fold_coverage",
+                            lambda cfg, blocks: CoverageResult(rows=(), config=cfg))
         monkeypatch.chdir(tmp_path)
         common = ("--seed", "1", "--threads", "1")
         assert run_cli(capsys, "reproduce", "--paper-scale", "--out-dir", "rep", *common)[0] == 0
@@ -374,6 +432,40 @@ class TestScales:
         assert [c.n for c in seen["risk"]] == [8, 15, 21, 26] * 2
         assert {(c.replications, len(c.eta_grid)) for c in seen["risk"]} == {(70_000, 21)}
         assert seen["coverage"][0].outer_reps == 30_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("coverage", "--n", "10,20", "--outer", "600", "--seed", "42", "--gci-draws", "200",
+     "--boot-k", "200", "--mcmc-n", "600", "--mcmc-burnin", "100"),
+    ("risk", "--n", "6,9", "--estimators", "baee,stein,bz,pitman", "--baseline", "stein",
+     "--reps", "20000", "--eta-step", "1", "--seed", "42"),
+])
+def test_commands_print_the_same_at_one_and_two_workers(capsys, four_cpus, argv):
+    one = run_cli(capsys, *argv, "--threads", "1")
+    assert one[0] == 0
+    assert run_cli(capsys, *argv, "--threads", "2") == one
+
+
+def _failing_stream(error, seed, index):
+    """``RngStream`` for the coverage study, failing in blocks 1 and 2;
+    block 1 fails last."""
+    ib = (index >> 3) & ((1 << 25) - 1)
+    if ib in (1, 2):
+        time.sleep(0.3 if ib == 1 else 0.0)
+        raise error(f"block {ib} failed")
+    return RngStream(seed, index)
+
+
+# the patched stream reaches the workers by fork
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+@pytest.mark.parametrize("error, code", [(DataError, 3), (NumericError, 4)])
+def test_worker_error_exits_as_in_process(capsys, monkeypatch, four_cpus, error, code):
+    monkeypatch.setattr(evaluate, "RngStream", lambda *key: _failing_stream(error, *key))
+    argv = ("coverage", "--n", "10,20", "--outer", "1500", "--seed", "1", "--methods", "aci")
+    one = run_cli(capsys, *argv, "--threads", "1")
+    assert one == (code, "", one[2])
+    assert one[2].endswith("block 1 failed\n")
+    assert run_cli(capsys, *argv, "--threads", "2") == one
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -458,6 +550,22 @@ def test_ci_on_data_whose_sum_of_squares_underflows(capsys, tmp_path, method, wa
         assert "underflows" in err
     else:
         assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
+
+
+# data scales from 1e-150 down: below about 1e-153 the hpd chain's start
+# sigma^2 = S^2 / (2n - 2) leaves the normal range, and below about 1e-154
+# S^2 itself underflows; each such scale is a data error
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", range(-150, -161, -1))
+def test_hpd_across_small_data_scales(capsys, tmp_path, exponent):
+    code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
+                             "--csv", _scaled_csv(tmp_path / "tiny.csv", exponent))
+    assert code == (0 if exponent >= -153 else 3)
+    if code:
+        assert "underflows" in err and out == ""
+    else:
+        result = json.loads(out)
+        assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
 
 
 def test_json_text_refuses_non_finite():
