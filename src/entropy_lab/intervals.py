@@ -20,7 +20,10 @@ read by the Chen & Shao (1999) window.  With M draws the window at a level
 reads only the r = M - floor(level M) lowest and the r highest, so a chain
 run for an interval keeps just those: its draws go into a bounded buffer
 that, when full, is sorted in place and cut back to its two tails.  Chains
-of different n advance in lockstep on one step-noise stream.
+of different n advance in lockstep on one step-noise stream, each carrying
+(sigma^2, ln sigma^2): a step takes one log, the proposal's, and a
+nonpositive or overflowing proposal fails the acceptance test by a NaN or
++inf bound instead of a mask.
 
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and the
@@ -234,23 +237,38 @@ def boot_t(data: TwoSampleData, level: float = 0.95,
 # ---------------------------------------------------------------------------
 
 
+def _mh_update(beta: np.ndarray, log_beta: np.ndarray, shape1, half_ss: np.ndarray,
+               prop_sd: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """:func:`mh_variance_step` on the carried state (beta, ln beta), updated
+    in place, with e = -ln u; ``z`` is overwritten by the proposal."""
+    prop = np.add(beta, np.multiply(prop_sd, z, out=z), out=z)
+    log_prop = np.log(prop)
+    accept = e >= shape1 * (log_prop - log_beta) + half_ss * (1.0 / prop - 1.0 / beta)
+    np.putmask(beta, accept, prop)
+    np.putmask(log_beta, accept, log_prop)
+    return accept
+
+
 def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarray,
                      z_prop: np.ndarray, logu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One random-walk update of beta = sigma^2 targeting the kernel
     beta^-(n+1) exp(-ss/(2 beta)), i.e. inverse-gamma with shape n and
-    scale ss/2.  Nonpositive proposals are rejected.
+    scale ss/2: the update a chain of :func:`run_variance_chains` makes.
 
     ``z_prop`` is the standard normal proposal noise and ``logu`` the log
-    uniform acceptance draw; returns (new beta, accept mask).  A proposal
-    so near 0 that 1/prop overflows, or so large that it overflows, has
-    target density 0: its ratio is -inf and it is rejected, as it must be.
+    uniform acceptance draw; returns (new beta, accept mask).  A chain
+    carries (beta, ln beta), so a step's one log is the proposal's; here
+    that state is seeded from ``beta``.  The test -logu >= (n + 1)
+    (ln prop - ln beta) + ss/2 (1/prop - 1/beta) is logu <= ln r exactly.
+    A nonpositive proposal makes its right side NaN, and one so near 0 that
+    1/prop overflows, or so large that it overflows, +inf (target density
+    0): both fail it, with no mask.
     """
-    prop = beta + prop_sd * z_prop
-    valid = prop > 0.0
-    safe = np.where(valid, prop, 1.0)
-    logr = -(n + 1.0) * (np.log(safe) - np.log(beta)) - 0.5 * ss * (1.0 / safe - 1.0 / beta)
-    accept = valid & (logu <= logr)
-    return np.where(accept, prop, beta), accept
+    beta = np.array(beta, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        accept = _mh_update(beta, np.log(beta), n + 1.0, 0.5 * np.asarray(ss), prop_sd,
+                            np.array(z_prop, dtype=float), -np.asarray(logu))
+    return beta, accept
 
 
 # draws a chain buffers beyond its two tails before it sorts and folds
@@ -304,12 +322,14 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     accepted = np.zeros(B, dtype=np.int64)
     window = min(cfg.N0, 500)
     win_accept = np.zeros(B, dtype=np.int64)
-    # an overflowing proposal is an exact rejection (see mh_variance_step)
-    with np.errstate(over="ignore"):
+    log_beta, shape1, half_ss0 = np.log(beta), (n - 1) + 1.0, 0.5 * ss0
+    z, e = np.empty(B), np.empty(B)
+    # a nonpositive or overflowing proposal is an exact rejection (see _mh_update)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, cfg.N + 1):
-            z_prop = gen.standard_normal(B)
-            logu = -gen.standard_exponential(B)
-            beta, accept = mh_variance_step(beta, ss0, n - 1, prop_sd, z_prop, logu)
+            gen.standard_normal(out=z)
+            gen.standard_exponential(out=e)
+            accept = _mh_update(beta, log_beta, shape1, half_ss0, prop_sd, z, e)
             if k <= window:
                 win_accept += accept
                 if k == window and window >= 50:
@@ -318,7 +338,7 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
             if k > cfg.N0:
                 if filled == trace.shape[1]:
                     filled = fold()
-                np.multiply(np.log(beta), 0.5, out=trace[:, filled])
+                np.multiply(log_beta, 0.5, out=trace[:, filled])
                 filled += 1
                 accepted += accept
     if cfg.level is None:

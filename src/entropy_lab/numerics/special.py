@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -220,15 +221,43 @@ def _beta_front(a: float, b: float, x: float) -> float:
     """x^a (1-x)^b / B(a, b), 0 < x < 1: in range, as two powers times a
     ratio of gamma functions, and where the powers' product is subnormal, as
     the square of the same product of square roots; exp(a ln x + b ln(1-x)
-    - ln B(a, b)) loses |exponent| ulps, and each ln Gamma its own magnitude."""
+    - ln B(a, b)) loses |exponent| ulps, and each ln Gamma its own magnitude.
+    Past the range of math.gamma (a + b >= 170) that exponent is formed and
+    exponentiated in 40-digit decimals, and rounded to a float once, at the end."""
     if a + b < 170.0:
         ratio = math.gamma(a + b) / math.gamma(a) / math.gamma(b)
         lead = math.pow(x, a) * math.pow(1.0 - x, b)
         if lead >= sys.float_info.min:
             return lead * ratio
         return (math.pow(x, 0.5 * a) * math.pow(1.0 - x, 0.5 * b) * math.sqrt(ratio)) ** 2
-    return math.exp(ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-                    + a * math.log(x) + b * math.log1p(-x))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        da, db, dx = Decimal(a), Decimal(b), Decimal(x)
+        return float((da * dx.ln() + db * (1 - dx).ln() + _ln_gamma_40(da + db)
+                      - _ln_gamma_40(da) - _ln_gamma_40(db)).exp())
+
+
+_LN_SQRT_2PI_40 = Decimal("0.9189385332046727417803297364056176398614")
+
+
+def _ln_gamma_40(z: Decimal) -> Decimal:
+    """ln Gamma(z) to the context's 40 digits: Stirling's series at
+    z + k >= 20, whose remainder (below 1/240) is summed in floats, and the
+    recurrence ln Gamma(z) = ln Gamma(z + k) - ln(z (z + 1) ... (z + k - 1))."""
+    k = max(0, math.ceil(20.0 - float(z)))
+    shift = math.prod((z + i for i in range(k)), start=Decimal(1))
+    zk = z + k
+    inv2 = 1.0 / float(zk * zk)
+    tail = 0.0
+    p = 1.0 / float(zk)
+    for c in _STIRLING_TAIL:
+        tail += c * p
+        p *= inv2
+    return (zk - Decimal("0.5")) * zk.ln() - zk + _LN_SQRT_2PI_40 + Decimal(tail) - shift.ln()
+
+
+# B_2k / (2k (2k - 1)), the coefficients of ln Gamma's Stirling series
+_STIRLING_TAIL = tuple(c / (2 * k + 1) for k, c in enumerate(_DIGAMMA_TAIL))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

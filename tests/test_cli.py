@@ -568,6 +568,70 @@ def test_hpd_across_small_data_scales(capsys, tmp_path, exponent):
         assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
 
 
+# the adversarial-input table: every command that reads data, on data
+# scaled by 10^e and on CSV fields that read as non-finite floats, and the
+# linex asymmetry at the float range's end.  Each case exits 0 printing only
+# finite numbers, or exits with its documented code and message and prints
+# nothing.  aci and gci read ln S; boot and hpd read S^2, which underflows
+# from about 1e-154 down; from about 1e154 up S^2 overflows for every method.
+def _scale_cases():
+    for e in (-300, -250, -200, -150, 150, 200, 250, 300):
+        big = (3, "pooled sum of squares overflows") if e > 154 else (0, "")
+        yield pytest.param(("estimate", "--csv", f"SCALED{e}"), *big, id=f"estimate-1e{e}")
+        for m in ("aci", "gci", "boot-p", "boot-t", "hpd"):
+            want = big
+            if e < -154 and m not in ("aci", "gci"):
+                want = (3, "pooled sum of squares underflows")
+            yield pytest.param(("ci", "--method", m, "--seed", "1", "--csv", f"SCALED{e}"),
+                               *want, id=f"ci-{m}-1e{e}")
+
+
+_ADVERSARIAL_INPUTS = [
+    *_scale_cases(),
+    *(pytest.param(("estimate", "--dataset", "boeing", "--loss", "linex", f"--a1={a1}"),
+                   4, "linex shift", id=f"estimate-a1-{a1}") for a1 in ("1e308", "-1e308")),
+    *(pytest.param((cmd, *flags, "--csv", f"FIELD{field}"), 3, "non-finite values",
+                   id=f"{cmd}-csv-{field}")
+      for cmd, flags in (("estimate", ()), ("ci", ("--method", "hpd", "--seed", "1")))
+      for field in ("nan", "inf", "-inf", "NaN", "Infinity")),
+]
+
+
+def _finite_numbers(text: str) -> bool:
+    """Whether every field of a CSV or JSON text that reads as a float is finite."""
+    if text.lstrip().startswith("{"):
+        fields = [v for v in json.loads(text).values() if isinstance(v, (int, float))]
+    else:
+        fields = []
+        for row in csv.reader(text.splitlines()):
+            for cell in row:
+                try:
+                    fields.append(float(cell))
+                except ValueError:
+                    pass
+    return bool(fields) and all(map(math.isfinite, fields))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, want, message", _ADVERSARIAL_INPUTS)
+def test_adversarial_input_exits_clean_or_documented(capsys, tmp_path, argv, want, message):
+    def resolve(arg):
+        if arg.startswith("SCALED"):
+            return _scaled_csv(tmp_path / "scaled.csv", int(arg[6:]))
+        if arg.startswith("FIELD"):
+            path = tmp_path / "field.csv"
+            path.write_text(f"sample1,sample2\n1.0,1.5\n{arg[5:]},2.5\n3.0,4.0\n")
+            return str(path)
+        return arg
+
+    code, out, err = run_cli(capsys, *map(resolve, argv))
+    assert code == want
+    if want:
+        assert message in err and out == ""
+    else:
+        assert _finite_numbers(out)
+
+
 def test_json_text_refuses_non_finite():
     assert cli._json_text({"x": 1.5}) == json.dumps({"x": 1.5}, indent=2) + "\n"
     for bad in (math.inf, -math.inf, math.nan):

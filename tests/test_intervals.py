@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -465,3 +466,85 @@ class TestTailFold:
         for bad in (0.0, 1.0, 1.2):
             with pytest.raises(DomainError):
                 el.McmcConfig(level=bad)
+
+
+class TestStepKernel:
+    """The chain's step, run on the carried (beta, ln beta) with a NaN or
+    +inf bound rejecting bad proposals, against the step as first written:
+    a valid mask, a safe copy, two logs a step and np.where, on the same
+    draws.  The two must agree bit for bit."""
+
+    @staticmethod
+    def _reference(ss0, n, cfg, gen):
+        B = len(ss0)
+        beta = ss0 / (2.0 * (n - 1))
+        if cfg.proposal_sd is None:
+            prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))
+        else:
+            prop_sd = np.full(B, float(cfg.proposal_sd))
+        window, M = min(cfg.N0, 500), cfg.N - cfg.N0
+        win_accept, accepted = np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64)
+        trace = np.empty((M, B))
+        with np.errstate(over="ignore"):
+            for k in range(1, cfg.N + 1):
+                z_prop = gen.standard_normal(B)
+                logu = -gen.standard_exponential(B)
+                prop = beta + prop_sd * z_prop
+                valid = prop > 0.0
+                safe = np.where(valid, prop, 1.0)
+                logr = (-((n - 1) + 1.0) * (np.log(safe) - np.log(beta))
+                        - 0.5 * ss0 * (1.0 / safe - 1.0 / beta))
+                accept = valid & (logu <= logr)
+                beta = np.where(accept, prop, beta)
+                if k <= window:
+                    win_accept += accept
+                    if k == window and window >= 50:
+                        prop_sd = prop_sd * np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                if k > cfg.N0:
+                    trace[k - cfg.N0 - 1] = 0.5 * np.log(beta)
+                    accepted += accept
+        return trace, accepted / M, prop_sd
+
+    @staticmethod
+    def _case(name):
+        if name == "one chain":
+            return np.array([19.0]), 10
+        if name == "mixed batch":
+            n = np.repeat([3, 10, 40], 4)
+            return 1.3 * 0.8 * (2 * n - 2.0) * np.linspace(0.5, 2.0, 12), n
+        # three-value samples scaled by 1e-153: the start sigma^2 sits a few
+        # hundred times above the normal floor, where 1/beta nearly overflows
+        st = el.suff_stats(el.TwoSampleData(np.array([1.0, 2.0, 3.0]) * 1e-153,
+                                            np.array([1.5, 2.5, 4.0]) * 1e-153))
+        return np.array([st.s2]), st.n
+
+    @pytest.mark.parametrize("sd_factor", [None, 50.0])
+    @pytest.mark.parametrize("name", ["one chain", "mixed batch", "near the 1/beta floor"])
+    def test_chain_step_matches_the_masked_step(self, name, sd_factor):
+        ss0, n = self._case(name)
+        B = len(ss0)
+        level = 0.95 if B > 1 else None
+        sd = None
+        if sd_factor is not None:
+            # 50 times the default scale: most proposals are nonpositive
+            sd = sd_factor * float(np.max(2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))))
+        cfg = el.McmcConfig(N=3_150, N0=150 if B > 1 else 600, proposal_sd=sd, level=level)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, acc, prop_sd = self._reference(ss0, n, cfg, RngStream(17, 3).generator)
+            got, got_acc, got_sd = run_variance_chains(np.zeros(B), np.zeros(B), ss0,
+                                                       np.zeros(B), n, cfg,
+                                                       RngStream(17, 3).generator)
+        if level is None:
+            np.testing.assert_array_equal(got, trace)
+        else:
+            full = np.sort(trace, axis=0)
+            r = len(trace) - math.floor(level * len(trace))
+            np.testing.assert_array_equal(got[0], full[:r])
+            np.testing.assert_array_equal(got[1], full[-r:])
+        np.testing.assert_array_equal(got_acc, acc)
+        np.testing.assert_array_equal(got_sd, prop_sd)
+        if sd_factor is not None:
+            assert (acc < 0.1).all()
+        else:
+            assert (acc > 0.1).all()

@@ -1,6 +1,7 @@
 """Special functions, quadrature, root finding, and random streams."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ class TestIncompleteFunctions:
     ])
     def test_reg_inc_beta_tails_vs_40_digits(self, a, b, x, ref):
         assert abs(reg_inc_beta(a, b, x) - ref) <= 5e-15 * ref
+
+    # a + b >= 170, past math.gamma: at integer a, b, I_x(a, b) is the
+    # binomial tail sum_{j>=a} C(a+b-1, j) x^j (1-x)^(a+b-1-j), here summed
+    # in exact rationals at the float x
+    @pytest.mark.parametrize("a, b, x", [(300, 40, 0.8), (150, 30, 0.5)])
+    def test_reg_inc_beta_large_shapes_vs_exact_tail(self, a, b, x):
+        m, q = a + b - 1, Fraction(x)
+        ref = sum(math.comb(m, j) * q**j * (1 - q)**(m - j) for j in range(a, m + 1))
+        assert abs(Fraction(reg_inc_beta(a, b, x)) - ref) <= Fraction(5e-15) * ref
 
 
 # a = 9, 19 and 39 are the n - 1 of the coverage study's n = 10, 20, 40
