@@ -27,6 +27,7 @@ import os
 import secrets
 import sys
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -269,8 +270,14 @@ def _cmd_risk(args, argv) -> int:
 def _cmd_ci(args, argv) -> int:
     data = _load_data(args)
     seed = 0 if args.method == "aci" else _resolve_seed(args)
-    result = _interval(args.method, data, args.level, seed, args.draws, args.boot_k,
-                       args.n_draws, args.burnin, args.proposal_sd)
+    # the chain's acceptance warning, like any warning shown here, is one
+    # plain line on stderr, as estimate prints its ordering test's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "MH acceptance rate", RuntimeWarning)
+        result = _interval(args.method, data, args.level, seed, args.draws, args.boot_k,
+                           args.n_draws, args.burnin, args.proposal_sd)
+    for w in caught:
+        print(f"# warning: {w.message}", file=sys.stderr)
     _write_output(args, argv, _json_text(result.to_json_dict()),
                   {"command": "ci", "method": args.method, "level": args.level}, seed)
     return 0
@@ -345,9 +352,12 @@ def _cmd_reproduce(args, argv) -> int:
     risk = partial(_risk_table, eta_grid=etas, replications=scale["reps"], threads=1)
     cov_cfg = CoverageConfig(n_grid=scale["coverage_n"], methods=COVERAGE_METHODS, level=0.95,
                              master_seed=seed + 30, threads=args.threads, **scale["coverage"])
-    # longest first: the Boeing tables (their one 12,000-step chain), the
-    # coverage blocks, then the risk tables and the restricted-MLE
-    # improvement relative to the MLE
+    # the Boeing tables, the coverage blocks, then the risk tables and the
+    # restricted-MLE improvement relative to the MLE.  This is not longest
+    # first: at desk scale coverage block 0 (about 0.1 s) outweighs the
+    # Boeing tables (about 0.04 s), but moving the blocks ahead of them made
+    # no difference that 48 alternated pairs of runs on 2 vCPUs at two
+    # workers could resolve (see BENCH_one_chain.json)
     jobs = [partial(_boeing_tables, seed, scale["pivot_draws"]), *coverage_jobs(cov_cfg),
             partial(risk, scale["risk_n"], loss=Loss.squared_error(), master_seed=seed + 10),
             partial(risk, scale["risk_n"], loss=Loss.linex(-3.0), master_seed=seed + 10),

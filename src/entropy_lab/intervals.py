@@ -23,7 +23,9 @@ that, when full, is sorted in place and cut back to its two tails.  Chains
 of different n advance in lockstep on one step-noise stream, each carrying
 (sigma^2, ln sigma^2): a step takes one log, the proposal's, and a
 nonpositive or overflowing proposal fails the acceptance test by a NaN or
-+inf bound instead of a mask.
++inf bound instead of a mask.  A batch of one chain (the Boeing row, ``ci
+--method hpd``) takes the same steps on Python floats, bit for bit, without
+a numpy call per array operation.
 
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and the
@@ -297,7 +299,9 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     draws :func:`chen_shao_hpd` would read from the sorted trace.  Draws
     are stored chain-major; a level bounds the buffer at 2r + FOLD_DRAWS
     per chain, and a full buffer is sorted along its rows and cut back to
-    its 2r tail draws.
+    its 2r tail draws.  A batch of one chain steps on floats
+    (:func:`_one_chain`) and sorts its whole trace once for a level: the
+    same values.
     """
     ss0 = np.atleast_1d(np.asarray(ss1, dtype=float) + np.asarray(ss2, dtype=float))
     B = len(ss0)
@@ -308,6 +312,15 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
         prop_sd = np.full(B, float(cfg.proposal_sd))
     M = cfg.N - cfg.N0
     r = M if cfg.level is None else M - _window_offset(M, cfg.level)
+    log_beta, shape1, half_ss0 = np.log(beta), (n - 1) + 1.0, 0.5 * ss0
+    if B == 1:
+        draws, accepted, sd = _one_chain(beta.item(), log_beta.item(), np.asarray(shape1).item(),
+                                         half_ss0.item(), prop_sd.item(), cfg, gen)
+        theta = np.array(draws)[:, None]
+        if cfg.level is not None:
+            theta.sort(axis=0)
+            theta = (theta[:r], theta[M - r:])
+        return theta, np.array([accepted / M]), np.array([sd])
     trace = np.empty((B, min(M, 2 * r + FOLD_DRAWS)))
     filled = 0
 
@@ -322,7 +335,6 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     accepted = np.zeros(B, dtype=np.int64)
     window = min(cfg.N0, 500)
     win_accept = np.zeros(B, dtype=np.int64)
-    log_beta, shape1, half_ss0 = np.log(beta), (n - 1) + 1.0, 0.5 * ss0
     z, e = np.empty(B), np.empty(B)
     # a nonpositive or overflowing proposal is an exact rejection (see _mh_update)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -345,6 +357,42 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
         return trace.T, accepted / M, prop_sd
     filled = fold()
     return (trace[:, :r].T, trace[:, filled - r:filled].T), accepted / M, prop_sd
+
+
+def _one_chain(beta: float, log_beta: float, shape1: float, half_ss: float, sd: float,
+               cfg: McmcConfig, gen: np.random.Generator) -> tuple[list, int, float]:
+    """The steps of :func:`run_variance_chains` for a batch of one chain, on
+    Python floats; returns the M post-burn-in draws of ln(sigma) in time
+    order, the post-burn-in accept count and the final proposal sd.
+
+    A step draws one standard normal, then one standard exponential: the
+    variates, in the order, of the size-1 draws.  The proposal's log is
+    numpy's, as in :func:`_mh_update` (``math.log`` differs from its SIMD
+    log in the last bit on some inputs), and the test is the kernel's,
+    evaluated left to right, so every bit matches.  A nonpositive proposal
+    fails the guard ``prop > 0.0`` where the kernel's bound is NaN, since
+    1.0/0.0 raises on floats.
+    """
+    log, normal, exponential = np.log, gen.standard_normal, gen.standard_exponential
+    window = min(cfg.N0, 500)
+    win_accept = accepted = 0
+    trace = []
+    for k in range(1, cfg.N + 1):
+        prop = beta + sd * normal()
+        e = exponential()
+        accept = False
+        if prop > 0.0:
+            log_prop = float(log(prop))
+            if e >= shape1 * (log_prop - log_beta) + half_ss * (1.0 / prop - 1.0 / beta):
+                beta, log_beta, accept = prop, log_prop, True
+        if k <= window:
+            win_accept += accept
+            if k == window and window >= 50:
+                sd = sd * min(max(win_accept / window / 0.40, 0.2), 5.0)
+        if k > cfg.N0:
+            trace.append(0.5 * log_beta)
+            accepted += accept
+    return trace, accepted, sd
 
 
 def _autocorr_ess(x: np.ndarray, max_lag: int = 200) -> float:

@@ -156,6 +156,17 @@ class TestCi:
         assert payload["lower"] <= 4.586479 <= payload["upper"]
         assert "acceptance_rate" in payload["diagnostics"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hpd_acceptance_warning_is_one_plain_line(self, capsys):
+        # at about 88 times the default proposal sd the chain accepts 3.8 %
+        code, out, err = run_cli(capsys, "ci", "--dataset", "boeing", "--method", "hpd",
+                                 "--proposal-sd", "1e6", "--seed", "42")
+        assert code == 0
+        assert err == "# warning: MH acceptance rate 0.038 outside [0.05, 0.7]\n"
+        payload = json.loads(out)
+        assert payload["diagnostics"]["acceptance_warning"] is True
+        assert payload["diagnostics"]["acceptance_rate"] == 0.0379
+
     def test_boot_p_and_t_share_length(self, capsys):
         lengths = []
         for method in ("boot-p", "boot-t"):

@@ -10,6 +10,7 @@ from scipy import stats
 
 import entropy_lab as el
 from entropy_lab import intervals
+from entropy_lab.datasets import boeing
 from entropy_lab.errors import DomainError
 from entropy_lab.intervals import (
     _shortest_window,
@@ -548,3 +549,110 @@ class TestStepKernel:
             assert (acc < 0.1).all()
         else:
             assert (acc > 0.1).all()
+
+
+class TestOneChain:
+    """A batch of one chain steps on Python floats.  Against the lockstep
+    kernel, ``_mh_update`` on 1-element arrays with size-1 draws into
+    buffers, driven from the same stream, its trace (or tails), acceptance
+    and proposal sd must agree bit for bit."""
+
+    @staticmethod
+    def _reference(ss0, n, cfg, gen):
+        beta = ss0 / (2.0 * (n - 1))
+        if cfg.proposal_sd is None:
+            prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))
+        else:
+            prop_sd = np.full(1, float(cfg.proposal_sd))
+        log_beta, shape1, half_ss = np.log(beta), (n - 1) + 1.0, 0.5 * ss0
+        window, M = min(cfg.N0, 500), cfg.N - cfg.N0
+        win_accept, accepted = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        z, e = np.empty(1), np.empty(1)
+        trace = np.empty((M, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(1, cfg.N + 1):
+                gen.standard_normal(out=z)
+                gen.standard_exponential(out=e)
+                accept = intervals._mh_update(beta, log_beta, shape1, half_ss, prop_sd, z, e)
+                if k <= window:
+                    win_accept += accept
+                    if k == window and window >= 50:
+                        prop_sd = prop_sd * np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                if k > cfg.N0:
+                    np.multiply(log_beta, 0.5, out=trace[k - cfg.N0 - 1])
+                    accepted += accept
+        if cfg.level is not None:
+            trace.sort(axis=0)
+            r = M - math.floor(cfg.level * M)
+            trace = (trace[:r], trace[M - r:])
+        return trace, accepted / M, prop_sd
+
+    @staticmethod
+    def _stats(data):
+        if data == "boeing":
+            return el.suff_stats(boeing())
+        # three-value samples: at 1e-153 the start sigma^2 sits a few hundred
+        # times above the normal floor, where 1/beta nearly overflows; at 1
+        # the draws sit near 1, where math.log and numpy's log often differ
+        # in the last bit
+        scale = float(data)
+        return el.suff_stats(el.TwoSampleData(np.array([1.0, 2.0, 3.0]) * scale,
+                                              np.array([1.5, 2.5, 4.0]) * scale))
+
+    @pytest.mark.parametrize("level", [None, 0.95, 0.5])
+    @pytest.mark.parametrize("data, sd", [("boeing", None), ("boeing", 50.0), ("boeing", 1e6),
+                                          ("1e-153", None), ("1e-153", 50.0), ("1", None)])
+    def test_float_steps_match_the_kernel(self, data, sd, level):
+        st = self._stats(data)
+        ss0 = np.array([st.s2])
+        default_sd = 2.4 * (0.5 * st.s2) / ((st.n - 1) * math.sqrt(st.n))
+        if sd == 50.0:
+            sd *= default_sd       # 50 times the default: most proposals are nonpositive
+        for seed in (3, 11):
+            # with adaptation at step 400, and without (N0 < 50)
+            for N, N0 in ((1_400, 400), (1_200, 40)):
+                cfg = el.McmcConfig(N=N, N0=N0, proposal_sd=sd, level=level)
+                for n in (st.n, np.array([st.n])):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        want, acc, prop_sd = self._reference(ss0, n, cfg,
+                                                             RngStream(seed, 1).generator)
+                        got, got_acc, got_sd = run_variance_chains(
+                            np.zeros(1), np.zeros(1), ss0, np.zeros(1), n, cfg,
+                            RngStream(seed, 1).generator)
+                    if level is None:
+                        np.testing.assert_array_equal(got, want)
+                    else:
+                        np.testing.assert_array_equal(got[0], want[0])
+                        np.testing.assert_array_equal(got[1], want[1])
+                    np.testing.assert_array_equal(got_acc, acc)
+                    np.testing.assert_array_equal(got_sd, prop_sd)
+                    assert (acc < 0.1).all() if sd is not None else (acc > 0.1).all()
+
+    def test_draws_through_the_generators_attributes(self):
+        """A forwarding generator, as a tracer would wrap it, sees every
+        draw: one normal, then one exponential, per step."""
+
+        class Forwarding:
+            def __init__(self, gen):
+                self._gen, self.calls = gen, []
+
+            def __getattr__(self, name):
+                attr = getattr(self._gen, name)
+
+                def draw(*args, **kwargs):
+                    out = attr(*args, **kwargs)
+                    self.calls.append((name, int(np.size(out))))
+                    return out
+
+                setattr(self, name, draw)
+                return draw
+
+        cfg = el.McmcConfig(N=1_500, N0=300)
+        args = (np.zeros(1), np.zeros(1), np.array([19.0]), np.zeros(1), 10, cfg)
+        gen = Forwarding(RngStream(5, 0).generator)
+        got = run_variance_chains(*args, gen)
+        assert gen.calls == [("standard_normal", 1), ("standard_exponential", 1)] * cfg.N
+        bare = run_variance_chains(*args, RngStream(5, 0).generator)
+        for a, b in zip(got, bare):
+            np.testing.assert_array_equal(a, b)
