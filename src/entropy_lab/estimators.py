@@ -52,9 +52,13 @@ from .numerics import (
 
 def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
     """T(w) = ln sqrt(1 + n w^2 / 2), the conditional scale correction; inf,
-    its limit, where n w^2 / 2 overflows."""
+    its limit, where n w^2 / 2 overflows.  Formed in one new array, a 0-d
+    array for a number."""
     with np.errstate(over="ignore"):
-        return 0.5 * np.log1p(0.5 * n * np.square(w))
+        t = np.square(w, out=..., dtype=float)
+        np.multiply(0.5 * n, t, out=t)
+        np.log1p(t, out=t)
+        return np.multiply(0.5, t, out=t)
 
 
 class WTerms:
@@ -67,7 +71,11 @@ class WTerms:
     def __init__(self, w: np.ndarray, n: int):
         self.w = w
         self.t = _shrink_term(w, n)
-        self.t_neg = np.where(w < 0.0, self.t, 0.0)  # 0, not inf * 0, where T(W) overflows
+        # T(W) where W < 0 and +0 elsewhere, not inf * 0 where T(W) overflows:
+        # T's bits under a mask of all ones or all zeros, since np.where on a
+        # mask with no pattern takes four times as long
+        mask = np.negative(np.less(w, 0.0), dtype=np.int64, out=...)
+        self.t_neg = np.bitwise_and(self.t.view(np.int64), mask, out=mask).view(np.float64)
         self.sign = np.copysign(1.0, w)
         zero = w == 0.0
         self.zero = zero if zero.any() else None
@@ -183,7 +191,8 @@ class BzTable:
     put x on the other side of a stored node; there is no binary search.
     With the slopes precomputed as ``np.interp`` forms them, the value is
     ``np.interp``'s bit for bit.  ``absw`` is read only through its
-    square, so a signed w gives r0(|w|).
+    square, so a signed w gives r0(|w|).  A lookup writes into two float
+    rows and one index row of its own and never into its argument.
     """
 
     def __init__(self, n: int, loss: Loss):
@@ -200,18 +209,35 @@ class BzTable:
         self.absw_grid = np.sqrt(y / n)
 
     def __call__(self, absw: np.ndarray) -> np.ndarray:
-        return self.at_x(np.log1p(self.n * np.square(absw)))
+        return self._row(absw)[()]
 
     def at_x(self, x: np.ndarray) -> np.ndarray:
         """r0 at x = ln(1 + n w^2): ``np.interp(x, nodes, values)``."""
-        x = np.minimum(x, self._x_max)
-        j = np.fmin(x * self._per_step, _TABLE_POINTS - 1).astype(np.intp)  # NaN -> last
-        xj = self._x[j]
-        below, above = xj > x, self._x[1:][j] <= x
+        return self._lookup(np.minimum(x, self._x_max, out=...))[()]
+
+    def _row(self, absw: np.ndarray) -> np.ndarray:
+        """r0(|absw|) in a new array, a 0-d array for a number."""
+        x = np.square(absw, out=..., dtype=float)
+        np.multiply(self.n, x, out=x)
+        np.log1p(x, out=x)
+        return self._lookup(np.minimum(x, self._x_max, out=x))
+
+    def _lookup(self, x: np.ndarray) -> np.ndarray:
+        """r0 at the capped x, an array this lookup owns and overwrites."""
+        xj = np.multiply(x, self._per_step, out=...)
+        j = np.fmin(xj, _TABLE_POINTS - 1, out=xj).astype(np.intp)  # NaN -> last
+        # np.take buffers `out` in its default mode="raise"; "wrap" writes
+        # straight into it and reads any j in [-len, len) as x[j] does
+        above = np.take(self._x[1:], j, out=xj, mode="wrap") <= x
+        below = np.take(self._x, j, out=xj, mode="wrap") > x
         if below.any() or above.any():  # x * per_step rounded across a node
-            j = j - below + above
-            xj = self._x[j]
-        return self._slopes[j] * (x - xj) + self._vals[j]
+            np.subtract(j, below, out=j)
+            np.add(j, above, out=j)
+            np.take(self._x, j, out=xj, mode="wrap")
+        dx = np.subtract(x, xj, out=xj)
+        slope = np.take(self._slopes, j, out=x, mode="wrap")
+        np.multiply(slope, dx, out=dx)
+        return np.add(dx, np.take(self._vals, j, out=x, mode="wrap"), out=dx)
 
 
 _TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}
@@ -309,13 +335,25 @@ def _mle_shift(n: int) -> float:
     return -0.5 * math.log(2.0 * n)
 
 
-def _clip(wt: WTerms, phi, bound) -> np.ndarray:
+def _clip(wt: WTerms, phi, bound: np.ndarray) -> np.ndarray:
     """phi capped at ``bound`` where W > 0 and floored there where W < 0;
     W = 0 keeps phi.  A floor is a negated cap, max(phi, b) =
     -min(-phi, -b), and negation is exact, so both are
-    sign * min(sign * phi, sign * b): one pass with no branch on the sign."""
-    out = wt.sign * np.minimum(wt.sign * phi, wt.sign * bound)
-    return out if wt.zero is None else np.where(wt.zero, phi, out)
+    sign * min(sign * phi, sign * b): one pass with no branch on the sign.
+    ``bound`` is an array of the caller's; the result is formed in it."""
+    sign = wt.sign
+    signed_phi = np.multiply(sign, phi, out=...)
+    np.multiply(sign, bound, out=bound)
+    np.minimum(signed_phi, bound, out=bound)
+    np.multiply(sign, bound, out=bound)
+    if wt.zero is not None:
+        np.copyto(bound, phi, where=wt.zero)
+    return bound
+
+
+# A rule's row is the one array it returns: each rule forms ln S + phi(W) in
+# arrays it made itself, never in ln S or a WTerms field, and hands a number
+# back for a number ([()] of a 0-d array).
 
 
 def _shift_rule(lns, wt, c: float):
@@ -326,25 +364,27 @@ def _shift_rule(lns, wt, c: float):
 def _rmle_rule(lns, wt, c: float):
     """Restricted MLE: equals the MLE (shift c) when W >= 0, otherwise
     absorbs the squared mean gap into the scale estimate."""
-    return lns + c + wt.t_neg
+    out = np.add(lns, c, out=...)
+    return np.add(out, wt.t_neg, out=out)[()]
 
 
 def _switch_rule(lns, wt, c: float, c_m0: float):
     """Hard threshold: min/max of the constant c against m0 + T(w) by the
     sign of W.  stein uses c = d0, improved_mle the MLE shift."""
-    arm = c_m0 + wt.t
-    return lns + _clip(wt, c, arm)
+    clipped = _clip(wt, c, np.add(c_m0, wt.t, out=...))
+    return np.add(lns, clipped, out=clipped)[()]
 
 
 def _improved_rmle_rule(lns, wt, c: float, c_m0: float):
     """The hard threshold applied to the restricted-MLE term (MLE shift c)."""
-    arm = c_m0 + wt.t
-    return lns + _clip(wt, c + wt.t_neg, arm)
+    clipped = _clip(wt, np.add(c, wt.t_neg, out=...), np.add(c_m0, wt.t, out=...))
+    return np.add(lns, clipped, out=clipped)[()]
 
 
-def _bz_rule(lns, wt, r0: Callable[[np.ndarray], np.ndarray]):
+def _bz_rule(lns, wt, r0: BzTable):
     """Smooth shrinkage ln(S) + r0(|W|), with r0 from its table."""
-    return lns + r0(wt.w)
+    r = r0._row(wt.w)
+    return np.add(lns, r, out=r)[()]
 
 
 def _pitman_rule(lns, wt, c: float, half_ln_med: float):
@@ -355,8 +395,8 @@ def _pitman_rule(lns, wt, c: float, half_ln_med: float):
     w < 0.  Because the conditional median is monotone in eta, the clipped
     estimator is closer to tau in the generalized Pitman sense for every
     eta >= 0, whatever bowl-shaped loss is used for the comparison."""
-    target = wt.t - half_ln_med
-    return lns + _clip(wt, c, target)
+    clipped = _clip(wt, c, np.subtract(wt.t, half_ln_med, out=...))
+    return np.add(lns, clipped, out=clipped)[()]
 
 
 _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {

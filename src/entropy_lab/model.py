@@ -164,10 +164,14 @@ class Loss:
         return cls(LINEX, float(a1))
 
     def value(self, t):
+        """L(t), a number for a number; linex forms exp(a1 t) - a1 t - 1 in
+        its exp array."""
         if self.kind == SQUARED_ERROR:
             return np.square(t)
-        at = self.a1 * np.asarray(t, dtype=float)
-        return np.exp(at) - at - 1.0
+        at = np.multiply(self.a1, np.asarray(t, dtype=float), out=...)
+        out = np.exp(at, out=...)
+        np.subtract(out, at, out=out)
+        return np.subtract(out, 1.0, out=out)[()]
 
     def deriv(self, t):
         if self.kind == SQUARED_ERROR:

@@ -19,6 +19,14 @@ is then evaluated, checked finite, turned into losses and reduced while
 that one array is still in cache, the baseline's row first, since every
 reduction reads its losses.  Risk and Pitman closeness run on the same
 blocks and differ only in how a row is reduced.
+
+Rows compute into arrays they own.  W is formed in one row per block,
+each rule, table lookup and loss writes into the few arrays its own call
+made (never into ln S, a WTerms field or the table), and a reduction
+squares into one scratch row; so a block makes few 128 KiB arrays, each
+with the same operands in the same order as before, and the same bits.
+The baseline's own row takes its sum of l^2 as its cross sum, and under
+squared error, where l = d^2 elementwise, the sum of d^2 is the sum of l.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .estimators import ESTIMATOR_NAMES, WTerms, resolve_estimator
-from .model import Loss
+from .model import SQUARED_ERROR, Loss
 from .numerics.rng import RngStream
 from .workers import run_jobs
 
@@ -125,13 +133,17 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
     order = [ibase] + [e for e in range(len(names)) if e != ibase]
     b = min(BLOCK_SIZE, cfg.replications - ib * BLOCK_SIZE)
     gen = RngStream(cfg.master_seed, ib).generator
-    d = math.sqrt(2.0 / n) * gen.standard_normal(b)
+    d = gen.standard_normal(b)
+    np.multiply(math.sqrt(2.0 / n), d, out=d)
     s2 = gen.chisquare(2 * n - 2, b)
-    lns = 0.5 * np.log(s2)
-    s = np.sqrt(s2)
+    lns = np.log(s2)
+    np.multiply(0.5, lns, out=lns)
+    s = np.sqrt(s2, out=s2)
+    w = np.empty_like(d)
     out = [[None] * len(cfg.eta_grid) for _ in names]
     for t, eta in enumerate(cfg.eta_grid):
-        wt = WTerms((d + eta / math.sqrt(n)) / s, n)
+        np.add(d, eta / math.sqrt(n), out=w)
+        wt = WTerms(np.divide(w, s, out=w), n)
         for e in order:
             de = fns[e](lns, wt)
             finite = np.isfinite(de)
@@ -163,8 +175,26 @@ def _replications(cfg: SimConfig, reduce) -> np.ndarray:
     return np.sum(run_jobs(jobs, cfg.threads), axis=0)
 
 
+def _loss_square_sums(l, l_base) -> tuple:
+    """Sums of l^2 and l * l_base, formed in one scratch row, and the row.
+    The baseline's own row (l is l_base) takes its sum of l^2 as both."""
+    sq = np.square(l)
+    sum_l2 = sq.sum()
+    return sum_l2, sum_l2 if l is l_base else np.multiply(l, l_base, out=sq).sum(), sq
+
+
 def _risk_sums(l, d, l_base) -> tuple:
-    return l.sum(), np.square(l).sum(), d.sum(), np.square(d).sum(), (l * l_base).sum()
+    """Sums of l, l^2, d, d^2 and l * l_base."""
+    sum_l2, sum_lb, sq = _loss_square_sums(l, l_base)
+    return l.sum(), sum_l2, d.sum(), np.square(d, out=sq).sum(), sum_lb
+
+
+def _risk_sums_squared_error(l, d, l_base) -> tuple:
+    """:func:`_risk_sums` under squared error, where l = d^2 elementwise, so
+    the sum of d^2 is the sum of l."""
+    sum_l2, sum_lb, _ = _loss_square_sums(l, l_base)
+    sum_l = l.sum()
+    return sum_l, sum_l2, d.sum(), sum_l, sum_lb
 
 
 def simulate_risk(cfg: SimConfig) -> SimResult:
@@ -173,7 +203,8 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
     etas = tuple(float(e) for e in cfg.eta_grid)
     ibase = names.index(cfg.baseline)
 
-    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(_replications(cfg, _risk_sums), 1, 0)
+    reduce = _risk_sums_squared_error if cfg.loss.kind == SQUARED_ERROR else _risk_sums
+    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(_replications(cfg, reduce), 1, 0)
     reps = cfg.replications
     risk, bias = sum_l / reps, sum_d / reps
     stderr = np.sqrt(np.maximum(sum_l2 / reps - np.square(risk), 0.0) / reps)

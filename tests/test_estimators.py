@@ -425,6 +425,113 @@ class TestScalarVectorAgreement:
             assert el.estimate(name, st, l1) == el.estimate(name, st, linex_m3)
 
 
+def _out_of_place_clip(wt, phi, bound):
+    out = wt.sign * np.minimum(wt.sign * phi, wt.sign * bound)
+    return out if wt.zero is None else np.where(wt.zero, phi, out)
+
+
+def _out_of_place_lookup(tab, x):
+    x = np.minimum(x, tab._x_max)
+    j = np.fmin(x * tab._per_step, len(tab._vals) - 1).astype(np.intp)
+    xj = tab._x[j]
+    below, above = xj > x, tab._x[1:][j] <= x
+    if below.any() or above.any():
+        j = j - below + above
+        xj = tab._x[j]
+    return tab._slopes[j] * (x - xj) + tab._vals[j]
+
+
+def _out_of_place_table(tab, absw):
+    return _out_of_place_lookup(tab, np.log1p(tab.n * np.square(absw)))
+
+
+def _out_of_place_linex(a1, t):
+    at = a1 * np.asarray(t, dtype=float)
+    return np.exp(at) - at - 1.0
+
+
+# each rule as a sum of new arrays, from the constants its builder bound (k)
+_OUT_OF_PLACE_RULES = {
+    "baee": lambda lns, wt, k: lns + k["c"],
+    "umvue": lambda lns, wt, k: lns + k["c"],
+    "mle": lambda lns, wt, k: lns + k["c"],
+    "rmle": lambda lns, wt, k: lns + k["c"] + wt.t_neg,
+    "stein": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"], k["c_m0"] + wt.t),
+    "improved_mle": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"], k["c_m0"] + wt.t),
+    "improved_rmle": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"] + wt.t_neg,
+                                                                 k["c_m0"] + wt.t),
+    "bz": lambda lns, wt, k: lns + _out_of_place_table(k["r0"], wt.w),
+    "pitman": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"], wt.t - k["half_ln_med"]),
+}
+
+
+def _row_inputs(kind):
+    """(ln S, W): numbers, one-element arrays, or a block holding W = +-0,
+    W < 0 and one NaN."""
+    if kind == "number":
+        return np.float64(1.3), np.float64(-0.4)
+    if kind == "one":
+        return np.array([1.3]), np.array([0.25])
+    rng = np.random.default_rng(17)
+    lns = 0.5 * np.log(rng.chisquare(14, 16_384))
+    w = rng.normal(0.0, 0.7, 16_384)
+    w[[3, 900, 4_000, 16_000]] = 0.0, -0.0, np.nan, -3.5
+    return lns, w
+
+
+class TestRowsComputeInPlace:
+    """Rules, table lookups and losses form their rows in arrays of their
+    own: they write into none of their inputs, the WTerms fields or the
+    table, and give the bits and the type of the same arithmetic done in
+    new arrays, for a number, one row and a block."""
+
+    N = 8
+
+    @pytest.mark.parametrize("kind", ["number", "one", "block"])
+    @pytest.mark.parametrize("subject", [*estimators.ESTIMATOR_NAMES, "WTerms", "BzTable.__call__",
+                                         "BzTable.at_x", "l1.value", "linex.value"])
+    def test_is_pure_and_matches_new_arrays(self, subject, kind, l1, linex_m3):
+        n = self.N
+        lns, w = _row_inputs(kind)
+        tab = bz_table(n, linex_m3)
+        wt = WTerms(w, n)
+        want = None
+        if subject in _OUT_OF_PLACE_RULES:
+            fn = resolve_estimator(subject, n, linex_m3)[1]
+            watched = [lns, wt.w, wt.t, wt.t_neg, wt.sign, wt.zero]
+            call, want = lambda: fn(lns, wt), _OUT_OF_PLACE_RULES[subject](lns, wt, fn.keywords)
+        elif subject == "WTerms":
+            w = np.append(w, [1e200, -1e200]) if kind == "block" else w  # T(W) = inf
+            wt = WTerms(w, n)
+            watched, call = [w], lambda: WTerms(w, n)
+            with np.errstate(over="ignore"):
+                t = 0.5 * np.log1p(0.5 * n * np.square(w))
+            zero = w == 0.0
+            for got, ref in ((wt.t, t), (wt.t_neg, np.where(w < 0.0, t, 0.0)),
+                             (wt.sign, np.copysign(1.0, w)),
+                             (wt.zero, zero if zero.any() else None)):
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        elif subject == "BzTable.__call__":
+            watched, call, want = [w], lambda: tab(w), _out_of_place_table(tab, w)
+        elif subject == "BzTable.at_x":
+            x = np.log1p(n * np.square(w))
+            watched, call, want = [x], lambda: tab.at_x(x), _out_of_place_lookup(tab, x)
+        else:
+            t = (lns - 0.9) + 0.0 * w  # NaN where W is NaN
+            loss = l1 if subject == "l1.value" else el.Loss.linex(2.0)
+            watched, call = [t], lambda: loss.value(t)
+            want = np.square(t) if loss is l1 else _out_of_place_linex(2.0, t)
+        watched += [tab._x, tab._vals, tab._slopes]
+        before = [np.array(a, copy=True) for a in watched if a is not None]
+        got = call()
+        assert [np.asarray(a).tobytes() for a in watched if a is not None] == \
+            [b.tobytes() for b in before]
+        if want is not None:
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestWindowMassRatio:
     def test_closed_form_oracle(self):
         # I(t) = 2 sqrt(pi) [Phi((s a - eta)/sqrt2) - Phi((-s a - eta)/sqrt2)] / s,

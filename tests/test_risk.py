@@ -13,7 +13,14 @@ from entropy_lab import estimators
 from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.numerics import chi_square_cdf
 from entropy_lab.numerics.rng import RngStream
-from entropy_lab.risk import BLOCK_SIZE, SimConfig, _replications, risk_csv
+from entropy_lab.risk import (
+    BLOCK_SIZE,
+    SimConfig,
+    _replications,
+    _risk_sums,
+    _risk_sums_squared_error,
+    risk_csv,
+)
 
 
 @pytest.fixture
@@ -73,6 +80,24 @@ class TestRowEngine:
             assert (a.estimator, a.eta) == (b.estimator, b.eta)
             assert (a.risk, a.stderr, a.bias, a.bias_stderr) == (b.risk, b.stderr, b.bias,
                                                                  b.bias_stderr)
+
+    @pytest.mark.parametrize("own", [True, False], ids=["baseline-row", "other-row"])
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
+                             ids=["l1", "linex-3"])
+    def test_row_sums_are_the_sums_of_new_arrays(self, loss, own):
+        # the reducer simulate_risk picks for the loss: the squares go into one
+        # scratch row, and under squared error the sum of d^2 is that of l
+        rng = np.random.default_rng(3)
+        d, d_base = rng.normal(0.0, 0.4, (2, BLOCK_SIZE))
+        l = loss.value(d)
+        l_base = l if own else loss.value(d_base)
+        reduce = _risk_sums_squared_error if loss.kind == "squared_error" else _risk_sums
+        before = [a.copy() for a in (l, d, l_base)]
+        got = reduce(l, d, l_base)
+        want = (l.sum(), np.square(l).sum(), d.sum(), np.square(d).sum(), (l * l_base).sum())
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        for a, b in zip((l, d, l_base), before):
+            assert np.array_equal(a, b)
 
 
 class TestClosedForms:
@@ -246,17 +271,24 @@ class TestGpc:
         assert g.n_tie == 10_000
         assert g.stderr == 0.0      # every replication scores 1/2
 
-    def test_stderr_is_that_of_the_scores(self, l1):
+    # pitman ties baee wherever its clip does not bind; bz reads W, so
+    # stein's losses are compared with a row that moves with W
+    @pytest.mark.parametrize("loss,est1,est2,ties", [
+        (el.Loss.squared_error(), "pitman", "baee", True),
+        (el.Loss.linex(-3.0), "pitman", "baee", True),
+        (el.Loss.squared_error(), "stein", "bz", False),
+    ], ids=["l1-pitman-baee", "linex-pitman-baee", "l1-stein-bz"])
+    def test_stderr_is_that_of_the_scores(self, loss, est1, est2, ties):
         # one block, redrawn by hand: a replication scores 1, 1/2 on a tie or 0
         n, eta, reps = 8, 0.0, 2_000
-        g = el.gpc_estimate("pitman", "baee", l1, n, eta, reps, seed=7)
+        g = el.gpc_estimate(est1, est2, loss, n, eta, reps, seed=7)
         d, s2 = hand_draw(7, reps, n)
         lns, w = 0.5 * np.log(s2), (d + eta / math.sqrt(n)) / np.sqrt(s2)
         wt = estimators.WTerms(w, n)
-        lv1, lv2 = (l1.value(estimators.resolve_estimator(e, n, l1)[1](lns, wt))
-                    for e in ("pitman", "baee"))
+        lv1, lv2 = (loss.value(estimators.resolve_estimator(e, n, loss)[1](lns, wt))
+                    for e in (est1, est2))
         scores = np.where(lv1 < lv2, 1.0, np.where(lv1 == lv2, 0.5, 0.0))
-        assert 0 < g.n_tie < reps
+        assert (0 < g.n_tie < reps) if ties else g.n_tie == 0
         assert g.value == pytest.approx(scores.mean(), abs=1e-15)
         assert g.stderr == pytest.approx(scores.std() / math.sqrt(reps), rel=1e-10)
 
