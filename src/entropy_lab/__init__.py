@@ -5,16 +5,8 @@ deterministic Monte Carlo laboratory for risk and coverage comparisons."""
 
 __version__ = "0.1.0"
 
-from .errors import BracketError, DataError, DomainError, EntropyLabError, NumericError
-from .estimators import (
-    EstimateReport,
-    bz_r0,
-    bz_r0_defining,
-    conditional_median,
-    estimate,
-    estimate_all,
-    ierd_check,
-)
+from .errors import DataError, DomainError, EntropyLabError, NumericError
+from .estimators import EstimateReport, bz_r0, estimate, estimate_all
 from .intervals import (
     BootConfig,
     IntervalResult,
@@ -52,13 +44,13 @@ from .evaluate import (
 )
 
 __all__ = [
-    "BootConfig", "BracketError", "CoverageConfig", "CoverageResult",
+    "BootConfig", "CoverageConfig", "CoverageResult",
     "DataError", "DomainError", "EntropyLabError", "EstimateReport",
     "GpcResult", "IntervalResult", "Loss", "McmcConfig", "NumericError",
     "SimConfig", "SimResult", "SuffStats", "TwoSampleData",
-    "aci", "boot_p", "boot_t", "bz_r0", "bz_r0_defining", "chen_shao_hpd",
-    "closed_form_bias_baee", "closed_form_risk_baee", "conditional_median",
+    "aci", "boot_p", "boot_t", "bz_r0", "chen_shao_hpd",
+    "closed_form_bias_baee", "closed_form_risk_baee",
     "coverage_study", "d0", "entropy_of_log_sigma", "estimate",
-    "estimate_all", "gci_umvue", "gpc_estimate", "hpd_mcmc", "ierd_check",
+    "estimate_all", "gci_umvue", "gpc_estimate", "hpd_mcmc",
     "m0", "simulate_risk", "suff_stats", "t_test_ordered_means",
 ]

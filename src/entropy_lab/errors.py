@@ -15,7 +15,3 @@ class DataError(EntropyLabError, ValueError):
 
 class NumericError(EntropyLabError, ArithmeticError):
     """An iterative numerical procedure failed to converge."""
-
-
-class BracketError(NumericError):
-    """A root bracket does not contain a sign change."""

@@ -33,21 +33,13 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .model import Loss, SuffStats, d0, entropy_of_log_sigma, m0
-from .numerics import (
-    adaptive_quad,
-    chi_square_quantile,
-    cumulative_J,
-    digamma,
-    find_root,
-    integrate_J,
-    ln_gamma,
-)
+from .numerics import chi_square_quantile, cumulative_J, digamma, integrate_J, ln_gamma
 
 
 def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
@@ -94,9 +86,9 @@ VectorFn = Callable[[np.ndarray, WTerms], np.ndarray]
 #
 #     J_k(a, y) = int_0^y t^(-1/2) (2+t)^(-a) ln^k(2+t) dt,  y = n absw^2,
 #
-# with a = n - 1/2.  bz_r0_defining solves the defining first-order
-# condition directly by quadrature against the erf-weighted conditional
-# density of S^2 and is kept as an independent cross-check.
+# with a = n - 1/2.  The tests check them against the defining first-order
+# condition, solved by scipy quadrature against the erf-weighted conditional
+# density of S^2.
 
 
 def _r0_closed_form(n: int, loss: Loss, J: Callable[[float, int], np.ndarray]):
@@ -135,41 +127,6 @@ def bz_r0(absw: float, n: int, loss: Loss) -> float:
         return m0(loss, n)
     y = n * absw * absw
     return float(_r0_closed_form(n, loss, lambda a, k: integrate_J(a, y, k)))
-
-
-def bz_r0_defining(absw: float, n: int, loss: Loss) -> float:
-    """Defining-equation route for r0: solve
-
-        E[ L'(ln sqrt(V) + r) | |W| <= absw ] = 0   at eta = 0
-
-    where the conditional density of V is proportional to
-    v^(n-2) e^(-v/2) erf(absw sqrt(n v) / 2).  Independent of the closed
-    forms in :func:`bz_r0`; used to validate them.
-    """
-    absw = float(absw)
-    if absw < 0.0 or not math.isfinite(absw):
-        raise DomainError(f"bz_r0_defining needs finite absw >= 0, got {absw!r}")
-    if absw == 0.0:
-        return m0(loss, n)
-    upper = 2.0 * (2.0 * n) + 20.0 * math.sqrt(4.0 * n) + 60.0
-    erf_vec = np.vectorize(math.erf, otypes=[float])
-    log_norm = ln_gamma(n - 1.0) + (n - 1.0) * math.log(2.0)
-
-    def weight(v: np.ndarray) -> np.ndarray:
-        v = np.maximum(v, 1e-300)
-        logw = (n - 2.0) * np.log(v) - 0.5 * v - log_norm
-        return np.exp(logw) * erf_vec(0.5 * absw * np.sqrt(n * v))
-
-    # normalize so the first-order condition is O(1) in r
-    total = adaptive_quad(weight, 0.0, upper)
-
-    def condition(r: float) -> float:
-        def integrand(v: np.ndarray) -> np.ndarray:
-            return loss.deriv(0.5 * np.log(np.maximum(v, 1e-300)) + r) * weight(v)
-
-        return adaptive_quad(integrand, 0.0, upper) / total
-
-    return find_root(condition, -8.0, 8.0, tol=1e-12)
 
 
 _TABLE_POINTS, _TABLE_Y_CAP = 800, 1600.0
@@ -277,55 +234,6 @@ def median_ln_v_eta0(w, n: int):
     return _ln_chi2_median(2 * n - 1) - np.log1p(0.5 * n * np.square(w))
 
 
-def conditional_median(w: float, eta: float, n: int) -> float:
-    """Median of Z = ln(S^2/sigma^2) given W = w at mean separation eta >= 0.
-
-    Solved from the conditional density
-
-        f(z | w) ~ exp( (2n-1) z/2 - [e^z + (sqrt(n) e^(z/2) w - eta)^2 / 2] / 2 )
-
-    by locating the mode, windowing where the density is negligible, and
-    root-solving the quadrature CDF at 1/2.  At eta = 0 this reduces to the
-    closed form of :func:`median_ln_v_eta0`.
-    """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if eta < 0.0:
-        raise DomainError(f"need eta >= 0, got {eta}")
-    w = float(w)
-    shape = 0.5 * (2.0 * n - 1.0)
-
-    def log_density(z):
-        z = np.asarray(z, dtype=float)
-        ez = np.exp(z)
-        dev = np.sqrt(n) * np.exp(0.5 * z) * w - eta
-        return shape * z - 0.5 * (ez + 0.5 * dev * dev)
-
-    zg = np.linspace(-40.0, 40.0, 401)
-    lg = log_density(zg)
-    zm = float(zg[int(np.argmax(lg))])
-    lo, hi = zm - 0.2, zm + 0.2
-    for _ in range(200):
-        if log_density(lo) < log_density(zm) - 45.0:
-            break
-        lo -= 0.5
-    for _ in range(200):
-        if log_density(hi) < log_density(zm) - 45.0:
-            break
-        hi += 0.5
-    peak = float(log_density(zm))
-
-    def dens(z):
-        return np.exp(log_density(z) - peak)
-
-    total = adaptive_quad(dens, lo, hi)
-
-    def cdf_half(z: float) -> float:
-        return adaptive_quad(dens, lo, z) / total - 0.5
-
-    return find_root(cdf_half, lo, hi, tol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # the rules: (ln S, WTerms) -> ln S + phi(W), constants bound by _BUILDERS
 # ---------------------------------------------------------------------------
@@ -423,45 +331,8 @@ def resolve_estimator(name: str, n: int, loss: Loss) -> tuple[str, VectorFn]:
 
 
 # ---------------------------------------------------------------------------
-# dominance checking
+# the monotone-likelihood property behind the shrinkage solvers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IerdReport:
-    """Outcome of the three sufficient conditions for risk dominance of an
-    additive rule phi(y), y = n w^2: monotonicity, the correct limit d0, and
-    pointwise domination of the smooth-shrinkage floor r0(sqrt(y / n))."""
-
-    monotone: bool
-    limit_ok: bool
-    dominates: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.monotone and self.limit_ok and self.dominates
-
-
-def ierd_check(y_grid: Sequence[float], phi_values: Sequence[float], loss: Loss, n: int,
-               *, limit_tol: float = 1e-3, slack: float = 1e-9) -> IerdReport:
-    """Check a tabulated phi(y) against the dominance conditions.
-
-    The grid must be strictly increasing and should extend far enough that
-    the smooth-shrinkage floor has saturated at d0 (within about 1e-4).
-    """
-    y = np.asarray(y_grid, dtype=float)
-    phi = np.asarray(phi_values, dtype=float)
-    if y.ndim != 1 or y.shape != phi.shape or len(y) < 2:
-        raise DomainError("ierd_check needs matching 1-d grids with >= 2 points")
-    if not (np.diff(y) > 0).all():
-        raise DomainError("ierd_check grid must be strictly increasing")
-    if y[0] <= 0.0:
-        raise DomainError("ierd_check grid must cover positive y only")
-    monotone = bool((np.diff(phi) >= -slack).all())
-    limit_ok = bool(abs(phi[-1] - d0(loss, n)) <= limit_tol)
-    floor = _r0_on_nodes(n, loss, np.concatenate(([0.0], np.sqrt(y))))
-    dominates = bool((phi >= floor - slack).all())
-    return IerdReport(monotone=monotone, limit_ok=limit_ok, dominates=dominates)
 
 
 def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float, alpha: float) -> float:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DomainError
-from .numerics import adaptive_quad, digamma, find_root, ln_gamma, trigamma
+from .numerics import digamma, ln_gamma, trigamma
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -215,30 +215,6 @@ class Loss:
 # the conditional law of S^2 given W = 0.  It is the small-|W| target of all
 # shrinkage estimators and satisfies m0 < d0.  Both are Loss.shift over a
 # gamma law, and the exact bias and risk of ln(S) + d0 follow from d0.
-
-
-def gamma_shift_root(loss: Loss, shape: float, bracket: float = 8.0) -> float:
-    """Solve E[L'(ln sqrt(U) + c)] = 0 for U ~ Gamma(shape, scale 2) by
-    quadrature and bisection-safeguarded root finding.
-
-    Works for any object exposing ``deriv``; kept as an independent check
-    of the closed forms in :func:`d0` and :func:`m0`.
-    """
-    if shape <= 0:
-        raise DomainError(f"gamma shape must be positive, got {shape}")
-    upper = 2.0 * shape + 20.0 * math.sqrt(2.0 * shape) + 60.0
-    # normalize the gamma weight so the condition is O(1) at any shape
-    log_norm = ln_gamma(shape) + shape * math.log(2.0)
-
-    def expectation(c: float) -> float:
-        def integrand(u: np.ndarray) -> np.ndarray:
-            u = np.maximum(u, 1e-300)
-            logw = (shape - 1.0) * np.log(u) - 0.5 * u - log_norm
-            return loss.deriv(0.5 * np.log(u) + c) * np.exp(logw)
-
-        return adaptive_quad(integrand, 0.0, upper)
-
-    return find_root(expectation, -bracket, bracket, tol=1e-12)
 
 
 def _gamma_mean_log_root(shape: float) -> float:

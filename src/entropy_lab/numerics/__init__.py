@@ -1,11 +1,9 @@
-"""Self-contained numerics: special functions, quadrature, root finding,
-and deterministic random streams."""
+"""Self-contained numerics: special functions, quadrature and
+deterministic random streams."""
 
 from .quadrature import adaptive_quad, cumulative_J, integrate_J
 from .rng import RngStream
-from .roots import find_root
 from .special import (
-    EULER_GAMMA,
     chi_square_cdf,
     chi_square_quantile,
     digamma,
@@ -20,14 +18,12 @@ from .special import (
 )
 
 __all__ = [
-    "EULER_GAMMA",
     "RngStream",
     "adaptive_quad",
     "chi_square_cdf",
     "chi_square_quantile",
     "cumulative_J",
     "digamma",
-    "find_root",
     "integrate_J",
     "ln_gamma",
     "reg_inc_beta",

@@ -19,8 +19,6 @@ import numpy as np
 
 from ..errors import DomainError, NumericError
 
-EULER_GAMMA = 0.5772156649015328606
-
 _LN_SQRT_2PI = 0.9189385332046727418  # ln sqrt(2*pi)
 
 # Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set).

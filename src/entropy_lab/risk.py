@@ -76,6 +76,8 @@ class SimConfig:
             raise DomainError(f"threads must be positive, got {self.threads}")
         if not self.eta_grid or any(e < 0 for e in self.eta_grid):
             raise DomainError("eta_grid needs values, each >= 0 under the mean ordering")
+        if len(set(self.eta_grid)) < len(self.eta_grid):
+            raise DomainError(f"eta_grid repeats a value: {list(self.eta_grid)}")
         names = self.estimators
         unknown = [e for e in names if e not in ESTIMATOR_NAMES]
         if unknown:

@@ -38,6 +38,7 @@ from entropy_lab.cli import main as cli_main
 from entropy_lab.estimators import window_mass_ratio
 from entropy_lab.intervals import mh_variance_step
 from entropy_lab.numerics.rng import RngStream
+from references import bz_r0_defining
 
 PAPER_BAEE = {None: 4.7293, -3.0: 4.8233, -2.0: 4.7892, 2.0: 4.6776, 4.0: 4.6321}
 
@@ -184,7 +185,7 @@ def test_criterion_06_bz_solver(l1, linex_m3):
             if not all(b >= a - 1e-10 for a, b in zip(vals, vals[1:])):
                 failures.append((loss.label, n, "monotonicity"))
             for absw in (0.05, 0.4, 1.5):
-                if abs(el.bz_r0(absw, n, loss) - el.bz_r0_defining(absw, n, loss)) > 1e-7:
+                if abs(el.bz_r0(absw, n, loss) - bz_r0_defining(absw, n, loss)) > 1e-7:
                     failures.append((loss.label, n, "defining equation", absw))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 10.0

@@ -220,6 +220,14 @@ class TestRisk:
         assert out == ""
         assert "repeat" in err
 
+    def test_repeated_eta_is_domain_error(self, capsys):
+        # a step below the grid's 10-place rounding gives four etas of 0.0
+        code, out, err = run_cli(capsys, "risk", "--n", "8", "--eta-to", "3e-11",
+                                 "--eta-step", "1e-11", "--reps", "100", "--seed", "1")
+        assert code == 4
+        assert out == ""
+        assert "repeat" in err
+
     def test_unknown_estimator_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "risk", "--n", "8", "--reps", "100", "--seed", "1",
                                  "--estimators", "foo")

@@ -1,5 +1,5 @@
-"""Point estimators, the smooth shrinkage solver, conditional medians, the
-Pitman clip, and the dominance checker."""
+"""Point estimators, the smooth shrinkage solver and its floor r0 on a
+grid, conditional medians, and the Pitman clip."""
 
 import math
 import warnings
@@ -21,6 +21,7 @@ from entropy_lab.estimators import (
 )
 from entropy_lab.model import SuffStats
 from entropy_lab.numerics import quadrature
+from references import bz_r0_defining, conditional_median
 
 # frozen from the verified closed forms / defining equations
 BOEING_LNS = 5.8289326416632868
@@ -147,7 +148,7 @@ class TestSmoothShrinkageSolver:
         for loss in (l1, linex_m3):
             for absw in (0.0764716, 0.4, 1.3):
                 assert el.bz_r0(absw, 6, loss) == pytest.approx(
-                    el.bz_r0_defining(absw, 6, loss), abs=1e-8)
+                    bz_r0_defining(absw, 6, loss), abs=1e-8)
 
     def test_sandwich_and_monotone(self, l1):
         lo, hi = el.m0(l1, 6), el.d0(l1, 6)
@@ -221,7 +222,7 @@ class TestBzTable:
             for i in (40, 300, 560):
                 w = float(tab.absw_grid[i])
                 assert float(tab(np.array(w))) == pytest.approx(
-                    el.bz_r0_defining(w, n, loss), abs=1e-7)
+                    bz_r0_defining(w, n, loss), abs=1e-7)
 
     def test_midpoint_interpolation_error(self, l1, linex_m3):
         n = 26
@@ -277,26 +278,9 @@ class TestBzTable:
 
 
 class TestIerdChecker:
-    def test_smooth_floor_passes(self, l1):
-        y = np.geomspace(1e-4, 400.0, 50)
-        phi = [el.bz_r0(math.sqrt(v / 6.0), 6, l1) for v in y]
-        rep = el.ierd_check(y, phi, l1, 6)
-        assert rep.monotone and rep.limit_ok and rep.dominates and rep.all_ok
-
-    def test_constant_d0_passes(self, l1):
-        y = np.geomspace(1e-4, 400.0, 30)
-        rep = el.ierd_check(y, [el.d0(l1, 6)] * len(y), l1, 6)
-        assert rep.monotone and rep.limit_ok and rep.dominates
-
-    def test_below_floor_fails(self, l1):
-        y = np.geomspace(1e-4, 400.0, 30)
-        rep = el.ierd_check(y, [el.m0(l1, 6) - 0.1] * len(y), l1, 6)
-        assert not rep.dominates
-        assert not rep.limit_ok
-
-    def test_unsorted_grid_rejected(self, l1):
-        with pytest.raises(DomainError):
-            el.ierd_check([2.0, 1.0], [0.0, 0.0], l1, 6)
+    """The smooth-shrinkage floor r0 on a grid of y = n w^2: the bound that
+    the paper's sufficient condition for improving on baee puts under a
+    rule phi(y), and the nodes of every BzTable."""
 
     @pytest.mark.parametrize("n", [3, 6, 26])
     @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0),
@@ -316,31 +300,30 @@ class TestIerdChecker:
             return bz_r0(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "bz_r0", counting)
-        y = np.geomspace(1e-4, 400.0, 50)
-        assert el.ierd_check(y, [el.d0(l1, 6)] * len(y), l1, 6).dominates
+        estimators.BzTable(6, l1)
         assert calls == []
 
 
 class TestConditionalMedian:
     def test_chi_square_median_at_origin(self):
         want = math.log(float(stats.chi2.ppf(0.5, 11)))
-        assert el.conditional_median(0.0, 0.0, 6) == pytest.approx(want, abs=1e-3)
+        assert conditional_median(0.0, 0.0, 6) == pytest.approx(want, abs=1e-3)
         assert median_ln_v_eta0(0.0, 6) == pytest.approx(want, abs=1e-9)
 
     def test_scale_shift_in_w(self):
         # at eta = 0 the conditional law is gamma with scale 2/(1 + n w^2/2)
-        m0w = el.conditional_median(0.5, 0.0, 6)
-        want = el.conditional_median(0.0, 0.0, 6) - math.log1p(6 * 0.25 / 2.0)
+        m0w = conditional_median(0.5, 0.0, 6)
+        want = conditional_median(0.0, 0.0, 6) - math.log1p(6 * 0.25 / 2.0)
         assert m0w == pytest.approx(want, abs=2e-6)
         assert m0w == pytest.approx(median_ln_v_eta0(0.5, 6), abs=2e-6)
 
     def test_monotone_in_eta_for_positive_w(self):
-        vals = [el.conditional_median(0.5, e, 6) for e in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        vals = [conditional_median(0.5, e, 6) for e in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            el.conditional_median(0.5, -1.0, 6)
+            conditional_median(0.5, -1.0, 6)
 
 
 class TestPitmanClip:

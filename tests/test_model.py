@@ -8,7 +8,8 @@ from scipy import special
 
 import entropy_lab as el
 from entropy_lab.errors import DataError, DomainError
-from entropy_lab.model import gamma_shift_root, load_paired_csv, load_samples
+from entropy_lab.model import load_paired_csv, load_samples
+from references import gamma_shift_root
 
 
 class TestSuffStats:

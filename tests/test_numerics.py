@@ -1,4 +1,4 @@
-"""Special functions, quadrature, root finding, and random streams."""
+"""Special functions, quadrature, and random streams."""
 
 import math
 from fractions import Fraction
@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from entropy_lab.errors import BracketError, DomainError, NumericError
+from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.numerics import quadrature
 from entropy_lab.numerics import (
-    EULER_GAMMA,
     RngStream,
     adaptive_quad,
     chi_square_cdf,
     chi_square_quantile,
     cumulative_J,
     digamma,
-    find_root,
     integrate_J,
     ln_gamma,
     reg_inc_beta,
@@ -59,16 +57,16 @@ class TestLnGamma:
 
 class TestDigammaTrigamma:
     def test_digamma_at_one(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
+        assert digamma(1.0) == pytest.approx(-np.euler_gamma, abs=1e-13)
 
     def test_digamma_recurrence_oracle(self):
         # psi(5) = psi(1) + 1 + 1/2 + 1/3 + 1/4
-        want = -EULER_GAMMA + sum(1.0 / k for k in range(1, 5))
+        want = -np.euler_gamma + sum(1.0 / k for k in range(1, 5))
         assert digamma(5.0) == pytest.approx(want, abs=1e-13)
 
     def test_digamma_half_plus_recurrence(self):
         # psi(0.5) = -gamma - 2 ln 2, then climb to 5.5
-        want = -EULER_GAMMA - 2.0 * math.log(2.0) + sum(1.0 / (0.5 + k) for k in range(5))
+        want = -np.euler_gamma - 2.0 * math.log(2.0) + sum(1.0 / (0.5 + k) for k in range(5))
         assert digamma(5.5) == pytest.approx(want, abs=1e-13)
 
     def test_trigamma_known_points(self):
@@ -319,23 +317,6 @@ class TestQuadrature:
                 cumulative_J(5.5, u, 0)
         with pytest.raises(DomainError):
             cumulative_J(5.5, np.array([0.0, 1.0]), 2)
-
-
-class TestFindRoot:
-    def test_linear(self):
-        assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_digamma_inverse(self):
-        target = digamma(5.0)
-        root = find_root(lambda x: digamma(x) - target, 1.0, 10.0)
-        assert root == pytest.approx(5.0, abs=1e-9)
-
-    def test_cubic_flat_root(self):
-        assert find_root(lambda x: x ** 3, -1.0, 2.0, tol=1e-10) == pytest.approx(0.0, abs=1e-4)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
 class TestRngStream:

@@ -248,6 +248,10 @@ class TestSimulateRisk:
         for threads in (0, -3):
             with pytest.raises(DomainError, match="threads"):
                 el.SimConfig(n=6, loss=l1, threads=threads)
+        # a repeated eta would write a second row group that cell() never reads
+        for grid in ((0.0, 0.5, 0.0), (0.0, -0.0)):
+            with pytest.raises(DomainError, match="repeat"):
+                el.SimConfig(n=6, loss=l1, eta_grid=grid)
 
     def test_block_memory_does_not_grow_with_n(self, l1):
         def peak(n):
