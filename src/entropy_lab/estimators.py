@@ -100,13 +100,14 @@ def _r0_closed_form(n: int, loss: Loss, J: Callable[[float, int], np.ndarray]):
 
     def log_root_mgf(a1: float):
         b = a + 0.5 * a1
-        # J(b, 0) underflows at a large a1, and Loss.shift refuses the non-finite moment
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (0.5 * a1 * math.log(4.0) + ln_gamma(b) + np.log(J(b, 0))
-                    - (ln_gamma(a) + np.log(J(a, 0))))
+        return (0.5 * a1 * math.log(4.0) + ln_gamma(b) + np.log(J(b, 0))
+                - (ln_gamma(a) + np.log(J(a, 0))))
 
-    return loss.shift(a, lambda: 0.5 * (digamma(a) + math.log(4.0) - J(a, 1) / J(a, 0)),
-                      log_root_mgf)
+    # J(b, 0) underflows from b near 1,074; Loss.shift refuses a non-finite moment
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return loss.shift(a, lambda: 0.5 * (digamma(a) + math.log(4.0)
+                                            - np.divide(J(a, 1), J(a, 0))),
+                          log_root_mgf)
 
 
 def _r0_on_nodes(n: int, loss: Loss, u: np.ndarray) -> np.ndarray:

@@ -164,7 +164,7 @@ def _block(cfg: CoverageConfig, ib: int):
     if "hpd" not in cfg.methods:
         return tallies, None
     # the chains of every n share the block's step-noise stream, keyed at the
-    # first n's slot; a chain reads only ss1 + ss2
+    # first n's slot; a chain reads ss1 + ss2 only to shift its tails at the end
     k = len(cfg.n_grid)
     mcmc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level)
     zeros = np.zeros(k * b)

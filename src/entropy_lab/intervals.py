@@ -16,16 +16,18 @@ spacings (Renyi's representation; Devroye 1986, ch. V).
 
 The hpd chain is a random walk on the exact marginal posterior
 sigma^2 | data ~ IG(n - 1, SS0/2), the means integrated out (Liu 1994),
-read by the Chen & Shao (1999) window.  With M draws the window at a level
-reads only the r = M - floor(level M) lowest and the r highest, so a chain
-run for an interval keeps just those: its draws go into a bounded buffer
-that, when full, is sorted in place and cut back to its two tails.  Chains
-of different n advance in lockstep on one step-noise stream, each carrying
-(sigma^2, ln sigma^2): a step takes one log, the proposal's, and a
-nonpositive or overflowing proposal fails the acceptance test by a NaN or
-+inf bound instead of a mask.  A batch of one chain (the Boeing row, ``ci
---method hpd``) takes the same steps on Python floats, bit for bit, without
-a numpy call per array operation.
+read by the Chen & Shao (1999) window.  It steps the standardized variance
+u = sigma^2 / (SS0/2) ~ IG(n - 1, 1), so the chain never reads the data:
+the interval is ln(SS0/2)/2 plus an offset from the draws of u.  With M
+draws the window at a level reads only the r = M - floor(level M) lowest
+and the r highest, so a chain run for an interval keeps just those: its
+draws go into a bounded buffer that, when full, is sorted in place and cut
+back to its two tails.  Chains of different n advance in lockstep on one
+step-noise stream, each carrying (u, ln u): a step takes one log, the
+proposal's, and a nonpositive or overflowing proposal fails the acceptance
+test by a NaN or +inf bound instead of a mask.  A batch of one chain (the
+Boeing row, ``ci --method hpd``) takes the same steps on Python floats, bit
+for bit, without a numpy call per array operation.
 
 Each method is one function over arrays of statistics (``aci_bounds``,
 ``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and the
@@ -80,10 +82,12 @@ class BootConfig:
 class McmcConfig:
     """Random-walk chain settings: N total iterations, N0 burn-in.
 
-    ``proposal_sd`` of None selects the default scale
-    2.4 (SS0/2) / ((n-1) sqrt(n)) from the marginal posterior of the
-    variance; one adaptation window inside burn-in rescales it once, after
-    which the kernel is frozen.  ``level`` of None keeps each chain's full
+    The chain walks on the standardized variance u = sigma^2 / (SS0/2).
+    ``proposal_sd`` of None selects the default scale 2.4 / ((n-1) sqrt(n))
+    in u units, from the marginal posterior of the variance; a given
+    ``proposal_sd`` is in sigma^2 units and the chain divides it by SS0/2.
+    One adaptation window inside burn-in rescales it once, after which the
+    kernel is frozen.  ``level`` of None keeps each chain's full
     time-ordered trace; a level keeps only the draws the Chen–Shao window
     at that level reads.
     """
@@ -239,38 +243,22 @@ def boot_t(data: TwoSampleData, level: float = 0.95,
 # ---------------------------------------------------------------------------
 
 
-def _mh_update(beta: np.ndarray, log_beta: np.ndarray, shape1, half_ss: np.ndarray,
-               prop_sd: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """:func:`mh_variance_step` on the carried state (beta, ln beta), updated
-    in place, with e = -ln u; ``z`` is overwritten by the proposal."""
-    prop = np.add(beta, np.multiply(prop_sd, z, out=z), out=z)
+def _mh_update(u: np.ndarray, log_u: np.ndarray, shape1, prop_sd: np.ndarray,
+               z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """One random-walk update, in place, of the carried state (u, ln u)
+    targeting the kernel u^-shape1 exp(-1/u), i.e. IG(shape1 - 1, 1); ``z``
+    is the standard normal noise, overwritten by the proposal, and e = -ln U
+    for the uniform acceptance draw U.  The test e >= shape1 (ln prop - ln u)
+    + (1/prop - 1/u) is ln U <= ln r exactly.  A nonpositive proposal makes
+    its right side NaN, and one so near 0 that 1/prop overflows, or so large
+    that it overflows, +inf (target density 0): both fail it, with no mask.
+    Returns the accept mask."""
+    prop = np.add(u, np.multiply(prop_sd, z, out=z), out=z)
     log_prop = np.log(prop)
-    accept = e >= shape1 * (log_prop - log_beta) + half_ss * (1.0 / prop - 1.0 / beta)
-    np.putmask(beta, accept, prop)
-    np.putmask(log_beta, accept, log_prop)
+    accept = e >= shape1 * (log_prop - log_u) + (1.0 / prop - 1.0 / u)
+    np.putmask(u, accept, prop)
+    np.putmask(log_u, accept, log_prop)
     return accept
-
-
-def mh_variance_step(beta: np.ndarray, ss: np.ndarray, n: int, prop_sd: np.ndarray,
-                     z_prop: np.ndarray, logu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One random-walk update of beta = sigma^2 targeting the kernel
-    beta^-(n+1) exp(-ss/(2 beta)), i.e. inverse-gamma with shape n and
-    scale ss/2: the update a chain of :func:`run_variance_chains` makes.
-
-    ``z_prop`` is the standard normal proposal noise and ``logu`` the log
-    uniform acceptance draw; returns (new beta, accept mask).  A chain
-    carries (beta, ln beta), so a step's one log is the proposal's; here
-    that state is seeded from ``beta``.  The test -logu >= (n + 1)
-    (ln prop - ln beta) + ss/2 (1/prop - 1/beta) is logu <= ln r exactly.
-    A nonpositive proposal makes its right side NaN, and one so near 0 that
-    1/prop overflows, or so large that it overflows, +inf (target density
-    0): both fail it, with no mask.
-    """
-    beta = np.array(beta, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        accept = _mh_update(beta, np.log(beta), n + 1.0, 0.5 * np.asarray(ss), prop_sd,
-                            np.array(z_prop, dtype=float), -np.asarray(logu))
-    return beta, accept
 
 
 # draws a chain buffers beyond its two tails before it sorts and folds
@@ -284,43 +272,51 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
                         ss1: np.ndarray, ss2: np.ndarray, n: int | np.ndarray,
                         cfg: McmcConfig, gen: np.random.Generator):
     """Advance B independent chains in lockstep over the marginal posterior
-    of beta = sigma^2 under the noninformative 1/sigma^2 prior.
+    of sigma^2 under the noninformative 1/sigma^2 prior.
 
-    With the means integrated out, beta | data is inverse-gamma with shape
-    n - 1 and scale SS0/2, SS0 = ss1 + ss2, so each step is one random-walk
-    proposal for beta on that exact law; the sample means do not enter.
-    ``n`` is one sample size or one per chain, and each step draws B
-    standard normals, then B standard exponentials, from ``gen``.
+    With the means integrated out, sigma^2 | data is inverse-gamma with
+    shape n - 1 and scale SS0/2, SS0 = ss1 + ss2, so the standardized
+    variance u = sigma^2 / (SS0/2) is IG(n - 1, 1) whatever the data.  Each
+    chain is a random walk on u from 1/(n - 1), and ln(SS0/2)/2 is added to
+    its kept draws of ln(u)/2 once, at the end.  ``x1bar`` and ``x2bar`` are
+    not read (the FOUND on them in CHANGES.md stays open until the bench's
+    wrapper of this signature changes).  ``n`` is one sample size or one per
+    chain; each step draws B standard normals, then B standard exponentials.
 
     Returns (theta, acceptance, proposal_sd) where theta[k, j] = ln(sigma)_k
-    for chain j after burn-in.  With ``cfg.level`` set, theta is instead
-    the pair (lowest, highest) of (r, B) arrays, each chain's r smallest
-    and r largest draws in ascending order, r = M - floor(level M): the
-    draws :func:`chen_shao_hpd` would read from the sorted trace.  Draws
-    are stored chain-major; a level bounds the buffer at 2r + FOLD_DRAWS
-    per chain, and a full buffer is sorted along its rows and cut back to
-    its 2r tail draws.  A batch of one chain steps on floats
+    for chain j after burn-in and proposal_sd is each chain's final sd in
+    sigma^2 units.  With ``cfg.level`` set, theta is instead the pair
+    (lowest, highest) of (r, B) arrays, each chain's r smallest and r
+    largest draws in ascending order, r = M - floor(level M): the draws
+    :func:`chen_shao_hpd` would read from the sorted trace.  Draws are
+    stored chain-major; a level bounds the buffer at 2r + FOLD_DRAWS per
+    chain, and a full buffer is sorted along its rows and cut back to its
+    2r tail draws.  A batch of one chain steps on floats
     (:func:`_one_chain`) and sorts its whole trace once for a level: the
     same values.
     """
-    ss0 = np.atleast_1d(np.asarray(ss1, dtype=float) + np.asarray(ss2, dtype=float))
-    B = len(ss0)
-    beta = ss0 / (2.0 * (n - 1))          # pooled sample variance start
+    half_ss0 = 0.5 * np.atleast_1d(np.asarray(ss1, dtype=float) + np.asarray(ss2, dtype=float))
+    B = len(half_ss0)
+    u = np.ones(B) / (n - 1)              # the pooled sample variance, in u units
     if cfg.proposal_sd is None:
-        prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))
+        prop_sd = np.broadcast_to(2.4 / ((n - 1) * np.sqrt(n)), B)
+        sd = prop_sd * half_ss0
     else:
-        prop_sd = np.full(B, float(cfg.proposal_sd))
+        sd = np.full(B, float(cfg.proposal_sd))
+        with np.errstate(over="ignore"):    # inf on tiny data; an inf sd only rejects
+            prop_sd = sd / half_ss0
     M = cfg.N - cfg.N0
     r = M if cfg.level is None else M - _window_offset(M, cfg.level)
-    log_beta, shape1, half_ss0 = np.log(beta), (n - 1) + 1.0, 0.5 * ss0
+    log_u, shape1, shift = np.log(u), (n - 1) + 1.0, 0.5 * np.log(half_ss0)
     if B == 1:
-        draws, accepted, sd = _one_chain(beta.item(), log_beta.item(), np.asarray(shape1).item(),
-                                         half_ss0.item(), prop_sd.item(), cfg, gen)
+        draws, accepted, scale = _one_chain(u.item(), log_u.item(), np.asarray(shape1).item(),
+                                            prop_sd.item(), cfg, gen)
         theta = np.array(draws)[:, None]
+        theta += shift
         if cfg.level is not None:
             theta.sort(axis=0)
             theta = (theta[:r], theta[M - r:])
-        return theta, np.array([accepted / M]), np.array([sd])
+        return theta, np.array([accepted / M]), sd * scale
     trace = np.empty((B, min(M, 2 * r + FOLD_DRAWS)))
     filled = 0
 
@@ -333,7 +329,7 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
         return 2 * r
 
     accepted = np.zeros(B, dtype=np.int64)
-    window = min(cfg.N0, 500)
+    window, scale = min(cfg.N0, 500), 1.0
     win_accept = np.zeros(B, dtype=np.int64)
     z, e = np.empty(B), np.empty(B)
     # a nonpositive or overflowing proposal is an exact rejection (see _mh_update)
@@ -341,29 +337,32 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
         for k in range(1, cfg.N + 1):
             gen.standard_normal(out=z)
             gen.standard_exponential(out=e)
-            accept = _mh_update(beta, log_beta, shape1, half_ss0, prop_sd, z, e)
+            accept = _mh_update(u, log_u, shape1, prop_sd, z, e)
             if k <= window:
                 win_accept += accept
                 if k == window and window >= 50:
-                    rate = win_accept / window
-                    prop_sd = prop_sd * np.clip(rate / 0.40, 0.2, 5.0)
+                    scale = np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                    prop_sd = prop_sd * scale
             if k > cfg.N0:
                 if filled == trace.shape[1]:
                     filled = fold()
-                np.multiply(log_beta, 0.5, out=trace[:, filled])
+                np.multiply(log_u, 0.5, out=trace[:, filled])
                 filled += 1
                 accepted += accept
     if cfg.level is None:
-        return trace.T, accepted / M, prop_sd
+        trace += shift[:, None]
+        return trace.T, accepted / M, sd * scale
     filled = fold()
-    return (trace[:, :r].T, trace[:, filled - r:filled].T), accepted / M, prop_sd
+    trace[:, :filled] += shift[:, None]
+    return (trace[:, :r].T, trace[:, filled - r:filled].T), accepted / M, sd * scale
 
 
-def _one_chain(beta: float, log_beta: float, shape1: float, half_ss: float, sd: float,
+def _one_chain(u: float, log_u: float, shape1: float, sd: float,
                cfg: McmcConfig, gen: np.random.Generator) -> tuple[list, int, float]:
     """The steps of :func:`run_variance_chains` for a batch of one chain, on
-    Python floats; returns the M post-burn-in draws of ln(sigma) in time
-    order, the post-burn-in accept count and the final proposal sd.
+    Python floats; returns the M post-burn-in draws of ln(u)/2 in time
+    order, the post-burn-in accept count and the adaptation's factor on the
+    proposal sd (1.0 without an adaptation window).
 
     A step draws one standard normal, then one standard exponential: the
     variates, in the order, of the size-1 draws.  The proposal's log is
@@ -374,25 +373,26 @@ def _one_chain(beta: float, log_beta: float, shape1: float, half_ss: float, sd: 
     1.0/0.0 raises on floats.
     """
     log, normal, exponential = np.log, gen.standard_normal, gen.standard_exponential
-    window = min(cfg.N0, 500)
+    window, scale = min(cfg.N0, 500), 1.0
     win_accept = accepted = 0
     trace = []
     for k in range(1, cfg.N + 1):
-        prop = beta + sd * normal()
+        prop = u + sd * normal()
         e = exponential()
         accept = False
         if prop > 0.0:
             log_prop = float(log(prop))
-            if e >= shape1 * (log_prop - log_beta) + half_ss * (1.0 / prop - 1.0 / beta):
-                beta, log_beta, accept = prop, log_prop, True
+            if e >= shape1 * (log_prop - log_u) + (1.0 / prop - 1.0 / u):
+                u, log_u, accept = prop, log_prop, True
         if k <= window:
             win_accept += accept
             if k == window and window >= 50:
-                sd = sd * min(max(win_accept / window / 0.40, 0.2), 5.0)
+                scale = min(max(win_accept / window / 0.40, 0.2), 5.0)
+                sd = sd * scale
         if k > cfg.N0:
-            trace.append(0.5 * log_beta)
+            trace.append(0.5 * log_u)
             accepted += accept
-    return trace, accepted, sd
+    return trace, accepted, scale
 
 
 def _autocorr_ess(x: np.ndarray, max_lag: int = 200) -> float:
@@ -419,8 +419,6 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
     st = _normal_s2(data)
-    if st.s2 / (2.0 * (st.n - 1)) < sys.float_info.min:
-        raise DataError("samples too small: the hpd chain's start sigma^2 underflows")
     gen = RngStream(cfg.seed, 0).generator
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]),

@@ -36,7 +36,7 @@ from scipy import stats
 import entropy_lab as el
 from entropy_lab.cli import main as cli_main
 from entropy_lab.estimators import window_mass_ratio
-from entropy_lab.intervals import mh_variance_step
+from entropy_lab.intervals import _mh_update
 from entropy_lab.numerics.rng import RngStream
 from references import bz_r0_defining
 
@@ -226,19 +226,22 @@ def test_criterion_08_bootstrap_pair():
 
 def test_criterion_09_mcmc_validity():
     t0 = time.perf_counter()
-    # package MH kernel at fixed means against the conjugate direct law
-    n, ss = 10, 19.0
+    # package MH kernel on the standardized variance against the conjugate
+    # direct law IG(n, 1)
+    n = 10
     gen = RngStream(900, 0).generator
-    beta = np.array([ss / (2 * (n - 1))])
-    prop_sd = np.array([2.4 * (ss / 2) / ((n - 1) * math.sqrt(n))])
+    u = np.array([1.0 / (n - 1)])
+    log_u = np.log(u)
+    prop_sd = np.array([2.4 / ((n - 1) * math.sqrt(n))])
     burn, keep, thin = 2_000, 10_000, 5
     draws = np.empty(keep)
-    for k in range(burn + keep * thin):
-        beta, _ = mh_variance_step(beta, np.array([ss]), n, prop_sd,
-                                   gen.standard_normal(1), np.log(gen.random(1)))
-        if k >= burn and (k - burn) % thin == 0:
-            draws[(k - burn) // thin] = beta[0]
-    ks = stats.kstest(draws, lambda x: stats.invgamma.cdf(x, a=n, scale=ss / 2)).statistic
+    with np.errstate(invalid="ignore"):         # a nonpositive proposal's log
+        for k in range(burn + keep * thin):
+            _mh_update(u, log_u, n + 1.0, prop_sd, gen.standard_normal(1),
+                       -np.log(gen.random(1)))
+            if k >= burn and (k - burn) % thin == 0:
+                draws[(k - burn) // thin] = u[0]
+    ks = stats.kstest(draws, lambda x: stats.invgamma.cdf(x, a=n, scale=1.0)).statistic
 
     z = np.sort(RngStream(901, 0).generator.standard_normal(100_000))
     lo, hi = el.chen_shao_hpd(z, 0.95)

@@ -571,25 +571,42 @@ def test_ci_on_data_whose_sum_of_squares_underflows(capsys, tmp_path, method, wa
         assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
 
 
-# data scales from 1e-150 down: below about 1e-153 the hpd chain's start
-# sigma^2 = S^2 / (2n - 2) leaves the normal range, and below about 1e-154
-# S^2 itself underflows; each such scale is a data error
+# data scales from 1e-150 down: the hpd chain steps u = sigma^2 / (S^2/2),
+# whatever the scale, so only S^2 itself bounds it; below about 1e-154 S^2
+# underflows, and each such scale is a data error
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("exponent", range(-150, -161, -1))
 def test_hpd_across_small_data_scales(capsys, tmp_path, exponent):
     code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
                              "--csv", _scaled_csv(tmp_path / "tiny.csv", exponent))
-    assert code == (0 if exponent >= -153 else 3)
+    assert code == (0 if exponent >= -154 else 3)
     if code:
-        assert "underflows" in err and out == ""
+        assert "pooled sum of squares underflows" in err and out == ""
     else:
         result = json.loads(out)
         assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
 
 
+# a proposal sd is given in sigma^2 units and the chain divides it by S^2/2:
+# on tiny data it overflows to inf, whose proposals all fail, with no warning
+# but the acceptance line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sd", [None, "1e10", "1e300"])
+@pytest.mark.parametrize("exponent", [-150, -153, -153.5])
+def test_hpd_proposal_sd_on_tiny_data(capsys, tmp_path, exponent, sd):
+    code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
+                             "--csv", _scaled_csv(tmp_path / "tiny.csv", exponent),
+                             *(() if sd is None else ("--proposal-sd", sd)))
+    assert code == 0
+    result = json.loads(out)
+    assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
+    assert "Warning" not in err and len(err.splitlines()) == (sd is not None)
+
+
 # the adversarial-input table: every command that reads data, on data
-# scaled by 10^e and on CSV fields that read as non-finite floats, and the
-# linex asymmetry at the float range's end.  Each case exits 0 printing only
+# scaled by 10^e and on CSV fields that read as non-finite floats, the
+# linex asymmetry at the float range's end, and bz past the sample sizes its
+# kernel integral reaches.  Each case exits 0 printing only
 # finite numbers, or exits with its documented code and message and prints
 # nothing.  aci and gci read ln S; boot and hpd read S^2, which underflows
 # from about 1e-154 down; from about 1e154 up S^2 overflows for every method.
@@ -613,6 +630,11 @@ _ADVERSARIAL_INPUTS = [
                    id=f"{cmd}-csv-{field}")
       for cmd, flags in (("estimate", ()), ("ci", ("--method", "hpd", "--seed", "1")))
       for field in ("nan", "inf", "-inf", "NaN", "Infinity")),
+    # bz's kernel integral J(n - 1/2, 0) underflows from n near 1,075
+    pytest.param(("estimate", "--csv", "LONG1100"), 4, "l1 shift is not finite",
+                 id="estimate-n-1100"),
+    pytest.param(("risk", "--n", "1100", "--reps", "10", "--seed", "1", "--eta-to", "0"), 4,
+                 "l1 shift is not finite", id="risk-n-1100"),
 ]
 
 
@@ -637,6 +659,11 @@ def test_adversarial_input_exits_clean_or_documented(capsys, tmp_path, argv, wan
     def resolve(arg):
         if arg.startswith("SCALED"):
             return _scaled_csv(tmp_path / "scaled.csv", int(arg[6:]))
+        if arg.startswith("LONG"):
+            path = tmp_path / "long.csv"
+            path.write_text("sample1,sample2\n" + "".join(
+                f"{math.sin(k)!r},{math.cos(k)!r}\n" for k in range(int(arg[4:]))))
+            return str(path)
         if arg.startswith("FIELD"):
             path = tmp_path / "field.csv"
             path.write_text(f"sample1,sample2\n1.0,1.5\n{arg[5:]},2.5\n3.0,4.0\n")

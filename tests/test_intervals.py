@@ -13,10 +13,10 @@ from entropy_lab import intervals
 from entropy_lab.datasets import boeing
 from entropy_lab.errors import DomainError
 from entropy_lab.intervals import (
+    _mh_update,
     _shortest_window,
     boot_bounds,
     gci_bounds,
-    mh_variance_step,
     run_variance_chains,
 )
 from entropy_lab.numerics import chi_square_cdf, chi_square_quantile
@@ -294,19 +294,22 @@ class TestChenShaoHpd:
 
 class TestMcmc:
     def test_mh_step_targets_inverse_gamma(self):
-        # the kernel-level validity oracle: fixed SS, long thinned chain
-        n, ss = 10, 19.0
+        # the kernel-level validity oracle: a long thinned chain on the
+        # standardized variance, target IG(n, 1)
+        n = 10
         gen = RngStream(9, 0).generator
-        beta = np.array([ss / (2 * (n - 1))])
-        prop_sd = np.array([2.4 * (ss / 2) / ((n - 1) * math.sqrt(n))])
+        u = np.array([1.0 / (n - 1)])
+        log_u = np.log(u)
+        prop_sd = np.array([2.4 / ((n - 1) * math.sqrt(n))])
         burn, keep, thin = 2_000, 10_000, 3
         draws = np.empty(keep)
-        for k in range(burn + keep * thin):
-            beta, _ = mh_variance_step(beta, np.array([ss]), n, prop_sd,
-                                       gen.standard_normal(1), np.log(gen.random(1)))
-            if k >= burn and (k - burn) % thin == 0:
-                draws[(k - burn) // thin] = beta[0]
-        d = stats.kstest(draws, lambda x: stats.invgamma.cdf(x, a=n, scale=ss / 2)).statistic
+        with np.errstate(invalid="ignore"):     # a nonpositive proposal's log
+            for k in range(burn + keep * thin):
+                _mh_update(u, log_u, n + 1.0, prop_sd, gen.standard_normal(1),
+                           -np.log(gen.random(1)))
+                if k >= burn and (k - burn) % thin == 0:
+                    draws[(k - burn) // thin] = u[0]
+        d = stats.kstest(draws, lambda x: stats.invgamma.cdf(x, a=n, scale=1.0)).statistic
         assert d < 0.025
 
     def test_hpd_contains_point_estimate(self, boeing_data):
@@ -378,8 +381,26 @@ class TestEquivariance:
 
         m1 = el.hpd_mcmc(boeing_data, 0.95, el.McmcConfig(N=4_000, N0=1_000, seed=5))
         m2 = el.hpd_mcmc(scaled, 0.95, el.McmcConfig(N=4_000, N0=1_000, seed=5))
-        assert m2.lower == pytest.approx(m1.lower + shift, abs=1e-10)
-        assert m2.upper == pytest.approx(m1.upper + shift, abs=1e-10)
+        assert m2.lower == pytest.approx(m1.lower + shift, abs=1e-12)
+        assert m2.upper == pytest.approx(m1.upper + shift, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [200, -200])
+    @pytest.mark.parametrize("B, sd", [(1, None), (1, 0.5), (12, None), (12, 0.5)])
+    def test_chain_shifts_by_log_scale(self, B, sd, k):
+        # the chain steps u = sigma^2 / (SS0/2), so SS0 scaled by 4^k, and a
+        # proposal sd in sigma^2 units with it, takes the same steps bit for
+        # bit; every draw moves by k ln 2 within the rounding of its shift
+        n = 10 if B == 1 else np.repeat([3, 10, 40], 4)
+        ss0, scale, zeros = np.linspace(5.0, 40.0, B), 4.0 ** k, np.zeros(B)
+        runs = [run_variance_chains(zeros, zeros, ss0 * c, zeros, n,
+                                    el.McmcConfig(N=1_400, N0=400,
+                                                  proposal_sd=None if sd is None else sd * c),
+                                    RngStream(4, 1).generator)
+                for c in (1.0, scale)]
+        (t1, a1, s1), (t2, a2, s2) = runs
+        np.testing.assert_array_equal(a2, a1)
+        np.testing.assert_array_equal(s2, s1 * scale)
+        assert (np.abs(t2 - t1 - k * math.log(2.0)) <= np.spacing(np.abs(t2))).all()
 
 
 class TestLockstepChains:
@@ -470,41 +491,48 @@ class TestTailFold:
 
 
 class TestStepKernel:
-    """The chain's step, run on the carried (beta, ln beta) with a NaN or
-    +inf bound rejecting bad proposals, against the step as first written:
-    a valid mask, a safe copy, two logs a step and np.where, on the same
-    draws.  The two must agree bit for bit."""
+    """The chain's step, run on the carried (u, ln u) with a NaN or +inf
+    bound rejecting bad proposals, against the step as first written: a
+    valid mask, a safe copy, two logs a step and np.where, on the same
+    draws, on the standardized variance u = sigma^2 / (SS0/2) with the
+    ln(SS0/2)/2 shift added to the trace at the end.  The two must agree
+    bit for bit."""
 
     @staticmethod
     def _reference(ss0, n, cfg, gen):
         B = len(ss0)
-        beta = ss0 / (2.0 * (n - 1))
+        half_ss0 = 0.5 * ss0
+        u = np.ones(B) / (n - 1)
         if cfg.proposal_sd is None:
-            prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))
+            prop_sd = 2.4 / ((n - 1) * np.sqrt(n)) * np.ones(B)
+            sd = prop_sd * half_ss0
         else:
-            prop_sd = np.full(B, float(cfg.proposal_sd))
-        window, M = min(cfg.N0, 500), cfg.N - cfg.N0
+            sd = np.full(B, float(cfg.proposal_sd))
+            prop_sd = sd / half_ss0
+        window, M, scale = min(cfg.N0, 500), cfg.N - cfg.N0, 1.0
         win_accept, accepted = np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64)
         trace = np.empty((M, B))
         with np.errstate(over="ignore"):
             for k in range(1, cfg.N + 1):
                 z_prop = gen.standard_normal(B)
                 logu = -gen.standard_exponential(B)
-                prop = beta + prop_sd * z_prop
+                prop = u + prop_sd * z_prop
                 valid = prop > 0.0
                 safe = np.where(valid, prop, 1.0)
-                logr = (-((n - 1) + 1.0) * (np.log(safe) - np.log(beta))
-                        - 0.5 * ss0 * (1.0 / safe - 1.0 / beta))
+                logr = (-((n - 1) + 1.0) * (np.log(safe) - np.log(u))
+                        - (1.0 / safe - 1.0 / u))
                 accept = valid & (logu <= logr)
-                beta = np.where(accept, prop, beta)
+                u = np.where(accept, prop, u)
                 if k <= window:
                     win_accept += accept
                     if k == window and window >= 50:
-                        prop_sd = prop_sd * np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                        scale = np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                        prop_sd = prop_sd * scale
                 if k > cfg.N0:
-                    trace[k - cfg.N0 - 1] = 0.5 * np.log(beta)
+                    trace[k - cfg.N0 - 1] = 0.5 * np.log(u)
                     accepted += accept
-        return trace, accepted / M, prop_sd
+        trace += 0.5 * np.log(half_ss0)
+        return trace, accepted / M, sd * scale
 
     @staticmethod
     def _case(name):
@@ -513,8 +541,9 @@ class TestStepKernel:
         if name == "mixed batch":
             n = np.repeat([3, 10, 40], 4)
             return 1.3 * 0.8 * (2 * n - 2.0) * np.linspace(0.5, 2.0, 12), n
-        # three-value samples scaled by 1e-153: the start sigma^2 sits a few
-        # hundred times above the normal floor, where 1/beta nearly overflows
+        # three-value samples scaled by 1e-153: SS0/2 sits a few hundred times
+        # above the normal floor, and a sd in sigma^2 units is near 1e306
+        # times its value in u units
         st = el.suff_stats(el.TwoSampleData(np.array([1.0, 2.0, 3.0]) * 1e-153,
                                             np.array([1.5, 2.5, 4.0]) * 1e-153))
         return np.array([st.s2]), st.n
@@ -559,13 +588,16 @@ class TestOneChain:
 
     @staticmethod
     def _reference(ss0, n, cfg, gen):
-        beta = ss0 / (2.0 * (n - 1))
+        half_ss0 = 0.5 * ss0
+        u = np.ones(1) / (n - 1)
         if cfg.proposal_sd is None:
-            prop_sd = 2.4 * (0.5 * ss0) / ((n - 1) * np.sqrt(n))
+            prop_sd = 2.4 / ((n - 1) * np.sqrt(n)) * np.ones(1)
+            sd = prop_sd * half_ss0
         else:
-            prop_sd = np.full(1, float(cfg.proposal_sd))
-        log_beta, shape1, half_ss = np.log(beta), (n - 1) + 1.0, 0.5 * ss0
-        window, M = min(cfg.N0, 500), cfg.N - cfg.N0
+            sd = np.full(1, float(cfg.proposal_sd))
+            prop_sd = sd / half_ss0
+        log_u, shape1 = np.log(u), (n - 1) + 1.0
+        window, M, scale = min(cfg.N0, 500), cfg.N - cfg.N0, 1.0
         win_accept, accepted = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         z, e = np.empty(1), np.empty(1)
         trace = np.empty((M, 1))
@@ -573,28 +605,30 @@ class TestOneChain:
             for k in range(1, cfg.N + 1):
                 gen.standard_normal(out=z)
                 gen.standard_exponential(out=e)
-                accept = intervals._mh_update(beta, log_beta, shape1, half_ss, prop_sd, z, e)
+                accept = intervals._mh_update(u, log_u, shape1, prop_sd, z, e)
                 if k <= window:
                     win_accept += accept
                     if k == window and window >= 50:
-                        prop_sd = prop_sd * np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                        scale = np.clip(win_accept / window / 0.40, 0.2, 5.0)
+                        prop_sd = prop_sd * scale
                 if k > cfg.N0:
-                    np.multiply(log_beta, 0.5, out=trace[k - cfg.N0 - 1])
+                    np.multiply(log_u, 0.5, out=trace[k - cfg.N0 - 1])
                     accepted += accept
+        trace += 0.5 * np.log(half_ss0)
         if cfg.level is not None:
             trace.sort(axis=0)
             r = M - math.floor(cfg.level * M)
             trace = (trace[:r], trace[M - r:])
-        return trace, accepted / M, prop_sd
+        return trace, accepted / M, sd * scale
 
     @staticmethod
     def _stats(data):
         if data == "boeing":
             return el.suff_stats(boeing())
-        # three-value samples: at 1e-153 the start sigma^2 sits a few hundred
-        # times above the normal floor, where 1/beta nearly overflows; at 1
-        # the draws sit near 1, where math.log and numpy's log often differ
-        # in the last bit
+        # three-value samples: at 1e-153 SS0/2 sits a few hundred times above
+        # the normal floor, and a sd in sigma^2 units is near 1e306 times its
+        # value in u units; n = 3, so u ~ IG(2, 1) often sits near 1, where
+        # math.log and numpy's log often differ in the last bit
         scale = float(data)
         return el.suff_stats(el.TwoSampleData(np.array([1.0, 2.0, 3.0]) * scale,
                                               np.array([1.5, 2.5, 4.0]) * scale))
