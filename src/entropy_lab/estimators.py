@@ -30,7 +30,6 @@ of one.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
@@ -199,19 +198,17 @@ class BzTable:
 
 
 _TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}
-_TABLE_LOCK = threading.Lock()
 
 
 def bz_table(n: int, loss: Loss) -> BzTable:
-    """Cached table, safe for concurrent readers after first build."""
+    """The table at (n, loss), built on first use and cached for the life of
+    the process.  The package runs its jobs one at a time in each worker
+    process, so no two threads share the cache; two that missed at once
+    would each build the same table."""
     key = (n, loss)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        with _TABLE_LOCK:
-            tab = _TABLE_CACHE.get(key)
-            if tab is None:
-                tab = BzTable(n, loss)
-                _TABLE_CACHE[key] = tab
+        tab = _TABLE_CACHE[key] = BzTable(n, loss)
     return tab
 
 
@@ -308,6 +305,15 @@ def _pitman_rule(lns, wt, c: float, half_ln_med: float):
     return np.add(lns, clipped, out=clipped)[()]
 
 
+def _improved_rmle(c: float, c_m0: float) -> VectorFn:
+    """improved_rmle, which is improved_mle bit for bit where m0 >= c: for
+    W >= 0 the restricted term is c, and for W < 0 both rules take m0 + T(W),
+    since c + T <= m0 + T.  m0 > c under squared error and under linex with
+    a1 <= 4; from a1 = 4.25, m0 < c at every n from 3."""
+    rule = _switch_rule if c_m0 >= c else _improved_rmle_rule
+    return partial(rule, c=c, c_m0=c_m0)
+
+
 _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
     "baee": lambda n, loss: partial(_shift_rule, c=d0(loss, n)),
     "umvue": lambda n, loss: partial(_shift_rule, c=d0(Loss.squared_error(), n)),
@@ -315,8 +321,7 @@ _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
     "rmle": lambda n, loss: partial(_rmle_rule, c=_mle_shift(n)),
     "stein": lambda n, loss: partial(_switch_rule, c=d0(loss, n), c_m0=m0(loss, n)),
     "improved_mle": lambda n, loss: partial(_switch_rule, c=_mle_shift(n), c_m0=m0(loss, n)),
-    "improved_rmle": lambda n, loss: partial(_improved_rmle_rule, c=_mle_shift(n),
-                                             c_m0=m0(loss, n)),
+    "improved_rmle": lambda n, loss: _improved_rmle(_mle_shift(n), m0(loss, n)),
     "bz": lambda n, loss: partial(_bz_rule, r0=bz_table(n, loss)),
     "pitman": lambda n, loss: partial(_pitman_rule, c=d0(loss, n),
                                       half_ln_med=0.5 * _ln_chi2_median(2 * n - 1)),
@@ -329,6 +334,19 @@ def resolve_estimator(name: str, n: int, loss: Loss) -> tuple[str, VectorFn]:
     if name not in _BUILDERS:
         raise DomainError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     return name, _BUILDERS[name](n, loss)
+
+
+def rule_identity(name: str, n: int, loss: Loss) -> tuple[object, bool]:
+    """(identity, reads W) of the named rule at sample size n under ``loss``,
+    from its builder.  Two names with one identity bind one rule function to
+    the same constants, so their rows are equal bit for bit; a rule that does
+    not read W gives the same row at every eta.  A builder that returns
+    anything but a partial of a rule is its own identity and reads W."""
+    rule = _BUILDERS[name](n, loss)
+    if not isinstance(rule, partial):
+        return rule, True
+    key = (rule.func, rule.args, tuple(sorted(rule.keywords.items())))
+    return key, rule.func is not _shift_rule
 
 
 # ---------------------------------------------------------------------------

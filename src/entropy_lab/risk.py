@@ -20,6 +20,13 @@ that one array is still in cache, the baseline's row first, since every
 reduction reads its losses.  Risk and Pitman closeness run on the same
 blocks and differ only in how a row is reduced.
 
+A block forms one row per distinct rule: names whose builders bind one rule
+function to the same constants (:func:`~entropy_lab.estimators.rule_identity`)
+share the reduced values of the first of them.  A rule that ignores W,
+against a baseline that ignores W too, reduces the same operands at every
+eta, so its row is reduced at the first eta only; the baseline's own row is
+formed at every eta.
+
 Rows compute into arrays they own.  W is formed in one row per block,
 each rule, table lookup and loss writes into the few arrays its own call
 made (never into ln S, a WTerms field or the table), and a reduction
@@ -38,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .estimators import ESTIMATOR_NAMES, WTerms, resolve_estimator
+from .estimators import ESTIMATOR_NAMES, WTerms, resolve_estimator, rule_identity
 from .model import SQUARED_ERROR, Loss
 from .numerics.rng import RngStream
 from .workers import run_jobs
@@ -130,9 +137,20 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
     """Block ``ib`` of :func:`_replications`: estimators by reduced values by
     eta."""
     n, loss, names = cfg.n, cfg.loss, cfg.estimators
-    fns = [resolve_estimator(e, n, loss)[1] for e in names]
+    ids = [rule_identity(e, n, loss) for e in names]
     ibase = names.index(cfg.baseline)
+    # names[e] takes the row of names[rep[e]], the first name with its rule
+    # in the order the rows are formed: the baseline's, then the others
     order = [ibase] + [e for e in range(len(names)) if e != ibase]
+    first = {}
+    for e in order:
+        first.setdefault(ids[e][0], e)
+    rep = [first[key] for key, _ in ids]
+    rows = list(first.values())
+    fns = {e: resolve_estimator(names[e], n, loss)[1] for e in rows}
+    # against a baseline that ignores W, a row that ignores W reduces to the
+    # same values at every eta; the baseline's own row is formed at each
+    fixed = set() if ids[ibase][1] else {e for e in rows if e != ibase and not ids[e][1]}
     b = min(BLOCK_SIZE, cfg.replications - ib * BLOCK_SIZE)
     gen = RngStream(cfg.master_seed, ib).generator
     d = gen.standard_normal(b)
@@ -146,7 +164,10 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
     for t, eta in enumerate(cfg.eta_grid):
         np.add(d, eta / math.sqrt(n), out=w)
         wt = WTerms(np.divide(w, s, out=w), n)
-        for e in order:
+        for e in rows:
+            if t and e in fixed:
+                out[e][t] = out[e][0]
+                continue
             de = fns[e](lns, wt)
             finite = np.isfinite(de)
             if not finite.all():
@@ -157,7 +178,7 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
             if e == ibase:
                 l_base = le
             out[e][t] = reduce(le, de, l_base)
-    return np.moveaxis(np.array(out), 1, -1)
+    return np.moveaxis(np.array([out[r] for r in rep]), 1, -1)
 
 
 def _replications(cfg: SimConfig, reduce) -> np.ndarray:

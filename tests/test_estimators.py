@@ -129,6 +129,40 @@ class TestSteinFamily:
         assert el.estimate("improved_rmle", st, l1) == pytest.approx(want, abs=1e-14)
         assert el.estimate("improved_rmle", st, l1) >= el.estimate("rmle", st, l1)
 
+    # improved_rmle binds improved_mle's rule and constants exactly where
+    # m0 >= c = -ln(2n)/2, the mle shift: under squared error and linex with
+    # a1 <= 4, but not at a1 = 4.25 or 8, where m0 < c at every n here
+    SHARE_N = (*range(3, 60), 100, 500, 1000)
+
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0),
+                                      el.Loss.linex(2.0), el.Loss.linex(4.0)],
+                             ids=["l1", "linex-3", "linex2", "linex4"])
+    def test_improved_rmle_shares_the_row_where_m0_is_not_below_c(self, loss):
+        for n in self.SHARE_N:
+            assert el.m0(loss, n) >= -0.5 * math.log(2.0 * n)
+            rmle, mle = (resolve_estimator(e, n, loss)[1]
+                         for e in ("improved_rmle", "improved_mle"))
+            assert (rmle.func, rmle.keywords) == (mle.func, mle.keywords)
+            assert estimators.rule_identity("improved_rmle", n, loss) == \
+                estimators.rule_identity("improved_mle", n, loss)
+
+    @pytest.mark.parametrize("a1", [4.25, 8.0])
+    def test_improved_rmle_keeps_its_row_where_m0_is_below_c(self, a1):
+        loss = el.Loss.linex(a1)
+        for n in self.SHARE_N:
+            assert el.m0(loss, n) < -0.5 * math.log(2.0 * n)
+            rmle, mle = (resolve_estimator(e, n, loss)[1]
+                         for e in ("improved_rmle", "improved_mle"))
+            assert rmle.func is not mle.func
+            assert estimators.rule_identity("improved_rmle", n, loss) != \
+                estimators.rule_identity("improved_mle", n, loss)
+        res = el.simulate_risk(el.SimConfig(
+            n=3, eta_grid=(0.0, 1.0), loss=loss, replications=2_000, master_seed=3,
+            estimators=("improved_mle", "improved_rmle"), baseline="improved_mle"))
+        for eta in (0.0, 1.0):
+            rmle, mle = res.cell("improved_rmle", eta), res.cell("improved_mle", eta)
+            assert rmle.risk != mle.risk and rmle.bias != mle.bias and rmle.diff_stderr > 0
+
 
 class TestSmoothShrinkageSolver:
     def test_limit_at_zero(self, l1, linex_m3):

@@ -9,7 +9,7 @@ import pytest
 from scipy import special, stats
 
 import entropy_lab as el
-from entropy_lab import estimators
+from entropy_lab import estimators, risk
 from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.numerics import chi_square_cdf
 from entropy_lab.numerics.rng import RngStream
@@ -80,6 +80,39 @@ class TestRowEngine:
             assert (a.estimator, a.eta) == (b.estimator, b.eta)
             assert (a.risk, a.stderr, a.bias, a.bias_stderr) == (b.risk, b.stderr, b.bias,
                                                                  b.bias_stderr)
+
+    # rule calls per block of all nine rules at five eta: one row per distinct
+    # rule, the baseline's at every eta, and a row that ignores W (baee,
+    # umvue, mle) at the first eta only when the baseline ignores W too;
+    # umvue is baee under squared error, and improved_rmle is improved_mle
+    # except under linex(8) at n = 3
+    @pytest.mark.parametrize("baseline", ["baee", "mle", "stein"])
+    @pytest.mark.parametrize("loss,calls", [
+        (el.Loss.squared_error(), {"baee": 31, "mle": 31, "stein": 35}),
+        (el.Loss.linex(-3.0), {"baee": 32, "mle": 32, "stein": 40}),
+        (el.Loss.linex(8.0), {"baee": 37, "mle": 37, "stein": 45}),
+    ], ids=["l1", "linex-3", "linex8"])
+    def test_shared_rows_move_no_bit(self, monkeypatch, loss, calls, baseline):
+        etas = (0.0, 0.5, 1.25, 2.0, 3.0)
+        base = dict(n=3, loss=loss, replications=BLOCK_SIZE + 999, master_seed=23)
+        resolve, called = risk.resolve_estimator, []
+
+        def counted(name, n, loss):
+            fn = resolve(name, n, loss)[1]
+            return name, lambda lns, wt: called.append(name) or fn(lns, wt)
+
+        monkeypatch.setattr(risk, "resolve_estimator", counted)
+        shared = el.simulate_risk(SimConfig(**base, eta_grid=etas, baseline=baseline,
+                                            estimators=estimators.ESTIMATOR_NAMES))
+        assert len(called) == 2 * calls[baseline]
+        # the reference shares nothing: every name is its own rule and reads W
+        monkeypatch.setattr(risk, "rule_identity", lambda name, n, loss: (name, True))
+        for eta in etas:
+            for name in estimators.ESTIMATOR_NAMES:
+                alone = el.simulate_risk(SimConfig(
+                    **base, eta_grid=(eta,), baseline=baseline,
+                    estimators=tuple(dict.fromkeys((baseline, name)))))
+                assert repr(shared.cell(name, eta)) == repr(alone.cell(name, eta))
 
     @pytest.mark.parametrize("own", [True, False], ids=["baseline-row", "other-row"])
     @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
