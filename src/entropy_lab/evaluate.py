@@ -244,4 +244,4 @@ def t_test_ordered_means(sample1, sample2) -> TestResult:
     mx, my, q, k = pooled_ss(x, y)
     t = scaled_ratio(mx - my, k, math.sqrt(q / (n1 + n2 - 2) * (1.0 / n1 + 1.0 / n2)),
                      "t statistic")
-    return TestResult(statistic=t, p_value=1.0 - student_t_cdf(n1 + n2 - 2.0, t))
+    return TestResult(statistic=t, p_value=student_t_cdf(n1 + n2 - 2, -t))

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, NumericError
 from .model import SuffStats, TwoSampleData, suff_stats
 from .numerics import chi_square_quantile, std_normal_quantile
 from .numerics.rng import RngStream
@@ -424,6 +424,9 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
         np.array([st.mean1]), np.array([st.mean2]),
         np.array([st.s2]), np.zeros(1), st.n, cfg, gen)
     rate = float(acc[0])
+    if rate == 0.0:
+        # a one-point trace: its HPD has zero width and its ESS means nothing
+        raise NumericError("MH chain never moved: acceptance 0 after burn-in")
     diag = {"acceptance_rate": rate, "ess": _autocorr_ess(theta[:, 0]),
             "draws": len(theta), "proposal_sd": float(prop_sd[0])}
     lo, hi = ACCEPTANCE_BAND

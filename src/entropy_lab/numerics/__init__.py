@@ -8,7 +8,6 @@ from .special import (
     chi_square_quantile,
     digamma,
     ln_gamma,
-    reg_inc_beta,
     reg_lower_gamma,
     reg_upper_gamma,
     std_normal_cdf,
@@ -26,7 +25,6 @@ __all__ = [
     "digamma",
     "integrate_J",
     "ln_gamma",
-    "reg_inc_beta",
     "reg_lower_gamma",
     "reg_upper_gamma",
     "std_normal_cdf",

@@ -25,7 +25,8 @@ function to the same constants (:func:`~entropy_lab.estimators.rule_identity`)
 share the reduced values of the first of them.  A rule that ignores W,
 against a baseline that ignores W too, reduces the same operands at every
 eta, so its row is reduced at the first eta only; the baseline's own row is
-formed at every eta.
+formed at every eta.  A block whose rows all ignore W forms neither W nor its
+terms, and its rules get None for them.
 
 Rows compute into arrays they own.  W is formed in one row per block,
 each rule, table lookup and loss writes into the few arrays its own call
@@ -151,6 +152,7 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
     # against a baseline that ignores W, a row that ignores W reduces to the
     # same values at every eta; the baseline's own row is formed at each
     fixed = set() if ids[ibase][1] else {e for e in rows if e != ibase and not ids[e][1]}
+    reads_w = any(ids[e][1] for e in rows)
     b = min(BLOCK_SIZE, cfg.replications - ib * BLOCK_SIZE)
     gen = RngStream(cfg.master_seed, ib).generator
     d = gen.standard_normal(b)
@@ -160,10 +162,12 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
     np.multiply(0.5, lns, out=lns)
     s = np.sqrt(s2, out=s2)
     w = np.empty_like(d)
+    wt = None
     out = [[None] * len(cfg.eta_grid) for _ in names]
     for t, eta in enumerate(cfg.eta_grid):
-        np.add(d, eta / math.sqrt(n), out=w)
-        wt = WTerms(np.divide(w, s, out=w), n)
+        if reads_w:
+            np.add(d, eta / math.sqrt(n), out=w)
+            wt = WTerms(np.divide(w, s, out=w), n)
         for e in rows:
             if t and e in fixed:
                 out[e][t] = out[e][0]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from entropy_lab import cli, evaluate, workers
 from entropy_lab.cli import main
@@ -84,6 +85,17 @@ class TestEstimate:
         assert code == 0
         assert "warning: ordering test rejects mu1 <= mu2" in err
         assert len(parse_table(out)) == 9
+
+    def test_ordering_warning_bytes(self, capsys, tmp_path):
+        # sample1 = 3..7 over sample2 = 1..5: t = 2 at df = 8
+        f = tmp_path / "order.csv"
+        f.write_text("sample1,sample2\n" + "".join(f"{a},{a - 2}\n" for a in range(3, 8)))
+        code, out, err = run_cli(capsys, "estimate", "--csv", str(f), "--loss", "l1")
+        assert code == 0 and len(parse_table(out)) == 9
+        assert err == "# warning: ordering test rejects mu1 <= mu2 (p = 0.0403)\n"
+        res = evaluate.t_test_ordered_means(range(3, 8), range(1, 6))
+        assert res.statistic == pytest.approx(2.0, abs=1e-15)
+        assert res.p_value == pytest.approx(float(stats.t.sf(2.0, 8)), abs=1e-12)
 
     def test_equal_samples_collapse_to_baselines(self, capsys, tmp_path):
         f1 = tmp_path / "a.txt"
@@ -408,7 +420,7 @@ class TestReproduce:
         assert main(["reproduce", "--desk-scale", "--seed", "1", "--out-dir", "out"]) == 0
         capsys.readouterr()
         text = (tmp_path / "out" / "DISCREPANCIES.md").read_text()
-        assert "4.6768" in text and "HPD" in text
+        assert "4.6768" in text and "HPD" in text and "improved_rmle" in text
 
 
 class TestScales:
@@ -588,8 +600,9 @@ def test_hpd_across_small_data_scales(capsys, tmp_path, exponent):
 
 
 # a proposal sd is given in sigma^2 units and the chain divides it by S^2/2:
-# on tiny data it overflows to inf, whose proposals all fail, with no warning
-# but the acceptance line
+# on tiny data it overflows to inf, whose proposals all fail, so the chain
+# never moves and its one-point trace is refused with exit 4; the default sd
+# scales with the data and gives a finite interval with no warning
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sd", [None, "1e10", "1e300"])
 @pytest.mark.parametrize("exponent", [-150, -153, -153.5])
@@ -597,10 +610,13 @@ def test_hpd_proposal_sd_on_tiny_data(capsys, tmp_path, exponent, sd):
     code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
                              "--csv", _scaled_csv(tmp_path / "tiny.csv", exponent),
                              *(() if sd is None else ("--proposal-sd", sd)))
-    assert code == 0
+    if sd is not None:
+        assert code == 4 and out == ""
+        assert err == "numeric error: MH chain never moved: acceptance 0 after burn-in\n"
+        return
+    assert code == 0 and err == ""
     result = json.loads(out)
     assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
-    assert "Warning" not in err and len(err.splitlines()) == (sd is not None)
 
 
 # the adversarial-input table: every command that reads data, on data
@@ -635,6 +651,9 @@ _ADVERSARIAL_INPUTS = [
                  id="estimate-n-1100"),
     pytest.param(("risk", "--n", "1100", "--reps", "10", "--seed", "1", "--eta-to", "0"), 4,
                  "l1 shift is not finite", id="risk-n-1100"),
+    # a proposal sd that overflows in units of S^2/2: no proposal is accepted
+    pytest.param(("ci", "--method", "hpd", "--seed", "1", "--proposal-sd", "1e10",
+                  "--csv", "SCALED-150"), 4, "MH chain never moved", id="ci-hpd-never-moves"),
 ]
 
 

@@ -11,7 +11,7 @@ from scipy import stats
 import entropy_lab as el
 from entropy_lab import intervals
 from entropy_lab.datasets import boeing
-from entropy_lab.errors import DomainError
+from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.intervals import (
     _mh_update,
     _shortest_window,
@@ -345,8 +345,16 @@ class TestMcmc:
     def test_acceptance_warning_for_bad_proposal(self, boeing_data):
         with pytest.warns(RuntimeWarning, match=r"acceptance rate .* outside \[0.05, 0.7\]$"):
             r = el.hpd_mcmc(boeing_data, 0.95,
-                            el.McmcConfig(N=3_000, N0=0, proposal_sd=1e9, seed=1))
+                            el.McmcConfig(N=3_000, N0=0, proposal_sd=1e6, seed=1))
         assert r.diagnostics.get("acceptance_warning")
+        assert 0.0 < r.diagnostics["acceptance_rate"] < 0.05 and r.length > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_chain_that_never_moves_is_refused(self, boeing_data):
+        # every proposal at sd 1e9 is refused: a one-point trace has no HPD
+        with pytest.raises(NumericError, match="never moved"):
+            el.hpd_mcmc(boeing_data, 0.95,
+                        el.McmcConfig(N=3_000, N0=0, proposal_sd=1e9, seed=1))
 
     def test_config_validation(self, boeing_data):
         with pytest.raises(DomainError):

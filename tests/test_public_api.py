@@ -25,7 +25,7 @@ def test_public_surface():
                  "two_sample_data", "ks_normality", "f_test_equal_var",
                  "BracketError", "bz_r0_defining", "conditional_median", "ierd_check"):
         assert not hasattr(el, gone)
-    for gone in ("f_cdf", "kolmogorov_sf", "find_root", "EULER_GAMMA"):
+    for gone in ("f_cdf", "kolmogorov_sf", "find_root", "EULER_GAMMA", "reg_inc_beta"):
         assert not hasattr(numerics, gone)
 
 

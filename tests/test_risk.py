@@ -114,6 +114,24 @@ class TestRowEngine:
                     estimators=tuple(dict.fromkeys((baseline, name)))))
                 assert repr(shared.cell(name, eta)) == repr(alone.cell(name, eta))
 
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
+                             ids=["l1", "linex-3"])
+    def test_no_w_terms_without_a_reader(self, monkeypatch, loss):
+        # baee, umvue and mle never read W, so their block forms no WTerms,
+        # and their cells are those of a run where stein makes the block form them
+        base = dict(n=8, eta_grid=(0.0, 0.75, 2.5), loss=loss, replications=BLOCK_SIZE + 999,
+                    master_seed=31, baseline="baee")
+        formed = []
+        terms = risk.WTerms
+        monkeypatch.setattr(risk, "WTerms", lambda w, n: formed.append(n) or terms(w, n))
+        shifts = el.simulate_risk(SimConfig(**base, estimators=("baee", "umvue", "mle")))
+        assert formed == []
+        with_stein = el.simulate_risk(SimConfig(**base,
+                                                estimators=("baee", "umvue", "mle", "stein")))
+        assert len(formed) == 2 * 3
+        for cell in shifts.cells:
+            assert repr(cell) == repr(with_stein.cell(cell.estimator, cell.eta))
+
     @pytest.mark.parametrize("own", [True, False], ids=["baseline-row", "other-row"])
     @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
                              ids=["l1", "linex-3"])
