@@ -1,17 +1,16 @@
 """Coverage / average-length / PCD study across the interval methods, and
 the one-sided t test of the mean ordering that ``estimate`` screens with.
 
-Every interval method reads a dataset only through SS_0 = SS_1 + SS_2, so
-the study draws each outer replication at mu1 = mu2 = 0 and the configured
-sigma as SS_0 = sigma^2 chi-square(2n - 2) alone, applies each requested
-interval method with its own deterministic substream, and reports coverage
-probability (CP), average length (AL), and their ratio PCD = CP / AL.
-Block ``ib`` holds replications [ib B, (ib + 1) B) at every n of the grid
-and is one job for the worker processes; stream indices encode
-(sample-size slot, block, method slot), so results depend neither on the
-worker count nor on which methods run.  The hpd chains of a block, every n together, advance
-in lockstep on the block's one step-noise stream, and each chain keeps only
-the tails of its draws that the Chen–Shao window reads.
+Every interval is ln S, S^2 = SS_0 = SS_1 + SS_2, plus offsets free of the
+data, so the study draws each outer replication at mu1 = mu2 = 0 and the
+configured sigma as SS_0 = sigma^2 chi-square(2n - 2) alone, draws each
+requested method's offsets on its own deterministic substream, and reports
+coverage probability (CP), average length (AL), and their ratio
+PCD = CP / AL.  Block ``ib`` holds replications [ib B, (ib + 1) B) at every
+n of the grid and is one job for the worker processes; stream indices
+encode (sample-size slot, block, method slot), so results depend neither on
+the worker count nor on which methods run.  A block's hpd chains, every n
+together, advance in lockstep on its one step-noise stream.
 """
 
 from __future__ import annotations
@@ -27,9 +26,11 @@ from .intervals import (
     ACCEPTANCE_BAND,
     McmcConfig,
     _shortest_window,
-    aci_bounds,
-    boot_bounds,
-    gci_bounds,
+    aci_offsets,
+    at_log_scale,
+    boot_offsets,
+    gci_offsets,
+    hpd_offsets,
     run_variance_chains,
 )
 from .model import pooled_ss, scaled_ratio
@@ -149,31 +150,30 @@ def _block(cfg: CoverageConfig, ib: int):
     b = min(cfg.block_size, cfg.outer_reps - ib * cfg.block_size)
     ss0 = np.stack([cfg.sigma * cfg.sigma * stream(ni, _SLOT_DATA).chisquare(2 * n - 2, b)
                     for ni, n in enumerate(cfg.n_grid)])
-    tallies = []
-    for ni, n in enumerate(cfg.n_grid):
-        lns, t = 0.5 * np.log(ss0[ni]), {}
+    offsets = [{} for _ in cfg.n_grid]   # method -> data-free (a, b, length), by n
+    for ni, (n, o) in enumerate(zip(cfg.n_grid, offsets)):
         if "aci" in cfg.methods:
-            t["aci"] = _tally(tau, *aci_bounds(lns, n, cfg.level))
+            o["aci"] = aci_offsets(n, cfg.level)
         if "gci" in cfg.methods:
-            t["gci"] = _tally(tau, *gci_bounds(lns, n, cfg.level, cfg.gci_draws,
-                                               stream(ni, _SLOT_GCI)))
+            o["gci"] = gci_offsets(n, cfg.level, cfg.gci_draws, b, stream(ni, _SLOT_GCI))
         if "boot-p" in cfg.methods or "boot-t" in cfg.methods:
-            pct, stud = boot_bounds(ss0[ni], n, cfg.level, cfg.boot_k, stream(ni, _SLOT_BOOT))
-            t["boot-p"], t["boot-t"] = _tally(tau, *pct), _tally(tau, *stud)
-        tallies.append(t)
-    if "hpd" not in cfg.methods:
-        return tallies, None
-    # the chains of every n share the block's step-noise stream, keyed at the
-    # first n's slot; a chain reads ss1 + ss2 only to shift its tails at the end
-    k = len(cfg.n_grid)
-    mcmc = McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level)
-    zeros = np.zeros(k * b)
-    tails, acc, _ = run_variance_chains(zeros, zeros, ss0.ravel(), zeros,
-                                        np.repeat(cfg.n_grid, b), mcmc, stream(0, _SLOT_MCMC))
-    lower, upper = (w.reshape(k, b) for w in _shortest_window(*tails))
-    for ni, t in enumerate(tallies):
-        t["hpd"] = _tally(tau, lower[ni], upper[ni], upper[ni] - lower[ni])
-    return tallies, acc.reshape(k, b)
+            o["boot-p"], o["boot-t"] = boot_offsets(n, cfg.level, cfg.boot_k, b,
+                                                    stream(ni, _SLOT_BOOT))
+    acc = None
+    if "hpd" in cfg.methods:
+        # every n's chains share the block's step-noise stream (the first n's slot)
+        k = len(cfg.n_grid)
+        zeros = np.zeros(k * b)
+        tails, acc, _ = run_variance_chains(
+            zeros, zeros, ss0.ravel(), zeros, np.repeat(cfg.n_grid, b),
+            McmcConfig(N=cfg.mcmc_n, N0=cfg.mcmc_burnin, level=cfg.level), stream(0, _SLOT_MCMC))
+        hpd = (w.reshape(k, b) for w in hpd_offsets(*_shortest_window(*tails)))
+        for o, *by_n in zip(offsets, *hpd):
+            o["hpd"] = by_n
+        acc = acc.reshape(k, b)
+    lns = 0.5 * np.log(ss0)   # ln S, once per n
+    return [{m: _tally(tau, *at_log_scale(lns[ni], o[m])) for m in o}
+            for ni, o in enumerate(offsets)], acc
 
 
 def coverage_jobs(cfg: CoverageConfig) -> list:
@@ -214,9 +214,9 @@ def fold_coverage(cfg: CoverageConfig, blocks: list) -> CoverageResult:
 def coverage_study(cfg: CoverageConfig) -> CoverageResult:
     """Run the CP/AL/PCD study over the configured n grid and methods.
 
-    Each block of outer replications goes, as SS_0, to the batched interval
-    functions that the single-dataset intervals call on a batch of one; the
-    blocks run on ``cfg.threads`` worker processes and are tallied here.
+    A block takes each method's data-free offsets from the kernel that the
+    single-dataset interval runs on a batch of one and places them at its
+    ln S; blocks run on ``cfg.threads`` worker processes, tallied here.
     Both bootstrap methods come from one draw of order statistics.
     """
     return fold_coverage(cfg, run_jobs(coverage_jobs(cfg), cfg.threads))

@@ -1,39 +1,30 @@
-"""Interval procedures for tau = ln(sigma): asymptotic, parametric
-bootstrap (percentile and studentized), generalized pivot, and an MCMC
+"""Interval procedures for tau = ln(sigma): asymptotic, generalized pivot,
+parametric bootstrap (percentile and studentized), and an MCMC
 highest-posterior-density interval.
 
-Fisher information gives Var(ln sigma_hat) = 1/(4n) for the pooled model,
-which fixes both the asymptotic interval and the studentizing constant of
-the bootstrap-t.  The generalized pivot ln(s) - ln(V)/2 with V chi-square
-2(n-1) is exact: its observed value is tau itself, so coverage matches the
-nominal level at every n.  By Cochran's theorem a parametric resample's
-pooled sum of squares is sigma_hat^2 V, so the studentized bootstrap is the
-same pivot over K draws and the percentile one is it reflected about
-eta_hat.  No pivot draw or resample is formed: a linear sample quantile
-reads two adjacent order statistics, and the four an interval reads have an
-exact law, U_(k) = G_k / G_(m+1) with G the partial sums of m + 1 Exp(1)
-spacings (Renyi's representation; Devroye 1986, ch. V).
+Each is location-scale equivariant: on data with pooled sum of squares
+SS0 = S^2 it is ln S + (a, b), offsets (a, b) free of the data.  So a
+method's kernel (``aci_offsets``, ``gci_offsets``, ``boot_offsets``, and
+``hpd_offsets`` over ``run_variance_chains``) reads no data and returns
+(a, b, length) for b replications at one n; :func:`at_log_scale`, the one
+place that adds ln S, serves the coverage study's blocks and ``aci`` ...
+``hpd_mcmc``, which run their kernel on a batch of one.
 
-The hpd chain is a random walk on the exact marginal posterior
-sigma^2 | data ~ IG(n - 1, SS0/2), the means integrated out (Liu 1994),
-read by the Chen & Shao (1999) window.  It steps the standardized variance
-u = sigma^2 / (SS0/2) ~ IG(n - 1, 1), so the chain never reads the data:
-the interval is ln(SS0/2)/2 plus an offset from the draws of u.  With M
-draws the window at a level reads only the r = M - floor(level M) lowest
-and the r highest, so a chain run for an interval keeps just those: its
-draws go into a bounded buffer that, when full, is sorted in place and cut
-back to its two tails.  Chains of different n advance in lockstep on one
-step-noise stream, each carrying (u, ln u): a step takes one log, the
-proposal's, and a nonpositive or overflowing proposal fails the acceptance
-test by a NaN or +inf bound instead of a mask.  A batch of one chain (the
-Boeing row, ``ci --method hpd``) takes the same steps on Python floats, bit
-for bit, without a numpy call per array operation.
+Var(ln sigma_hat) = 1/(4n) fixes the asymptotic interval and the
+bootstrap-t's standard error.  The pivot ln(s) - ln(V)/2, V ~ chi-square
+2(n-1), is exact.  A parametric resample's pooled sum of squares is
+sigma_hat^2 V (Cochran), so boot-t is the pivot over K draws and boot-p is
+it reflected about eta_hat, whose offset is -ln(2n)/2.  No pivot draw or
+resample is formed: a linear sample quantile reads two adjacent order
+statistics, drawn from their exact law U_(k) = G_k / G_(m+1), G the partial
+sums of m + 1 Exp(1) spacings (Renyi's representation; Devroye 1986, ch. V).
 
-Each method is one function over arrays of statistics (``aci_bounds``,
-``gci_bounds``, ``boot_bounds``; for hpd, ``run_variance_chains`` and the
-Chen–Shao window).  The coverage study calls it on blocks of replications,
-every n of a block together; ``aci`` ... ``hpd_mcmc`` call it on a batch
-of one and add input floors and diagnostics.
+The hpd chain walks on the exact marginal posterior
+sigma^2 | data ~ IG(n - 1, SS0/2), the means integrated out (Liu 1994), in
+u = sigma^2 / (SS0/2) ~ IG(n - 1, 1), which no datum enters.  As
+ln(sigma) = ln S + ln(u)/2 - ln(2)/2, hpd's offsets are the Chen & Shao
+(1999) window over draws of ln(u)/2, less ln(2)/2 (see
+:func:`run_variance_chains` for the lockstep chains and their tails).
 """
 
 from __future__ import annotations
@@ -41,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,9 +52,7 @@ class IntervalResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"method": self.method, "level": self.level, "lower": self.lower,
-                "upper": self.upper, "length": self.length,
-                "diagnostics": dict(self.diagnostics)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,8 +103,17 @@ def _check_level(level: float) -> float:
     return level
 
 
-def _result(method: str, level: float, bounds, diagnostics: dict) -> IntervalResult:
-    lower, upper, length = (float(v[0]) for v in bounds)
+def at_log_scale(lns, offsets):
+    """ln S + (a, b), and the length, for a kernel's offsets (a, b, length)."""
+    lower, upper, length = offsets
+    return lns + lower, lns + upper, length
+
+
+def _result(method: str, level: float, st: SuffStats, offsets,
+            diagnostics: dict) -> IntervalResult:
+    """The interval ``offsets`` give on the data of ``st``, a batch of one."""
+    lower, upper, length = (float(np.ravel(v)[0])
+                            for v in at_log_scale(math.log(st.s), offsets))
     return IntervalResult(method, lower, upper, level, length, diagnostics)
 
 
@@ -124,19 +122,19 @@ def _result(method: str, level: float, bounds, diagnostics: dict) -> IntervalRes
 # ---------------------------------------------------------------------------
 
 
-def aci_bounds(lns: np.ndarray, n: int, level: float):
-    """The asymptotic interval for each ln(S)."""
-    center = lns - 0.5 * math.log(2.0 * n)
+def aci_offsets(n: int, level: float) -> tuple[float, float, float]:
+    """The asymptotic interval's offsets -ln(2n)/2 -/+ h, h = z / (2 sqrt(n)),
+    the same for every replication."""
+    center = -0.5 * math.log(2.0 * n)
     half = std_normal_quantile(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
-    lower, upper = center - half, center + half
-    return lower, upper, upper - lower
+    return center - half, center + half, 2.0 * half
 
 
 def aci(data: TwoSampleData, level: float = 0.95) -> IntervalResult:
     """ln(sigma_hat_MLE) +/- z_{(1+level)/2} / (2 sqrt(n))."""
     level = _check_level(level)
     st = suff_stats(data)
-    return _result("aci", level, aci_bounds(np.array([math.log(st.s)]), st.n, level),
+    return _result("aci", level, st, aci_offsets(st.n, level),
                    {"center": math.log(st.s) - 0.5 * math.log(2.0 * st.n)})
 
 
@@ -145,30 +143,24 @@ def aci(data: TwoSampleData, level: float = 0.95) -> IntervalResult:
 # ---------------------------------------------------------------------------
 
 
-def _half_log_chi2_quantiles(n: int, level: float, m: int, b: int,
-                             gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """b draws of the linear sample quantiles (lo, hi) of ln(V)/2 at
-    (1 -/+ level)/2 over m iid V ~ chi-square 2(n-1).  Quantile p reads ranks
-    j + 1 and j + 2 with weight h - j, h = (m - 1) p, j = floor(h); a rank
-    past m only occurs with weight 0 and is clipped."""
+def gci_offsets(n: int, level: float, draws: int, b: int, gen: np.random.Generator):
+    """Offsets of b intervals, each from the (1 -/+ level)/2 linear sample
+    quantiles of the pivot ln(s) - ln(V)/2 over ``draws`` iid
+    V ~ chi-square 2(n-1): minus those of ln(V)/2, (lo, hi).  Quantile p
+    reads ranks j + 1 and j + 2 with weight h - j, h = (draws - 1) p,
+    j = floor(h); a rank past ``draws`` only occurs with weight 0 and is
+    clipped."""
     alpha = 1.0 - level
-    h = (m - 1) * np.array([0.5 * alpha, 1.0 - 0.5 * alpha])
+    h = (draws - 1) * np.array([0.5 * alpha, 1.0 - 0.5 * alpha])
     j = np.floor(h)
-    pair = np.minimum(np.stack([j + 1.0, j + 2.0]), m)       # (neighbour, quantile)
+    pair = np.minimum(np.stack([j + 1.0, j + 2.0]), draws)   # (neighbour, quantile)
     ranks, rows = np.unique(pair, return_inverse=True)
-    shapes = np.diff(np.concatenate(([0.0], ranks, [m + 1.0])))
+    shapes = np.diff(np.concatenate(([0.0], ranks, [draws + 1.0])))
     g = np.cumsum(gen.standard_gamma(shapes[:, None], (len(shapes), b)), axis=0)
     half_log_v = 0.5 * np.log(chi_square_quantile(2 * (n - 1), g[:-1] / g[-1]))
     below, above = half_log_v[rows.reshape(pair.shape)]
     lo, hi = below + (h - j)[:, None] * (above - below)
-    return lo, hi
-
-
-def gci_bounds(lns: np.ndarray, n: int, level: float, draws: int, gen: np.random.Generator):
-    """Quantiles of the pivot ln(s) - ln(V)/2 over ``draws`` draws of V for
-    each ln(s); the pivot falls in V."""
-    lo, hi = _half_log_chi2_quantiles(n, level, draws, len(lns), gen)
-    return lns - hi, lns - lo, hi - lo
+    return -hi, -lo, hi - lo
 
 
 def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
@@ -179,9 +171,8 @@ def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
     level = _check_level(level)
     if draws < 1000:
         raise DomainError(f"gci needs at least 1000 pivot draws, got {draws}")
-    bounds = gci_bounds(np.array([math.log(st.s)]), st.n, level, draws,
-                        RngStream(seed, 0).generator)
-    return _result("gci", level, bounds, {"draws": draws})
+    offsets = gci_offsets(st.n, level, draws, 1, RngStream(seed, 0).generator)
+    return _result("gci", level, st, offsets, {"draws": draws})
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +180,25 @@ def gci_umvue(st: SuffStats, level: float = 0.95, draws: int = 10_000,
 # ---------------------------------------------------------------------------
 
 
-def boot_bounds(s2: np.ndarray, n: int, level: float, K: int, gen: np.random.Generator):
-    """Percentile and studentized intervals from K resamples per pooled sum
-    of squares; returns (percentile, studentized).
+def boot_offsets(n: int, level: float, K: int, b: int, gen: np.random.Generator):
+    """Offsets of b percentile and b studentized intervals, each from K
+    resamples; returns (percentile, studentized).
 
     A resample's estimate is eta_hat + ln(V / (2n))/2 with
     eta_hat = ln(s) - ln(2n)/2, so with the constant standard error
     1/(2 sqrt(n)) the studentized interval is the gci pivot interval over K
-    draws and the percentile interval is it reflected about eta_hat: one
-    length, while only the studentized coverage matches the exact pivot.
+    draws and the percentile interval is it reflected about eta_hat, whose
+    offset is -ln(2n)/2: the two share one length array, while only the
+    studentized coverage matches the exact pivot.
     """
-    lns = 0.5 * np.log(s2)
-    lower, upper, length = gci_bounds(lns, n, level, K, gen)
-    two_eta_hat = 2.0 * lns - math.log(2.0 * n)
+    lower, upper, length = gci_offsets(n, level, K, b, gen)
+    two_eta_hat = -math.log(2.0 * n)
     return (two_eta_hat - upper, two_eta_hat - lower, length), (lower, upper, length)
 
 
 def _normal_s2(data: TwoSampleData) -> SuffStats:
-    """suff_stats of data whose pooled sum of squares is a normal number:
-    the methods that read s2 refuse data whose s2 underflows."""
+    """suff_stats of data whose pooled sum of squares is a normal number: hpd
+    (its proposal scale reads s2) and boot (resamples of s2) refuse the rest."""
     st = suff_stats(data)
     if st.s2 < sys.float_info.min:
         raise DataError("samples too small: pooled sum of squares underflows")
@@ -218,11 +209,10 @@ def _boot(data: TwoSampleData, level: float,
           cfg: BootConfig) -> tuple[IntervalResult, IntervalResult]:
     level = _check_level(level)
     st = _normal_s2(data)
-    pct, stud = boot_bounds(np.array([st.s2]), st.n, level, cfg.K,
-                            RngStream(cfg.seed, 0).generator)
+    pct, stud = boot_offsets(st.n, level, cfg.K, 1, RngStream(cfg.seed, 0).generator)
     diag = {"K": cfg.K}
-    return (_result("boot-p", level, pct, diag),
-            _result("boot-t", level, stud, {**diag, "se": 0.5 / math.sqrt(st.n)}))
+    return (_result("boot-p", level, st, pct, diag),
+            _result("boot-t", level, st, stud, {**diag, "se": 0.5 / math.sqrt(st.n)}))
 
 
 def boot_p(data: TwoSampleData, level: float = 0.95,
@@ -277,13 +267,16 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     With the means integrated out, sigma^2 | data is inverse-gamma with
     shape n - 1 and scale SS0/2, SS0 = ss1 + ss2, so the standardized
     variance u = sigma^2 / (SS0/2) is IG(n - 1, 1) whatever the data.  Each
-    chain is a random walk on u from 1/(n - 1), and ln(SS0/2)/2 is added to
-    its kept draws of ln(u)/2 once, at the end.  ``x1bar`` and ``x2bar`` are
-    not read (the FOUND on them in CHANGES.md stays open until the bench's
-    wrapper of this signature changes).  ``n`` is one sample size or one per
-    chain; each step draws B standard normals, then B standard exponentials.
+    chain is a random walk on u from 1/(n - 1), and its draws are of
+    ln(u)/2, which no datum enters: ln(sigma) = ln(SS0/2)/2 + ln(u)/2.  The
+    data arguments stay in the signature, which the bench's tracing wrapper
+    (``bench/spans.py``) matches, until that wrapper changes: ``x1bar`` and
+    ``x2bar`` are not read, and ss1 + ss2 only sets the chain count and puts
+    a given ``proposal_sd`` in u units and the returned one back in sigma^2
+    units.  ``n`` is one sample size or one per chain; each step draws B
+    standard normals, then B standard exponentials.
 
-    Returns (theta, acceptance, proposal_sd) where theta[k, j] = ln(sigma)_k
+    Returns (theta, acceptance, proposal_sd) where theta[k, j] = ln(u)_k / 2
     for chain j after burn-in and proposal_sd is each chain's final sd in
     sigma^2 units.  With ``cfg.level`` set, theta is instead the pair
     (lowest, highest) of (r, B) arrays, each chain's r smallest and r
@@ -307,12 +300,11 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
             prop_sd = sd / half_ss0
     M = cfg.N - cfg.N0
     r = M if cfg.level is None else M - _window_offset(M, cfg.level)
-    log_u, shape1, shift = np.log(u), (n - 1) + 1.0, 0.5 * np.log(half_ss0)
+    log_u, shape1 = np.log(u), (n - 1) + 1.0
     if B == 1:
         draws, accepted, scale = _one_chain(u.item(), log_u.item(), np.asarray(shape1).item(),
                                             prop_sd.item(), cfg, gen)
         theta = np.array(draws)[:, None]
-        theta += shift
         if cfg.level is not None:
             theta.sort(axis=0)
             theta = (theta[:r], theta[M - r:])
@@ -350,10 +342,8 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
                 filled += 1
                 accepted += accept
     if cfg.level is None:
-        trace += shift[:, None]
         return trace.T, accepted / M, sd * scale
     filled = fold()
-    trace[:, :filled] += shift[:, None]
     return (trace[:, :r].T, trace[:, filled - r:filled].T), accepted / M, sd * scale
 
 
@@ -362,16 +352,12 @@ def _one_chain(u: float, log_u: float, shape1: float, sd: float,
     """The steps of :func:`run_variance_chains` for a batch of one chain, on
     Python floats; returns the M post-burn-in draws of ln(u)/2 in time
     order, the post-burn-in accept count and the adaptation's factor on the
-    proposal sd (1.0 without an adaptation window).
-
-    A step draws one standard normal, then one standard exponential: the
-    variates, in the order, of the size-1 draws.  The proposal's log is
-    numpy's, as in :func:`_mh_update` (``math.log`` differs from its SIMD
-    log in the last bit on some inputs), and the test is the kernel's,
-    evaluated left to right, so every bit matches.  A nonpositive proposal
-    fails the guard ``prop > 0.0`` where the kernel's bound is NaN, since
-    1.0/0.0 raises on floats.
-    """
+    proposal sd (1.0 without an adaptation window).  A step draws the
+    size-1 draws' variates in their order, takes numpy's log (``math.log``
+    differs from its SIMD log in the last bit on some inputs) and the
+    kernel's test left to right, so every bit matches; a nonpositive
+    proposal fails the guard ``prop > 0.0`` where the kernel's bound is NaN,
+    since 1.0/0.0 raises on floats."""
     log, normal, exponential = np.log, gen.standard_normal, gen.standard_exponential
     window, scale = min(cfg.N0, 500), 1.0
     win_accept = accepted = 0
@@ -419,10 +405,9 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
     st = _normal_s2(data)
-    gen = RngStream(cfg.seed, 0).generator
     theta, acc, prop_sd = run_variance_chains(
-        np.array([st.mean1]), np.array([st.mean2]),
-        np.array([st.s2]), np.zeros(1), st.n, cfg, gen)
+        np.array([st.mean1]), np.array([st.mean2]), np.array([st.s2]), np.zeros(1), st.n, cfg,
+        RngStream(cfg.seed, 0).generator)
     rate = float(acc[0])
     if rate == 0.0:
         # a one-point trace: its HPD has zero width and its ESS means nothing
@@ -435,8 +420,14 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
         warnings.warn(f"MH acceptance rate {rate:.3f} outside [{lo}, {hi}]",
                       RuntimeWarning, stacklevel=2)
     theta.sort(axis=0)
-    lower, upper = chen_shao_hpd(theta, level)
-    return _result("hpd", level, (lower, upper, upper - lower), diag)
+    return _result("hpd", level, st, hpd_offsets(*chen_shao_hpd(theta, level)), diag)
+
+
+def hpd_offsets(lower: np.ndarray, upper: np.ndarray):
+    """hpd's offsets from Chen–Shao windows [lower, upper] over draws of
+    ln(u)/2: ln(sigma) = ln S + ln(u)/2 - ln(2)/2, since SS0/2 = S^2/2."""
+    half_ln2 = 0.5 * math.log(2.0)
+    return lower - half_ln2, upper - half_ln2, upper - lower
 
 
 def _window_offset(m: int, level: float) -> int:
@@ -463,13 +454,9 @@ def _shortest_window(lowest: np.ndarray, highest: np.ndarray):
 
 def chen_shao_hpd(sorted_draws, level: float):
     """Shortest sliding-window interval over posterior draws sorted
-    ascending along the first axis; a 2-d array gives one interval per
-    column.
-
-    With M draws and window offset floor(level * M), the start index
-    minimizing the window width is chosen; widths within a 1e-12 relative
-    band of the minimum count as ties and the smallest index wins.
-    """
+    ascending along the first axis, one per column of a 2-d array: over M
+    draws, of the windows [draws[i], draws[i + floor(level M)]], the one
+    :func:`_shortest_window` picks."""
     level = _check_level(level)
     draws = np.asarray(sorted_draws, dtype=float)
     m = len(draws)

@@ -135,8 +135,7 @@ def risk_csv(results) -> str:
 
 
 def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
-    """Block ``ib`` of :func:`_replications`: estimators by reduced values by
-    eta."""
+    """Block ``ib`` of :func:`risk_jobs`: estimators by reduced values by eta."""
     n, loss, names = cfg.n, cfg.loss, cfg.estimators
     ids = [rule_identity(e, n, loss) for e in names]
     ibase = names.index(cfg.baseline)
@@ -185,21 +184,23 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
     return np.moveaxis(np.array([out[r] for r in rep]), 1, -1)
 
 
-def _replications(cfg: SimConfig, reduce) -> np.ndarray:
-    """Fold ``reduce(l, d, l_base)`` over every block, eta and estimator of
-    ``cfg``.
+def risk_jobs(cfg: SimConfig, reduce=None) -> list:
+    """The campaign's blocks as jobs for :func:`~entropy_lab.workers.run_jobs`,
+    each folding ``reduce(l, d, l_base)`` over its replications, every eta
+    and every estimator; by default the sums :func:`fold_risk` reads.
 
     ``d`` holds one estimator's estimates on one block at one eta, ``l``
     their losses and ``l_base`` the baseline estimator's losses there.  Data
     are drawn at mu1 = 0, sigma = 1 (risk depends on the parameters only
-    through eta), so an estimate is its own error.  The result has the
-    estimators on its first axis, the reduced values next and eta last,
-    summed over blocks in block order.  With more than one worker,
+    through eta), so an estimate is its own error.  A job's result has the
+    estimators on its first axis, the reduced values next and eta last; the
+    campaign's is their sum in block order.  With more than one worker,
     ``reduce`` must be a module-level function, so that it pickles.
     """
+    if reduce is None:
+        reduce = _risk_sums_squared_error if cfg.loss.kind == SQUARED_ERROR else _risk_sums
     nblocks = (cfg.replications + BLOCK_SIZE - 1) // BLOCK_SIZE
-    jobs = [partial(_block, cfg, reduce, ib) for ib in range(nblocks)]
-    return np.sum(run_jobs(jobs, cfg.threads), axis=0)
+    return [partial(_block, cfg, reduce, ib) for ib in range(nblocks)]
 
 
 def _loss_square_sums(l, l_base) -> tuple:
@@ -224,14 +225,12 @@ def _risk_sums_squared_error(l, d, l_base) -> tuple:
     return sum_l, sum_l2, d.sum(), sum_l, sum_lb
 
 
-def simulate_risk(cfg: SimConfig) -> SimResult:
-    """Estimate risk and bias of each estimator across the eta grid."""
+def fold_risk(cfg: SimConfig, blocks: list) -> SimResult:
+    """The campaign's cells from its blocks' results, in block order."""
     names = cfg.estimators
     etas = tuple(float(e) for e in cfg.eta_grid)
     ibase = names.index(cfg.baseline)
-
-    reduce = _risk_sums_squared_error if cfg.loss.kind == SQUARED_ERROR else _risk_sums
-    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(_replications(cfg, reduce), 1, 0)
+    sum_l, sum_l2, sum_d, sum_d2, sum_lb = np.moveaxis(np.sum(blocks, axis=0), 1, 0)
     reps = cfg.replications
     risk, bias = sum_l / reps, sum_d / reps
     stderr = np.sqrt(np.maximum(sum_l2 / reps - np.square(risk), 0.0) / reps)
@@ -245,6 +244,11 @@ def simulate_risk(cfg: SimConfig) -> SimResult:
                   for t in range(len(etas)) for e in range(len(names)))
     return SimResult(n=cfg.n, loss=cfg.loss, replications=reps,
                      master_seed=cfg.master_seed, baseline=cfg.baseline, cells=cells)
+
+
+def simulate_risk(cfg: SimConfig) -> SimResult:
+    """Estimate risk and bias of each estimator across the eta grid."""
+    return fold_risk(cfg, run_jobs(risk_jobs(cfg), cfg.threads))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,8 @@ def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int
     stderr is that of the mean score, a replication scoring 1, 1/2 or 0."""
     cfg = SimConfig(n=n, eta_grid=(eta,), loss=loss, replications=reps, master_seed=seed,
                     estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2, threads=threads)
-    n_less, n_tie = _replications(cfg, _gpc_counts)[cfg.estimators.index(est1), :, 0].tolist()
+    counts = np.sum(run_jobs(risk_jobs(cfg, _gpc_counts), threads), axis=0)
+    n_less, n_tie = counts[cfg.estimators.index(est1), :, 0].tolist()
     p = (n_less + 0.5 * n_tie) / reps
     var = (n_less + 0.25 * n_tie) / reps - p * p
     return GpcResult(value=p, stderr=math.sqrt(max(var, 0.0) / reps),

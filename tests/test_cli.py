@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entropy_lab import cli, evaluate, workers
+from entropy_lab import cli, evaluate, risk, workers
 from entropy_lab.cli import main
 from entropy_lab.datasets import BOEING_PLANE_7907, BOEING_PLANE_7916
 from entropy_lab.errors import DataError, NumericError
@@ -248,6 +248,24 @@ class TestRisk:
         assert "unknown estimators ['foo']" in err
         assert "baseline" not in err
 
+    def test_one_pool_for_every_n(self, capsys, monkeypatch, four_cpus):
+        # every n's blocks go to one run_jobs call, and so to one pool
+        calls = []
+
+        def counting(jobs, threads):
+            jobs = list(jobs)
+            calls.append((len(jobs), threads))
+            return workers.run_jobs(jobs, threads)
+
+        monkeypatch.setattr(cli, "run_jobs", counting)
+        monkeypatch.setattr(risk, "run_jobs", counting)
+        argv = ("risk", "--n", "6,8", "--eta-to", "0.5", "--eta-step", "0.5",
+                "--reps", "20000", "--seed", "1")
+        code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
+        assert code == 0
+        assert calls == [(4, 2)]           # two blocks of 16,384 reps at each n
+        assert run_cli(capsys, *argv) == (0, pooled, "")
+
     def test_multiple_n(self, capsys):
         code, out, _ = run_cli(capsys, "risk", "--n", "6,8", "--eta-from", "0",
                                "--eta-to", "0.5", "--eta-step", "0.5",
@@ -429,8 +447,11 @@ class TestScales:
         # campaigns themselves are not run
         seen = {"risk": [], "coverage": []}
 
-        def fake_risk(cfg):
+        def fake_risk_jobs(cfg):
             seen["risk"].append(replace(cfg, master_seed=0))
+            return []
+
+        def fake_fold_risk(cfg, blocks):
             return SimResult(n=cfg.n, loss=cfg.loss, replications=cfg.replications,
                              master_seed=cfg.master_seed, baseline=cfg.baseline, cells=())
 
@@ -443,7 +464,8 @@ class TestScales:
             seen["coverage"].append(replace(cfg, master_seed=0))
             return []
 
-        monkeypatch.setattr(cli, "simulate_risk", fake_risk)
+        monkeypatch.setattr(cli, "risk_jobs", fake_risk_jobs)
+        monkeypatch.setattr(cli, "fold_risk", fake_fold_risk)
         monkeypatch.setattr(cli, "coverage_study", fake_coverage)
         monkeypatch.setattr(cli, "coverage_jobs", fake_coverage_jobs)
         monkeypatch.setattr(cli, "fold_coverage",
@@ -651,6 +673,11 @@ _ADVERSARIAL_INPUTS = [
                  id="estimate-n-1100"),
     pytest.param(("risk", "--n", "1100", "--reps", "10", "--seed", "1", "--eta-to", "0"), 4,
                  "l1 shift is not finite", id="risk-n-1100"),
+    # an eta grid is counted before it is formed: a step of 5e-324 makes the
+    # count infinite, and 1e-9 over the default [0, 5] makes it 5,000,000,001
+    *(pytest.param(("risk", "--n", "8", "--reps", "100", "--seed", "1", "--eta-step", step), 2,
+                   "at most 1000 points", id=f"risk-eta-step-{step}")
+      for step in ("5e-324", "1e-9")),
     # a proposal sd that overflows in units of S^2/2: no proposal is accepted
     pytest.param(("ci", "--method", "hpd", "--seed", "1", "--proposal-sd", "1e10",
                   "--csv", "SCALED-150"), 4, "MH chain never moved", id="ci-hpd-never-moves"),

@@ -15,11 +15,14 @@ from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.intervals import (
     _mh_update,
     _shortest_window,
-    boot_bounds,
-    gci_bounds,
+    aci_offsets,
+    at_log_scale,
+    boot_offsets,
+    gci_offsets,
+    hpd_offsets,
     run_variance_chains,
 )
-from entropy_lab.numerics import chi_square_cdf, chi_square_quantile
+from entropy_lab.numerics import chi_square_cdf, chi_square_quantile, std_normal_quantile
 from entropy_lab.numerics.rng import RngStream
 
 
@@ -177,10 +180,9 @@ class TestChiSquareBootstrap:
         # no resample is drawn, so the traced peak is set by B alone, not by
         # K or n
         def peak(n: int) -> int:
-            s2 = np.full(256, 2.0 * n)
             tracemalloc.start()
             try:
-                boot_bounds(s2, n, 0.95, 3_000, RngStream(5, 0).generator)
+                boot_offsets(n, 0.95, 3_000, 256, RngStream(5, 0).generator)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -212,8 +214,7 @@ class TestOrderStatisticQuantiles:
 
     @pytest.mark.parametrize("n, m", [(6, 1_000), (40, 300)])
     def test_gci_endpoints_match_direct_pivot_quantiles(self, n, m):
-        lns = np.zeros(self.B)
-        lower, upper, length = gci_bounds(lns, n, 0.95, m, RngStream(61, n).generator)
+        lower, upper, length = gci_offsets(n, 0.95, m, self.B, RngStream(61, n).generator)
         lo, hi = _direct_quantiles(n, 0.95, m, self.B, seed=62 + n)
         for got, want in ((lower, -hi), (upper, -lo), (length, hi - lo)):
             assert stats.ks_2samp(got, want).pvalue > 1e-3
@@ -223,16 +224,16 @@ class TestOrderStatisticQuantiles:
         # the percentile endpoints are quantiles of ln(sigma_hat^2 V/(2n))/2
         # over K draws, sigma_hat^2 = s2/(2n)
         s2 = np.full(self.B, 3.0 * n)
-        (q_lo, q_hi, _), _ = boot_bounds(s2, n, 0.95, K, RngStream(63, n).generator)
+        pct, _ = boot_offsets(n, 0.95, K, self.B, RngStream(63, n).generator)
+        q_lo, q_hi, _ = at_log_scale(0.5 * np.log(s2), pct)
         shift = 0.5 * math.log(s2[0] / (2.0 * n) / (2.0 * n))
         lo, hi = _direct_quantiles(n, 0.95, K, self.B, seed=64 + n)
         assert stats.ks_2samp(q_lo, shift + lo).pvalue > 1e-3
         assert stats.ks_2samp(q_hi, shift + hi).pvalue > 1e-3
 
     def test_boot_t_is_gci_pivot_with_m_equal_k(self):
-        s2 = np.array([0.7, 12.0, 3_000.0])
-        _, stud = boot_bounds(s2, 8, 0.9, 3_000, RngStream(65, 0).generator)
-        gci = gci_bounds(0.5 * np.log(s2), 8, 0.9, 3_000, RngStream(65, 0).generator)
+        _, stud = boot_offsets(8, 0.9, 3_000, 3, RngStream(65, 0).generator)
+        gci = gci_offsets(8, 0.9, 3_000, 3, RngStream(65, 0).generator)
         for a, b in zip(stud, gci):
             np.testing.assert_array_equal(a, b)
 
@@ -241,7 +242,7 @@ class TestOrderStatisticQuantiles:
         # level 0.001 at m = 100 reads ranks 50 and 51 for both quantiles;
         # m = 1 clips the upper neighbour with weight 0
         n = 10
-        lower, upper, _ = gci_bounds(np.zeros(self.B), n, level, m, RngStream(66, m).generator)
+        lower, upper, _ = gci_offsets(n, level, m, self.B, RngStream(66, m).generator)
         lo, hi = _direct_quantiles(n, level, m, self.B, seed=67 + m)
         assert np.isfinite(lower).all() and (lower <= upper).all()
         assert stats.ks_2samp(lower, -hi).pvalue > 1e-3
@@ -251,7 +252,7 @@ class TestOrderStatisticQuantiles:
         def peak(draws: int) -> int:
             tracemalloc.start()
             try:
-                gci_bounds(np.zeros(256), 10, 0.95, draws, RngStream(68, 0).generator)
+                gci_offsets(10, 0.95, draws, 256, RngStream(68, 0).generator)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -395,9 +396,9 @@ class TestEquivariance:
     @pytest.mark.parametrize("k", [200, -200])
     @pytest.mark.parametrize("B, sd", [(1, None), (1, 0.5), (12, None), (12, 0.5)])
     def test_chain_shifts_by_log_scale(self, B, sd, k):
-        # the chain steps u = sigma^2 / (SS0/2), so SS0 scaled by 4^k, and a
-        # proposal sd in sigma^2 units with it, takes the same steps bit for
-        # bit; every draw moves by k ln 2 within the rounding of its shift
+        # the chain steps u = sigma^2 / (SS0/2) and keeps draws of ln(u)/2,
+        # so SS0 scaled by 4^k, and a proposal sd in sigma^2 units with it,
+        # takes the same steps and keeps the same draws bit for bit
         n = 10 if B == 1 else np.repeat([3, 10, 40], 4)
         ss0, scale, zeros = np.linspace(5.0, 40.0, B), 4.0 ** k, np.zeros(B)
         runs = [run_variance_chains(zeros, zeros, ss0 * c, zeros, n,
@@ -408,23 +409,62 @@ class TestEquivariance:
         (t1, a1, s1), (t2, a2, s2) = runs
         np.testing.assert_array_equal(a2, a1)
         np.testing.assert_array_equal(s2, s1 * scale)
-        assert (np.abs(t2 - t1 - k * math.log(2.0)) <= np.spacing(np.abs(t2))).all()
+        np.testing.assert_array_equal(t2, t1)
+
+
+class TestOffsets:
+    """Each kernel returns data-free offsets (a, b, length), and ln S plus
+    them is the interval."""
+
+    @pytest.mark.parametrize("n, level", [(2, 0.5), (6, 0.95), (40, 0.9)])
+    def test_aci_offsets_are_exact(self, n, level):
+        h = std_normal_quantile(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
+        assert h == pytest.approx(stats.norm.ppf(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n)),
+                                  rel=1e-12)
+        center = -0.5 * math.log(2.0 * n)
+        assert aci_offsets(n, level) == (center - h, center + h, 2.0 * h)
+
+    @pytest.mark.parametrize("level", [0.95, 0.9])
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_offsets_plus_log_s_give_the_single_dataset_interval(self, boeing_data, level,
+                                                                 scale):
+        data = el.TwoSampleData(scale * boeing_data.sample1, scale * boeing_data.sample2)
+        st = el.suff_stats(data)
+        lns = 0.5 * math.log(st.s2)      # ln S as the coverage study forms it
+
+        def check(result, offsets):
+            got = (float(np.ravel(v)[0]) for v in at_log_scale(lns, offsets))
+            for g, want in zip(got, (result.lower, result.upper, result.length)):
+                assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+        check(el.aci(data, level), aci_offsets(st.n, level))
+        check(el.gci_umvue(st, level, draws=4_000, seed=3),
+              gci_offsets(st.n, level, 4_000, 1, RngStream(3, 0).generator))
+        pct, stud = boot_offsets(st.n, level, 1_000, 1, RngStream(4, 0).generator)
+        boot = el.BootConfig(K=1_000, seed=4)
+        check(el.boot_p(data, level, boot), pct)
+        check(el.boot_t(data, level, boot), stud)
+        # the chain run for an interval keeps only the tails the window reads
+        tails, _, _ = run_variance_chains(
+            np.zeros(1), np.zeros(1), np.array([st.s2]), np.zeros(1), st.n,
+            el.McmcConfig(N=4_000, N0=1_000, level=level), RngStream(5, 0).generator)
+        check(el.hpd_mcmc(data, level, el.McmcConfig(N=4_000, N0=1_000, seed=5)),
+              hpd_offsets(*_shortest_window(*tails)))
 
 
 class TestLockstepChains:
     @pytest.mark.parametrize("n", [6, 20])
     def test_chain_targets_exact_marginal_posterior(self, n):
-        # sigma^2 | data ~ IG(n - 1, SS0/2), so ln(sigma) is
-        # ln(SS0/2)/2 - ln(G)/2 with G ~ Gamma(n - 1); the final states of
-        # many independent short chains must follow that law
+        # sigma^2 | data ~ IG(n - 1, SS0/2), so a chain's draw of ln(u)/2,
+        # u = sigma^2 / (SS0/2), is -ln(G)/2 with G ~ Gamma(n - 1); the final
+        # states of many independent short chains must follow that law
         B, ss1, ss2 = 20_000, 0.6 * n, 1.1 * n
-        half_ss0 = 0.5 * (ss1 + ss2)
         cfg = el.McmcConfig(N=600, N0=500)
         theta, _, _ = run_variance_chains(
             np.zeros(B), np.zeros(B), np.full(B, ss1), np.full(B, ss2), n, cfg,
             RngStream(71, n).generator)
         p = stats.kstest(theta[-1],
-                         lambda t: stats.gamma.sf(half_ss0 * np.exp(-2.0 * t), n - 1)).pvalue
+                         lambda t: stats.gamma.sf(np.exp(-2.0 * t), n - 1)).pvalue
         assert p > 1e-3
 
     def test_single_chain_matches_batch_layout(self):
@@ -502,9 +542,8 @@ class TestStepKernel:
     """The chain's step, run on the carried (u, ln u) with a NaN or +inf
     bound rejecting bad proposals, against the step as first written: a
     valid mask, a safe copy, two logs a step and np.where, on the same
-    draws, on the standardized variance u = sigma^2 / (SS0/2) with the
-    ln(SS0/2)/2 shift added to the trace at the end.  The two must agree
-    bit for bit."""
+    draws, on the standardized variance u = sigma^2 / (SS0/2), keeping
+    draws of ln(u)/2.  The two must agree bit for bit."""
 
     @staticmethod
     def _reference(ss0, n, cfg, gen):
@@ -539,7 +578,6 @@ class TestStepKernel:
                 if k > cfg.N0:
                     trace[k - cfg.N0 - 1] = 0.5 * np.log(u)
                     accepted += accept
-        trace += 0.5 * np.log(half_ss0)
         return trace, accepted / M, sd * scale
 
     @staticmethod
@@ -622,7 +660,6 @@ class TestOneChain:
                 if k > cfg.N0:
                     np.multiply(log_u, 0.5, out=trace[k - cfg.N0 - 1])
                     accepted += accept
-        trace += 0.5 * np.log(half_ss0)
         if cfg.level is not None:
             trace.sort(axis=0)
             r = M - math.floor(cfg.level * M)

@@ -16,7 +16,6 @@ from entropy_lab.numerics.rng import RngStream
 from entropy_lab.risk import (
     BLOCK_SIZE,
     SimConfig,
-    _replications,
     _risk_sums,
     _risk_sums_squared_error,
     risk_csv,
@@ -47,7 +46,8 @@ class TestPairDraw:
         names, etas, b = ("baee", "stein", "rmle"), (0.0, 1.5), 3_000
         cfg = SimConfig(n=n, eta_grid=etas, loss=l1, replications=b, master_seed=9,
                         estimators=names)
-        got = _replications(cfg, lambda l, d, l_base: d.copy())
+        (block,) = risk.risk_jobs(cfg, lambda l, d, l_base: d.copy())
+        got = block()
         d, s2 = hand_draw(9, b, n)
         for t, eta in enumerate(etas):
             lns, w = 0.5 * np.log(s2), (d + eta / math.sqrt(n)) / np.sqrt(s2)
