@@ -52,9 +52,13 @@ def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
         return np.multiply(0.5, t, out=t)
 
 
+_SIGN_BIT = np.int64(-2**63)
+_ONE_BITS = np.float64(1.0).view(np.int64)
+
+
 class WTerms:
     """W of a batch at sample size n with the terms the rules share, each
-    computed once for every rule: T(W), T(W) where W < 0 and 0 elsewhere,
+    computed once for every rule: T(W), T(W) where W < 0 and +0 elsewhere,
     the sign of W as +1 or -1, and the mask of W = 0 (None when no W is 0)."""
 
     __slots__ = ("w", "t", "t_neg", "sign", "zero")
@@ -62,12 +66,16 @@ class WTerms:
     def __init__(self, w: np.ndarray, n: int):
         self.w = w
         self.t = _shrink_term(w, n)
-        # T(W) where W < 0 and +0 elsewhere, not inf * 0 where T(W) overflows:
-        # T's bits under a mask of all ones or all zeros, since np.where on a
-        # mask with no pattern takes four times as long
-        mask = np.negative(np.less(w, 0.0), dtype=np.int64, out=...)
+        # T's bits under the sign bit of W shifted across the word: T(W)
+        # where W < 0 and +0 elsewhere (W = -0 has T = +0, a NaN W whose
+        # sign bit is set gives NaN), not inf * 0 where T(W) overflows.
+        # np.where on a mask with no pattern takes four times as long, and
+        # a bool mask cast to int64 twice as long as the shift.
+        bits = w.view(np.int64)
+        mask = np.right_shift(bits, 63, out=...)
         self.t_neg = np.bitwise_and(self.t.view(np.int64), mask, out=mask).view(np.float64)
-        self.sign = np.copysign(1.0, w)
+        sign = np.bitwise_and(bits, _SIGN_BIT, out=...)  # copysign(1, W), from the same bits
+        self.sign = np.bitwise_or(sign, _ONE_BITS, out=sign).view(np.float64)
         zero = w == 0.0
         self.zero = zero if zero.any() else None
 
@@ -144,12 +152,18 @@ class BzTable:
     5.4e-6 at n = 26, far below Monte Carlo standard errors (about 3e-4).
 
     Because the nodes are uniform in x, a lookup finds its interval by
-    direct index, j = floor(x / step), and moves j by one where rounding
-    put x on the other side of a stored node; there is no binary search.
-    With the slopes precomputed as ``np.interp`` forms them, the value is
-    ``np.interp``'s bit for bit.  ``absw`` is read only through its
-    square, so a signed w gives r0(|w|).  A lookup writes into two float
-    rows and one index row of its own and never into its argument.
+    direct index, j = floor(x / step); there is no binary search.  It
+    gathers the node x[j] once and forms dx = x - x[j], the offset the
+    value needs anyway.  Where 0 <= dx < the smallest node gap, j is the
+    interval: x >= x[j], and rounding is monotone, so x >= x[j + 1] would
+    give dx >= the rounded gap x[j + 1] - x[j].  Only elsewhere, where
+    x * per_step rounded across a node, or for x < 0 or NaN, does the
+    exact bracket (:meth:`_bracket`) read x[j] and x[j + 1] and move j
+    by one.  With the slopes precomputed as ``np.interp`` forms them, the
+    value is ``np.interp``'s bit for bit.  ``absw`` is read only through
+    its square, so a signed w gives r0(|w|).  A lookup writes into two
+    float rows, one index row and one mask row of its own and never into
+    its argument.
     """
 
     def __init__(self, n: int, loss: Loss):
@@ -161,6 +175,7 @@ class BzTable:
         self._x = np.append(x, np.inf)  # x[j + 1] > any x at the last node
         self._x_max = x[-1]
         self._per_step = (_TABLE_POINTS - 1) / x[-1]
+        self._gap_bits = np.diff(x).min().view(np.uint64)  # the smallest node gap
         self._vals = vals
         self._slopes = np.append(np.diff(vals) / np.diff(x), 0.0)  # flat past the cap
         self.absw_grid = np.sqrt(y / n)
@@ -185,16 +200,27 @@ class BzTable:
         j = np.fmin(xj, _TABLE_POINTS - 1, out=xj).astype(np.intp)  # NaN -> last
         # np.take buffers `out` in its default mode="raise"; "wrap" writes
         # straight into it and reads any j in [-len, len) as x[j] does
-        above = np.take(self._x[1:], j, out=xj, mode="wrap") <= x
-        below = np.take(self._x, j, out=xj, mode="wrap") > x
-        if below.any() or above.any():  # x * per_step rounded across a node
-            np.subtract(j, below, out=j)
-            np.add(j, above, out=j)
-            np.take(self._x, j, out=xj, mode="wrap")
-        dx = np.subtract(x, xj, out=xj)
+        dx = np.subtract(x, np.take(self._x, j, out=xj, mode="wrap"), out=xj)
+        # as unsigned integers the floats in [0, gap) are the bit patterns
+        # below the gap's, and a negative dx or a NaN compares above it
+        off = np.greater_equal(dx.view(np.uint64), self._gap_bits)
+        if off.any():  # x * per_step may have rounded across a node
+            self._bracket(x, j, dx, np.flatnonzero(off))
         slope = np.take(self._slopes, j, out=x, mode="wrap")
         np.multiply(slope, dx, out=dx)
         return np.add(dx, np.take(self._vals, j, out=x, mode="wrap"), out=dx)
+
+    def _bracket(self, x: np.ndarray, j: np.ndarray, dx: np.ndarray, k: np.ndarray) -> None:
+        """The exact bracket at the positions k: moves j[k] by one where
+        x[k] lies below node j or at or above node j + 1, and forms dx[k]
+        at the moved node."""
+        xk, jk = x[k], j[k]
+        above = np.take(self._x[1:], jk, mode="wrap") <= xk
+        below = np.take(self._x, jk, mode="wrap") > xk
+        jk -= below
+        jk += above
+        j[k] = jk
+        dx[k] = xk - np.take(self._x, jk, mode="wrap")
 
 
 _TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}

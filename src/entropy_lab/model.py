@@ -1,6 +1,7 @@
 """Data model for two order-restricted normal populations with a common
 variance: sufficient statistics, loss functions, the equivariant shift
-constants, and the exact bias and risk of the baseline they define.
+constants, and the exact bias and risk of every shift rule ln(S) + c,
+the baseline they define among them.
 
 The estimand throughout is tau = ln(sigma); the differential entropy of the
 two-population system is the affine map H = 1 + ln(2*pi) + 2*tau.
@@ -214,7 +215,8 @@ class Loss:
 # m0(loss, n):  same first-order condition with U ~ Gamma((2n-1)/2, scale 2),
 # the conditional law of S^2 given W = 0.  It is the small-|W| target of all
 # shrinkage estimators and satisfies m0 < d0.  Both are Loss.shift over a
-# gamma law, and the exact bias and risk of ln(S) + d0 follow from d0.
+# gamma law, and the exact bias and risk of any shift rule ln(S) + c
+# (baee, umvue, mle) follow from the moments of the chi-square law of S^2.
 
 
 def _gamma_mean_log_root(shape: float) -> float:
@@ -222,14 +224,18 @@ def _gamma_mean_log_root(shape: float) -> float:
     return 0.5 * (math.log(2.0) + digamma(shape))
 
 
-def _gamma_shift(loss: Loss, n: int, shape: float) -> float:
-    """:meth:`Loss.shift` for U ~ Gamma(shape, scale 2), where
+def _gamma_log_root_mgf(shape: float, a: float) -> float:
+    """ln E[U^(a/2)] for U ~ Gamma(shape, scale 2), where
     E[U^(a/2)] = 2^(a/2) Gamma(shape + a/2) / Gamma(shape)."""
+    return 0.5 * a * math.log(2.0) + ln_gamma(shape + 0.5 * a) - ln_gamma(shape)
+
+
+def _gamma_shift(loss: Loss, n: int, shape: float) -> float:
+    """:meth:`Loss.shift` for U ~ Gamma(shape, scale 2)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     return loss.shift(shape, lambda: _gamma_mean_log_root(shape),
-                      lambda a: 0.5 * a * math.log(2.0) + ln_gamma(shape + 0.5 * a)
-                      - ln_gamma(shape))
+                      lambda a: _gamma_log_root_mgf(shape, a))
 
 
 def d0(loss: Loss, n: int) -> float:
@@ -254,6 +260,36 @@ def closed_form_risk_baee(loss: Loss, n: int) -> float:
     term of E[L'], so the risk is -a1 times the bias."""
     bias = closed_form_bias_baee(loss, n)  # checks n and the linex moment
     return 0.25 * trigamma(n - 1.0) if loss.kind == SQUARED_ERROR else -loss.a1 * bias
+
+
+def closed_form_bias_shift(loss: Loss, n: int, c: float) -> float:
+    """Exact bias b = c + E[ln sqrt(V)] = c + (ln 2 + psi(n-1))/2 of the
+    shift rule ln(S) + c (baee at c = d0, mle at c = -ln(2n)/2), whatever
+    the loss; ``loss`` is read only to check that, under linex(a), the
+    moment E[V^(a/2)] of its risk exists: n - 1 + a/2 > 0."""
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    if not math.isfinite(c):
+        raise DomainError(f"shift must be finite, got {c!r}")
+    if loss.kind == LINEX and n - 1.0 + 0.5 * loss.a1 <= 0.0:
+        raise DomainError(f"linex risk needs n - 1 + a1/2 > 0 (n={n}, a1={loss.a1})")
+    return c + _gamma_mean_log_root(n - 1.0)
+
+
+def closed_form_risk_shift(loss: Loss, n: int, c: float) -> float:
+    """Exact constant risk of ln(S) + c, with b its bias: trigamma(n-1)/4 +
+    b^2 under squared error, and under linex(a)
+    E[exp(a (ln sqrt(V) + c))] - a b - 1 = expm1(a c + ln E[V^(a/2)]) - a b.
+    At c = d0 the exponential term is 1, which
+    :func:`closed_form_risk_baee` takes as given."""
+    b = closed_form_bias_shift(loss, n, c)
+    if loss.kind == SQUARED_ERROR:
+        return 0.25 * trigamma(n - 1.0) + b * b
+    a = loss.a1
+    try:
+        return math.expm1(a * c + _gamma_log_root_mgf(n - 1.0, a)) - a * b
+    except OverflowError:
+        raise DomainError(f"linex risk of the shift {c!r} overflows (n={n}, a1={a})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,15 @@ W moves.
 A block does each piece of work once.  At each eta the terms of W that
 several rules read (its sign and T(W)) are computed once, as a
 :class:`~entropy_lab.estimators.WTerms`.  Each estimator's row of the block
-is then evaluated, checked finite, turned into losses and reduced while
-that one array is still in cache, the baseline's row first, since every
-reduction reads its losses.  Risk and Pitman closeness run on the same
-blocks and differ only in how a row is reduced.
+is then evaluated, checked, turned into losses and reduced while that one
+array is still in cache, the baseline's row first, since every reduction
+reads its losses.  The check is the row's sum of d, which the reduction
+needs anyway, formed once before the loss: a NaN, an inf, or +inf with -inf
+make the sum NaN or inf, and a row of finite estimates (ln S plus terms of
+order ln |W|) has a finite sum.  So a row that fails raises NumericError,
+naming its first non-finite replication, before any loss sees it.  Risk
+and Pitman closeness run on the same blocks and differ only in how a row
+is reduced.
 
 A block forms one row per distinct rule: names whose builders bind one rule
 function to the same constants (:func:`~entropy_lab.estimators.rule_identity`)
@@ -33,6 +38,8 @@ each rule, table lookup and loss writes into the few arrays its own call
 made (never into ln S, a WTerms field or the table), and a reduction
 squares into one scratch row; so a block makes few 128 KiB arrays, each
 with the same operands in the same order as before, and the same bits.
+A row's estimates and losses are dropped before the next row forms its
+own, whose arrays then reuse their memory rather than fault in new pages.
 The baseline's own row takes its sum of l^2 as its cross sum, and under
 squared error, where l = d^2 elementwise, the sum of d^2 is the sum of l.
 """
@@ -172,27 +179,30 @@ def _block(cfg: SimConfig, reduce, ib: int) -> np.ndarray:
                 out[e][t] = out[e][0]
                 continue
             de = fns[e](lns, wt)
-            finite = np.isfinite(de)
-            if not finite.all():
+            with np.errstate(invalid="ignore"):  # +inf + -inf is NaN, and fails here
+                sum_d = de.sum()
+            if not math.isfinite(sum_d):
                 raise NumericError(
                     f"estimator {names[e]!r} failed at replication "
-                    f"{ib * BLOCK_SIZE + int(np.argmin(finite))} (eta={float(eta)})")
+                    f"{ib * BLOCK_SIZE + int(np.argmin(np.isfinite(de)))} (eta={float(eta)})")
             le = loss.value(de)
             if e == ibase:
                 l_base = le
-            out[e][t] = reduce(le, de, l_base)
+            out[e][t] = reduce(le, de, l_base, sum_d)
+            del de, le
     return np.moveaxis(np.array([out[r] for r in rep]), 1, -1)
 
 
 def risk_jobs(cfg: SimConfig, reduce=None) -> list:
     """The campaign's blocks as jobs for :func:`~entropy_lab.workers.run_jobs`,
-    each folding ``reduce(l, d, l_base)`` over its replications, every eta
-    and every estimator; by default the sums :func:`fold_risk` reads.
+    each folding ``reduce(l, d, l_base, sum_d)`` over its replications, every
+    eta and every estimator; by default the sums :func:`fold_risk` reads.
 
-    ``d`` holds one estimator's estimates on one block at one eta, ``l``
-    their losses and ``l_base`` the baseline estimator's losses there.  Data
-    are drawn at mu1 = 0, sigma = 1 (risk depends on the parameters only
-    through eta), so an estimate is its own error.  A job's result has the
+    ``d`` holds one estimator's estimates on one block at one eta, ``sum_d``
+    their sum (finite, or the block has failed), ``l`` their losses and
+    ``l_base`` the baseline estimator's losses there.  Data are drawn at
+    mu1 = 0, sigma = 1 (risk depends on the parameters only through eta),
+    so an estimate is its own error.  A job's result has the
     estimators on its first axis, the reduced values next and eta last; the
     campaign's is their sum in block order.  With more than one worker,
     ``reduce`` must be a module-level function, so that it pickles.
@@ -211,18 +221,18 @@ def _loss_square_sums(l, l_base) -> tuple:
     return sum_l2, sum_l2 if l is l_base else np.multiply(l, l_base, out=sq).sum(), sq
 
 
-def _risk_sums(l, d, l_base) -> tuple:
-    """Sums of l, l^2, d, d^2 and l * l_base."""
+def _risk_sums(l, d, l_base, sum_d) -> tuple:
+    """Sums of l, l^2, d, d^2 and l * l_base; the block has formed the sum of d."""
     sum_l2, sum_lb, sq = _loss_square_sums(l, l_base)
-    return l.sum(), sum_l2, d.sum(), np.square(d, out=sq).sum(), sum_lb
+    return l.sum(), sum_l2, sum_d, np.square(d, out=sq).sum(), sum_lb
 
 
-def _risk_sums_squared_error(l, d, l_base) -> tuple:
+def _risk_sums_squared_error(l, d, l_base, sum_d) -> tuple:
     """:func:`_risk_sums` under squared error, where l = d^2 elementwise, so
     the sum of d^2 is the sum of l."""
     sum_l2, sum_lb, _ = _loss_square_sums(l, l_base)
     sum_l = l.sum()
-    return sum_l, sum_l2, d.sum(), sum_l, sum_lb
+    return sum_l, sum_l2, sum_d, sum_l, sum_lb
 
 
 def fold_risk(cfg: SimConfig, blocks: list) -> SimResult:
@@ -265,7 +275,7 @@ class GpcResult:
     replications: int
 
 
-def _gpc_counts(l, d, l_base) -> tuple:
+def _gpc_counts(l, d, l_base, sum_d) -> tuple:
     return (l < l_base).sum(), (l == l_base).sum()
 
 

@@ -287,6 +287,37 @@ class TestBzTable:
         assert one == np.interp(np.log1p(n * 0.09), xp, fp)
         assert np.isnan(tab.at_x(np.array([np.nan]))).all()
 
+    @pytest.mark.parametrize("n", [2, 8, 26])
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-1.0)],
+                             ids=["l1", "linex-1"])
+    def test_fast_bracket_and_fallback_are_np_interp(self, monkeypatch, n, loss):
+        # the nodes, each node 1 ulp either side, the cap and NaN: a lookup
+        # takes the fallback bracket at some of them and the fast one at the
+        # rest, and each gives np.interp's bits
+        tab = bz_table(n, loss)
+        xp, fp = tab._x[:-1], tab._vals
+        x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:],
+                            [tab._x_max, np.nan]])
+        bracket, taken = estimators.BzTable._bracket, []
+
+        def counted(self, x, j, dx, k):
+            taken.append(k.copy())
+            return bracket(self, x, j, dx, k)
+
+        monkeypatch.setattr(estimators.BzTable, "_bracket", counted)
+        got = tab.at_x(x)
+        (k,) = taken
+        slow = np.zeros(len(x), dtype=bool)
+        slow[k] = True
+        # NaN and some points 1 ulp below a node take the fallback; every
+        # node, every point 1 ulp above one and the cap take the fast path
+        assert slow[-1] and 0 < slow[len(xp):-1].sum() and not slow[:2 * len(xp)].any()
+        assert not slow[-2]
+        want = np.interp(x, xp, fp)
+        for part in (slow, ~slow):
+            assert got[part].tobytes() == want[part].tobytes()
+            assert tab.at_x(x[part]).tobytes() == want[part].tobytes()
+
     def test_lookup_is_np_interp_for_rough_node_values(self, l1, monkeypatch):
         # r0 varies so slowly that a lookup one node off rounds to the same
         # value; on rough values only the correct node gives np.interp's bits

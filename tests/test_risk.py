@@ -3,13 +3,14 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 import entropy_lab as el
-from entropy_lab import estimators, risk
+from entropy_lab import estimators, model, risk
 from entropy_lab.errors import DomainError, NumericError
 from entropy_lab.numerics import chi_square_cdf
 from entropy_lab.numerics.rng import RngStream
@@ -22,11 +23,27 @@ from entropy_lab.risk import (
 )
 
 
+# the non-finite estimates a swapped stein rule writes into its row at
+# replications FIRST_BAD, FIRST_BAD + 1, ... of every block
+BAD_ROWS = {"nan": (math.nan,), "inf-pair": (math.inf, 0.0, -math.inf), "neg-inf": (-math.inf,)}
+FIRST_BAD = 37
+
+
 @pytest.fixture
-def nan_stein(monkeypatch):
-    """Swap the stein rule for one whose every estimate is NaN."""
-    monkeypatch.setitem(estimators._BUILDERS, "stein",
-                        lambda n, loss: lambda lns, w: lns + math.nan)
+def nan_stein(monkeypatch, request):
+    """Swap the stein rule for one whose every estimate is NaN or, by
+    indirect parameter, whose row holds the values of ``BAD_ROWS[param]``
+    from replication FIRST_BAD on, the rest being baee's."""
+    bad = getattr(request, "param", None)
+
+    def rule(lns, wt):
+        if bad is None:
+            return lns + math.nan
+        row = lns + 0.0
+        row[FIRST_BAD:FIRST_BAD + len(BAD_ROWS[bad])] = BAD_ROWS[bad]
+        return row
+
+    monkeypatch.setitem(estimators._BUILDERS, "stein", lambda n, loss: rule)
 
 
 def hand_draw(seed: int, b: int, n: int):
@@ -46,7 +63,7 @@ class TestPairDraw:
         names, etas, b = ("baee", "stein", "rmle"), (0.0, 1.5), 3_000
         cfg = SimConfig(n=n, eta_grid=etas, loss=l1, replications=b, master_seed=9,
                         estimators=names)
-        (block,) = risk.risk_jobs(cfg, lambda l, d, l_base: d.copy())
+        (block,) = risk.risk_jobs(cfg, lambda l, d, l_base, sum_d: d.copy())
         got = block()
         d, s2 = hand_draw(9, b, n)
         for t, eta in enumerate(etas):
@@ -144,9 +161,11 @@ class TestRowEngine:
         l_base = l if own else loss.value(d_base)
         reduce = _risk_sums_squared_error if loss.kind == "squared_error" else _risk_sums
         before = [a.copy() for a in (l, d, l_base)]
-        got = reduce(l, d, l_base)
-        want = (l.sum(), np.square(l).sum(), d.sum(), np.square(d).sum(), (l * l_base).sum())
+        sum_d = d.sum()
+        got = reduce(l, d, l_base, sum_d)
+        want = (l.sum(), np.square(l).sum(), sum_d, np.square(d).sum(), (l * l_base).sum())
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert got[2] is sum_d  # the block's own sum, not formed again
         for a, b in zip((l, d, l_base), before):
             assert np.array_equal(a, b)
 
@@ -182,6 +201,35 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             el.closed_form_risk_baee(el.Loss.linex(-12.0), 6)
 
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0),
+                                      el.Loss.linex(2.0)], ids=["l1", "linex-3", "linex2"])
+    @pytest.mark.parametrize("n", [3, 5, 8, 26])
+    def test_shift_forms_at_d0_are_baee(self, loss, n):
+        c = el.d0(loss, n)
+        assert model.closed_form_risk_shift(loss, n, c) == pytest.approx(
+            el.closed_form_risk_baee(loss, n), abs=1e-12)
+        assert model.closed_form_bias_shift(loss, n, c) == pytest.approx(
+            el.closed_form_bias_baee(loss, n), abs=1e-12)
+
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0),
+                                      el.Loss.linex(2.0)], ids=["l1", "linex-3", "linex2"])
+    @pytest.mark.parametrize("n,c", [(3, -0.9), (5, 0.3), (12, -0.5)])
+    def test_shift_forms_against_quadrature(self, loss, n, c):
+        # the error is ln sqrt(V) + c with V ~ chi-square(2n - 2)
+        law = stats.chi2(2 * n - 2)
+        bias = integrate.quad(lambda v: (0.5 * math.log(v) + c) * law.pdf(v), 0.0, np.inf,
+                              limit=200)[0]
+        risk = integrate.quad(lambda v: float(loss.value(0.5 * math.log(v) + c)) * law.pdf(v),
+                              0.0, np.inf, limit=200)[0]
+        assert model.closed_form_bias_shift(loss, n, c) == pytest.approx(bias, rel=1e-8)
+        assert model.closed_form_risk_shift(loss, n, c) == pytest.approx(risk, rel=1e-8)
+
+    def test_shift_form_domain(self, l1):
+        for args in ((l1, 1, 0.0), (el.Loss.linex(-3.0), 2, 0.0), (l1, 5, math.inf),
+                     (el.Loss.linex(2.0), 5, math.nan), (el.Loss.linex(8.0), 5, 1e3)):
+            with pytest.raises(DomainError):
+                model.closed_form_risk_shift(*args)
+
 
 class TestSimulateRisk:
     def test_matches_closed_form_l1(self, l1):
@@ -207,6 +255,24 @@ class TestSimulateRisk:
                            master_seed=200 + n, estimators=("baee",))
         c = el.simulate_risk(cfg).cell("baee", 0.0)
         assert abs(c.risk - el.closed_form_risk_baee(l1, n)) <= 3.0 * c.stderr
+
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
+                             ids=["l1", "linex-3"])
+    @pytest.mark.parametrize("n", [5, 8, 26])
+    def test_shift_cells_match_shift_forms(self, loss, n):
+        # mle is ln S - ln(2n)/2 and umvue ln S + d0 under squared error,
+        # whatever the loss the cell is scored under
+        shifts = {"mle": -0.5 * math.log(2.0 * n), "umvue": el.d0(el.Loss.squared_error(), n)}
+        res = el.simulate_risk(el.SimConfig(n=n, eta_grid=(0.0, 1.5), loss=loss,
+                                            replications=40_000, master_seed=300 + n,
+                                            estimators=("baee", "umvue", "mle")))
+        for name, c in shifts.items():
+            risk = model.closed_form_risk_shift(loss, n, c)
+            bias = model.closed_form_bias_shift(loss, n, c)
+            for eta in (0.0, 1.5):
+                cell = res.cell(name, eta)
+                assert abs(cell.risk - risk) <= 4.0 * cell.stderr
+                assert abs(cell.bias - bias) <= 4.0 * cell.bias_stderr
 
     def test_umvue_unbiased(self, l1):
         cfg = el.SimConfig(n=8, eta_grid=(0.0, 2.0), loss=l1, replications=100_000,
@@ -282,6 +348,21 @@ class TestSimulateRisk:
                            master_seed=1, estimators=("baee", "stein"))
         with pytest.raises(NumericError, match="replication"):
             el.simulate_risk(cfg)
+
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
+                             ids=["l1", "linex-3"])
+    @pytest.mark.parametrize("nan_stein", list(BAD_ROWS), indirect=True)
+    def test_bad_row_fails_before_its_loss(self, nan_stein, loss):
+        # the row's sum is NaN or inf: the block names the rule, the first
+        # bad replication and eta, and no loss (linex(-3) of -inf is
+        # inf - inf) nor sum (+inf + -inf) warns on the way
+        cfg = el.SimConfig(n=6, eta_grid=(0.5,), loss=loss, replications=500,
+                           master_seed=1, estimators=("baee", "stein"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=rf"^estimator 'stein' failed at replication "
+                                                   rf"{FIRST_BAD} \(eta=0\.5\)$"):
+                el.simulate_risk(cfg)
 
     def test_config_validation(self, l1):
         with pytest.raises(DomainError):
@@ -367,3 +448,14 @@ class TestGpc:
         for pair in (("stein", "baee"), ("baee", "stein")):
             with pytest.raises(NumericError, match="'stein' failed at replication 0"):
                 el.gpc_estimate(*pair, l1, 8, 0.5, 1_000, seed=1)
+
+    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0)],
+                             ids=["l1", "linex-3"])
+    @pytest.mark.parametrize("nan_stein", list(BAD_ROWS), indirect=True)
+    def test_bad_row_fails_before_its_loss(self, nan_stein, loss):
+        for pair in (("stein", "baee"), ("baee", "stein")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match=rf"^estimator 'stein' failed at "
+                                                       rf"replication {FIRST_BAD} \(eta=0\.5\)$"):
+                    el.gpc_estimate(*pair, loss, 8, 0.5, 1_000, seed=1)
