@@ -28,6 +28,7 @@ import secrets
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -228,7 +229,7 @@ def _boeing_tables(seed: int, pivot_draws: int) -> tuple[str, str, str]:
     intervals = [_interval(method, data, 0.95, seed + offset, draws=pivot_draws,
                            boot_k=3000, n_draws=12_000, burnin=2_000)
                  for method, offset in zip(COVERAGE_METHODS, (0, 1, 2, 2, 3))]
-    return point, _intervals_csv(intervals), _json_text([r.to_json_dict() for r in intervals])
+    return point, _intervals_csv(intervals), _json_text([asdict(r) for r in intervals])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,7 @@ def _cmd_ci(args, argv) -> int:
                            args.n_draws, args.burnin, args.proposal_sd)
     for w in caught:
         print(f"# warning: {w.message}", file=sys.stderr)
-    _write_output(args, argv, _json_text(result.to_json_dict()),
+    _write_output(args, argv, _json_text(asdict(result)),
                   {"command": "ci", "method": args.method, "level": args.level}, seed)
     return 0
 

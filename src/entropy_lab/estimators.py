@@ -248,16 +248,6 @@ def _ln_chi2_median(df: int) -> float:
     return math.log(chi_square_quantile(df, 0.5))
 
 
-def median_ln_v_eta0(w, n: int):
-    """Median of ln(S^2/sigma^2) given W = w at eta = 0, for a number or an
-    array of w.
-
-    The conditional law is Gamma((2n-1)/2, scale 2/(1 + n w^2/2)), so the
-    median shifts by -ln(1 + n w^2/2) relative to w = 0.
-    """
-    return _ln_chi2_median(2 * n - 1) - np.log1p(0.5 * n * np.square(w))
-
-
 # ---------------------------------------------------------------------------
 # the rules: (ln S, WTerms) -> ln S + phi(W), constants bound by _BUILDERS
 # ---------------------------------------------------------------------------
@@ -322,11 +312,12 @@ def _bz_rule(lns, wt, r0: BzTable):
 def _pitman_rule(lns, wt, c: float, half_ln_med: float):
     """Clip the additive term c at the eta = 0 conditional-median target
     t(w) = -median[ln sqrt(V) | W = w, eta = 0] = T(w) - ln(med)/2, with med
-    the median of chi-square(2n - 1) (see :func:`median_ln_v_eta0`): the
-    estimate is capped at ln(S) + t(w) for w > 0 and floored there for
-    w < 0.  Because the conditional median is monotone in eta, the clipped
-    estimator is closer to tau in the generalized Pitman sense for every
-    eta >= 0, whatever bowl-shaped loss is used for the comparison."""
+    the median of chi-square(2n - 1), since the conditional law of V is
+    Gamma((2n-1)/2, scale 2/(1 + n w^2/2)): the estimate is capped at
+    ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
+    conditional median is monotone in eta, the clipped estimator is closer
+    to tau in the generalized Pitman sense for every eta >= 0, whatever
+    bowl-shaped loss is used for the comparison."""
     clipped = _clip(wt, c, np.subtract(wt.t, half_ln_med, out=...))
     return np.add(lns, clipped, out=clipped)[()]
 
@@ -373,29 +364,6 @@ def rule_identity(name: str, n: int, loss: Loss) -> tuple[object, bool]:
         return rule, True
     key = (rule.func, rule.args, tuple(sorted(rule.keywords.items())))
     return key, rule.func is not _shift_rule
-
-
-# ---------------------------------------------------------------------------
-# the monotone-likelihood property behind the shrinkage solvers
-# ---------------------------------------------------------------------------
-
-
-def window_mass_ratio(y: float, d1: float, d2: float, n: int, eta: float, alpha: float) -> float:
-    """Ratio I(y - d2) / I(y - d1) of the windowed Gaussian masses
-
-        I(t) = int_{-alpha}^{alpha} exp(-(s w - eta)^2 / 4) dw
-             = (sqrt(pi) / s) [erfc((eta - s alpha) / 2) - erfc((eta + s alpha) / 2)],
-
-    s = sqrt(n) e^t, in closed form (the sqrt(pi) cancels in the ratio).  For
-    d1 < d2 the ratio is nondecreasing in y, which is the monotone-likelihood
-    property behind the shrinkage solvers.
-    """
-
-    def mass(t: float) -> float:
-        s = math.sqrt(n) * math.exp(t)
-        return (math.erfc((eta - s * alpha) / 2) - math.erfc((eta + s * alpha) / 2)) / s
-
-    return mass(y - d2) / mass(y - d1)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class IntervalResult:
     level: float
     length: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -196,19 +193,10 @@ def boot_offsets(n: int, level: float, K: int, b: int, gen: np.random.Generator)
     return (two_eta_hat - upper, two_eta_hat - lower, length), (lower, upper, length)
 
 
-def _normal_s2(data: TwoSampleData) -> SuffStats:
-    """suff_stats of data whose pooled sum of squares is a normal number: hpd
-    (its proposal scale reads s2) and boot (resamples of s2) refuse the rest."""
-    st = suff_stats(data)
-    if st.s2 < sys.float_info.min:
-        raise DataError("samples too small: pooled sum of squares underflows")
-    return st
-
-
 def _boot(data: TwoSampleData, level: float,
           cfg: BootConfig) -> tuple[IntervalResult, IntervalResult]:
     level = _check_level(level)
-    st = _normal_s2(data)
+    st = suff_stats(data)
     pct, stud = boot_offsets(st.n, level, cfg.K, 1, RngStream(cfg.seed, 0).generator)
     diag = {"K": cfg.K}
     return (_result("boot-p", level, st, pct, diag),
@@ -400,11 +388,18 @@ def _autocorr_ess(x: np.ndarray, max_lag: int = 200) -> float:
 def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
              cfg: McmcConfig = McmcConfig()) -> IntervalResult:
     """Highest-posterior-density interval for tau from a random-walk chain
-    on the marginal posterior of sigma^2."""
+    on the marginal posterior of sigma^2.  The chain's whole trace gives
+    the ESS, so ``cfg.level`` must be None; its proposal scale reads S^2,
+    so data whose S^2 underflows are refused."""
     level = _check_level(level)
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
-    st = _normal_s2(data)
+    if cfg.level is not None:
+        raise DomainError("hpd_mcmc reads the whole trace: McmcConfig.level must be None, "
+                          f"got {cfg.level!r}")
+    st = suff_stats(data)
+    if st.s2 < sys.float_info.min:
+        raise DataError("samples too small: pooled sum of squares underflows")
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]), np.array([st.s2]), np.zeros(1), st.n, cfg,
         RngStream(cfg.seed, 0).generator)

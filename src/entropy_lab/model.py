@@ -174,11 +174,6 @@ class Loss:
         np.subtract(out, at, out=out)
         return np.subtract(out, 1.0, out=out)[()]
 
-    def deriv(self, t):
-        if self.kind == SQUARED_ERROR:
-            return 2.0 * np.asarray(t, dtype=float)
-        return self.a1 * (np.exp(self.a1 * np.asarray(t, dtype=float)) - 1.0)
-
     def shift(self, shape: float, mean_log_root: Callable[[], float],
               log_root_mgf: Callable[[float], float]):
         """The shift c solving E[L'(ln sqrt(V) + c)] = 0, from the moments of
@@ -250,16 +245,15 @@ def m0(loss: Loss, n: int) -> float:
 
 
 def closed_form_bias_baee(loss: Loss, n: int) -> float:
-    """Exact bias E[ln sqrt(V)] + d0 of ln(S) + d0; zero under squared error."""
-    return d0(loss, n) + _gamma_mean_log_root(n - 1.0)
+    """Exact bias of ln(S) + d0: :func:`closed_form_bias_shift` at c = d0,
+    zero under squared error."""
+    return closed_form_bias_shift(loss, n, d0(loss, n))
 
 
 def closed_form_risk_baee(loss: Loss, n: int) -> float:
-    """Exact constant risk of ln(S) + d0: trigamma(n-1)/4, the variance of
-    ln sqrt(V), under squared error; under linex d0 zeroes the exponential
-    term of E[L'], so the risk is -a1 times the bias."""
-    bias = closed_form_bias_baee(loss, n)  # checks n and the linex moment
-    return 0.25 * trigamma(n - 1.0) if loss.kind == SQUARED_ERROR else -loss.a1 * bias
+    """Exact constant risk of ln(S) + d0: :func:`closed_form_risk_shift` at
+    c = d0."""
+    return closed_form_risk_shift(loss, n, d0(loss, n))
 
 
 def closed_form_bias_shift(loss: Loss, n: int, c: float) -> float:
@@ -279,9 +273,7 @@ def closed_form_bias_shift(loss: Loss, n: int, c: float) -> float:
 def closed_form_risk_shift(loss: Loss, n: int, c: float) -> float:
     """Exact constant risk of ln(S) + c, with b its bias: trigamma(n-1)/4 +
     b^2 under squared error, and under linex(a)
-    E[exp(a (ln sqrt(V) + c))] - a b - 1 = expm1(a c + ln E[V^(a/2)]) - a b.
-    At c = d0 the exponential term is 1, which
-    :func:`closed_form_risk_baee` takes as given."""
+    E[exp(a (ln sqrt(V) + c))] - a b - 1 = expm1(a c + ln E[V^(a/2)]) - a b."""
     b = closed_form_bias_shift(loss, n, c)
     if loss.kind == SQUARED_ERROR:
         return 0.25 * trigamma(n - 1.0) + b * b

@@ -8,9 +8,6 @@ from .special import (
     chi_square_quantile,
     digamma,
     ln_gamma,
-    reg_lower_gamma,
-    reg_upper_gamma,
-    std_normal_cdf,
     std_normal_quantile,
     student_t_cdf,
     trigamma,
@@ -25,9 +22,6 @@ __all__ = [
     "digamma",
     "integrate_J",
     "ln_gamma",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
-    "std_normal_cdf",
     "std_normal_quantile",
     "student_t_cdf",
     "trigamma",

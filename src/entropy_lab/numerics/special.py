@@ -1,12 +1,12 @@
 """Special functions: log-gamma, digamma, trigamma, regularized incomplete
 gamma, and the distribution helpers built on them.
 
-The incomplete gamma P and Q and the chi-square CDF and quantile take a
-scalar a or df and an array x or p of any shape (a scalar x or p returns a
-float), as does std_normal_cdf; the rest take scalars.  Everything here is
-implemented in-module (Lanczos approximation, series and continued fractions
-after Numerical Recipes 6.2) so the numerical contracts stay auditable.
-Target accuracy is 1e-12 absolute on the declared domains.
+The chi-square CDF and quantile take a scalar df and an array x or p of any
+shape (a scalar x or p returns a float); the rest take scalars.  Everything
+here is implemented in-module (Lanczos approximation, series and continued
+fractions after Numerical Recipes 6.2) so the numerical contracts stay
+auditable.  Target accuracy is 1e-12 absolute on the declared domains, except
+where a docstring states a measured bound of its own.
 """
 
 from __future__ import annotations
@@ -142,16 +142,6 @@ def _as_output(v: np.ndarray, x):
     return v.item() if np.ndim(x) == 0 else v
 
 
-def reg_lower_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x)/Gamma(a)."""
-    return _as_output(_gamma_pq(a, x, "reg_lower_gamma")[0], x)
-
-
-def reg_upper_gamma(a: float, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    return _as_output(_gamma_pq(a, x, "reg_upper_gamma")[1], x)
-
-
 def _gamma_front(a: float, x: np.ndarray) -> np.ndarray:
     """x^a e^(-x) / Gamma(a), x > 0: in range, the square roots of the three
     factors apart, then squared; exp(a ln x - x - ln Gamma(a)) loses |exponent| ulps."""
@@ -204,11 +194,10 @@ def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
 _SQRT2 = math.sqrt(2.0)
 
 
-def std_normal_cdf(x):
-    """Phi(x) via math.erfc, element by element (accurate in both tails)."""
-    erfc = np.frompyfunc(math.erfc, 1, 1)(np.abs(x) / _SQRT2)
-    tail = 0.5 * np.asarray(erfc, dtype=float)
-    return _as_output(np.where(np.asarray(x) >= 0.0, 1.0 - tail, tail), x)
+def _std_normal_cdf(x: float) -> float:
+    """Phi(x) via math.erfc (accurate in both tails)."""
+    tail = 0.5 * math.erfc(abs(x) / _SQRT2)
+    return 1.0 - tail if x >= 0.0 else tail
 
 
 # Acklam's rational approximation, then Halley refinement against the erfc
@@ -224,7 +213,13 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF for p in (0, 1)."""
+    """Inverse of the standard normal CDF for p in (0, 1).
+
+    Measured against ``scipy.stats.norm.ppf``: within 2.8e-14 absolute at
+    p = (1 + level)/2 for level in [0, 0.999], the range ``aci`` reads;
+    1.8e-11 relative off at p = 1/2 + 1e-7, where the quantile is near 0;
+    and 8.4e-9 absolute off at p = 1 - 3.2e-14, where Phi of Acklam's start
+    rounds to p itself, so the Halley steps leave the start as it is."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"std_normal_quantile needs p in (0, 1), got {p!r}")
@@ -244,7 +239,7 @@ def std_normal_quantile(p: float) -> float:
         x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
     for _ in range(2):
-        e = std_normal_cdf(x) - p
+        e = _std_normal_cdf(x) - p
         u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
         x -= u / (1.0 + 0.5 * x * u)
     return x

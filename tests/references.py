@@ -1,7 +1,11 @@
-"""scipy references for the closed forms: each solves a defining first-order
-condition, or a conditional CDF, by ``scipy.integrate.quad`` and
-``scipy.optimize.brentq``, so that no node table or tolerance is shared
-with ``entropy_lab.numerics``."""
+"""References the tests check the package against, sharing no code with it.
+
+The scipy references solve a defining first-order condition, or a
+conditional CDF, by ``scipy.integrate.quad`` and ``scipy.optimize.brentq``,
+so that no node table or tolerance is shared with ``entropy_lab.numerics``;
+they read a loss through :func:`loss_deriv`, written here, not through the
+package's ``Loss``.  :func:`window_mass_ratio` is the closed form behind
+acceptance criterion 11."""
 
 import math
 
@@ -12,6 +16,13 @@ from entropy_lab.errors import DomainError
 
 def _quad(f, a, b):
     return integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+def loss_deriv(loss, t):
+    """L'(t) of a squared error or linex(a1) loss: 2t, or a1 (e^(a1 t) - 1)."""
+    if loss.kind == "squared_error":
+        return 2.0 * t
+    return loss.a1 * math.expm1(loss.a1 * t)
 
 
 def _shift_root(loss, log_weight, mode):
@@ -29,7 +40,7 @@ def _shift_root(loss, log_weight, mode):
     total = moment(lambda v: 1.0)
 
     def condition(c):
-        return moment(lambda v: float(loss.deriv(0.5 * math.log(v) + c))) / total
+        return moment(lambda v: loss_deriv(loss, 0.5 * math.log(v) + c)) / total
 
     return optimize.brentq(condition, -8.0, 8.0, xtol=1e-14)
 
@@ -78,3 +89,21 @@ def conditional_median(w, eta, n):
 
     total = mass(lo, hi)
     return optimize.brentq(lambda z: mass(lo, z) / total - 0.5, lo, hi, xtol=1e-14)
+
+
+def window_mass_ratio(y, d1, d2, n, eta, alpha):
+    """Ratio I(y - d2) / I(y - d1) of the windowed Gaussian masses
+
+        I(t) = int_{-alpha}^{alpha} exp(-(s w - eta)^2 / 4) dw
+             = (sqrt(pi) / s) [erfc((eta - s alpha) / 2) - erfc((eta + s alpha) / 2)],
+
+    s = sqrt(n) e^t, in closed form (the sqrt(pi) cancels in the ratio).  For
+    d1 < d2 the ratio is nondecreasing in y, which is the monotone-likelihood
+    property behind the shrinkage solvers.
+    """
+
+    def mass(t):
+        s = math.sqrt(n) * math.exp(t)
+        return (math.erfc((eta - s * alpha) / 2) - math.erfc((eta + s * alpha) / 2)) / s
+
+    return mass(y - d2) / mass(y - d1)

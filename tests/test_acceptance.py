@@ -35,10 +35,9 @@ from scipy import stats
 
 import entropy_lab as el
 from entropy_lab.cli import main as cli_main
-from entropy_lab.estimators import window_mass_ratio
 from entropy_lab.intervals import _mh_update
 from entropy_lab.numerics.rng import RngStream
-from references import bz_r0_defining
+from references import bz_r0_defining, window_mass_ratio
 
 PAPER_BAEE = {None: 4.7293, -3.0: 4.8233, -2.0: 4.7892, 2.0: 4.6776, 4.0: 4.6321}
 

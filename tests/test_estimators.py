@@ -15,13 +15,11 @@ from entropy_lab.estimators import (
     _TABLE_CACHE,
     WTerms,
     bz_table,
-    median_ln_v_eta0,
     resolve_estimator,
-    window_mass_ratio,
 )
 from entropy_lab.model import SuffStats
 from entropy_lab.numerics import quadrature
-from references import bz_r0_defining, conditional_median
+from references import bz_r0_defining, conditional_median, window_mass_ratio
 
 # frozen from the verified closed forms / defining equations
 BOEING_LNS = 5.8289326416632868
@@ -32,6 +30,12 @@ BOEING_MLE = 4.586479316769287
 BOEING_RMLE_SWAPPED = 4.595175113549841
 BOEING_R0_L1 = -1.1492849148052735
 BOEING_R0_LINEXM3 = -1.0657465683944947
+
+
+def median_ln_v_eta0(w, n):
+    # the conditional law of V given W = w at eta = 0 is
+    # Gamma((2n-1)/2, scale 2/(1 + n w^2/2)): a chi-square(2n - 1) median, scaled
+    return math.log(float(stats.chi2.ppf(0.5, 2 * n - 1))) - math.log1p(0.5 * n * w * w)
 
 
 def unit_scale_stats(n=6, w=0.0):
@@ -373,7 +377,6 @@ class TestConditionalMedian:
     def test_chi_square_median_at_origin(self):
         want = math.log(float(stats.chi2.ppf(0.5, 11)))
         assert conditional_median(0.0, 0.0, 6) == pytest.approx(want, abs=1e-3)
-        assert median_ln_v_eta0(0.0, 6) == pytest.approx(want, abs=1e-9)
 
     def test_scale_shift_in_w(self):
         # at eta = 0 the conditional law is gamma with scale 2/(1 + n w^2/2)

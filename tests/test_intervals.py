@@ -367,6 +367,12 @@ class TestMcmc:
             # fewer than 1000 kept draws is rejected at run time
             el.hpd_mcmc(boeing_data, 0.95, el.McmcConfig(N=1_500, N0=1_000))
 
+    def test_config_with_a_level_is_refused(self, boeing_data):
+        # a level keeps only each chain's tails, and hpd_mcmc reads the whole
+        # trace for its ESS
+        with pytest.raises(DomainError, match="McmcConfig.level"):
+            el.hpd_mcmc(boeing_data, 0.95, el.McmcConfig(level=0.95))
+
 
 class TestEquivariance:
     @pytest.mark.parametrize("a,b", [(3.0, 0.0), (1.0, 11.0), (0.25, -4.0)])
@@ -392,6 +398,18 @@ class TestEquivariance:
         m2 = el.hpd_mcmc(scaled, 0.95, el.McmcConfig(N=4_000, N0=1_000, seed=5))
         assert m2.lower == pytest.approx(m1.lower + shift, abs=1e-12)
         assert m2.upper == pytest.approx(m1.upper + shift, abs=1e-12)
+
+    def test_boot_shifts_by_log_scale_where_ss0_underflows(self, boeing_data):
+        # boot reads only n and ln S, so data whose SS0 underflows (about
+        # 1e-356 here) give the interval on the data, shifted by ln 2^-600
+        tiny = el.TwoSampleData(np.ldexp(boeing_data.sample1, -600),
+                                np.ldexp(boeing_data.sample2, -600))
+        assert el.suff_stats(tiny).s2 == 0.0
+        cfg, shift = el.BootConfig(K=1_000, seed=5), -600.0 * math.log(2.0)
+        for method in (el.boot_t, el.boot_p):
+            r1, r2 = method(boeing_data, 0.95, cfg), method(tiny, 0.95, cfg)
+            assert r2.lower == pytest.approx(r1.lower + shift, abs=1e-12)
+            assert r2.upper == pytest.approx(r1.upper + shift, abs=1e-12)
 
     @pytest.mark.parametrize("k", [200, -200])
     @pytest.mark.parametrize("B, sd", [(1, None), (1, 0.5), (12, None), (12, 0.5)])

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import entropy_lab as el
-from entropy_lab import numerics
+from entropy_lab import estimators, numerics
 
 
 def test_public_surface():
@@ -25,8 +25,13 @@ def test_public_surface():
                  "two_sample_data", "ks_normality", "f_test_equal_var",
                  "BracketError", "bz_r0_defining", "conditional_median", "ierd_check"):
         assert not hasattr(el, gone)
-    for gone in ("f_cdf", "kolmogorov_sf", "find_root", "EULER_GAMMA", "reg_inc_beta"):
+    for gone in ("f_cdf", "kolmogorov_sf", "find_root", "EULER_GAMMA", "reg_inc_beta",
+                 "reg_lower_gamma", "reg_upper_gamma", "std_normal_cdf"):
         assert not hasattr(numerics, gone)
+    for gone in ("median_ln_v_eta0", "window_mass_ratio"):
+        assert not hasattr(estimators, gone)
+    assert not hasattr(el.Loss, "deriv")
+    assert not hasattr(el.IntervalResult, "to_json_dict")
 
 
 def test_no_module_imports_scipy():
