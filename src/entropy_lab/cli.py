@@ -11,11 +11,12 @@ share, so ``estimate --dataset boeing`` prints the bytes of ``reproduce``'s
 stdout; with ``--out`` it writes that text to the file instead, next to a
 manifest capturing enough to re-run it bit-identically, and prints nothing.
 Every seeded command honors ``--seed``; without it a fresh seed is drawn and
-recorded.  ``--threads`` counts worker processes; ``reproduce`` hands every
-piece of its work to one pool of them as one job list and writes the files
-itself, so no byte depends on the count.  No CSV row is written with a
-non-finite field.  Exit codes: 0 success, 2 usage, 3 data error, 4 numeric
-failure.
+recorded.  ``--threads`` counts worker processes.  A table is its jobs
+plus the fold of their results into its text; a command hands every table's
+jobs to one pool as one flat list (``reproduce`` each risk block, not each
+risk table) and folds and writes in this process, so no byte depends on the
+count.  No CSV row is written with a non-finite field.  Exit codes: 0
+success, 2 usage, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import time
 import warnings
 from dataclasses import asdict
 from functools import partial
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +45,15 @@ from .evaluate import (
     COVERAGE_METHODS,
     CoverageConfig,
     coverage_jobs,
-    coverage_study,
     fold_coverage,
     t_test_ordered_means,
 )
 from .intervals import BootConfig, McmcConfig, aci, boot_p, boot_t, gci_umvue, hpd_mcmc
 from .model import Loss, TwoSampleData, load_paired_csv, load_samples, suff_stats
-# simulate_risk stays a name here for the bench's tracing wrapper (bench/spans.py)
-from .risk import DEFAULT_ESTIMATORS, SimConfig, fold_risk, risk_csv, risk_jobs, simulate_risk
+from .risk import DEFAULT_ESTIMATORS, SimConfig, fold_risk, risk_csv, risk_jobs
+# no command calls these two; the bench's tracer (bench/spans.py) patches them here
+from .evaluate import coverage_study
+from .risk import simulate_risk
 from .workers import run_jobs
 
 # Campaign sizes of ``reproduce``; ``risk``/``coverage --paper-scale`` take
@@ -211,13 +215,29 @@ def _intervals_csv(results) -> str:
         f"{r.method},{r.level!r},{r.lower!r},{r.upper!r},{r.length!r}\n" for r in results)
 
 
-def _risk_table(n_values, threads: int = 1, **cfg) -> str:
-    """The risk/RRI table of one campaign per sample size, all their blocks on one pool."""
-    cfgs = [SimConfig(n=n, threads=threads, **cfg) for n in n_values]
-    jobs = [(c, job) for c in cfgs for job in risk_jobs(c)]
-    blocks = run_jobs([job for _, job in jobs], threads)
-    return risk_csv([fold_risk(c, [r for (owner, _), r in zip(jobs, blocks) if owner is c])
-                     for c in cfgs])
+def _folds(tables, results) -> list:
+    """What each table's fold gives of its own slice of ``results``, in order."""
+    it = iter(results)
+    return [fold(list(islice(it, len(jobs)))) for jobs, fold in tables]
+
+
+def _run_tables(tables, threads: int) -> list:
+    """The tables' folds after one ``run_jobs`` call over all their jobs.  A
+    table is a pair (jobs, fold): jobs for ``run_jobs``, and the fold of
+    their results, in job order, into what the table gives."""
+    return _folds(tables, run_jobs([job for jobs, _ in tables for job in jobs], threads))
+
+
+def _risk_table(n_values, **cfg) -> tuple:
+    """The risk/RRI CSV of one campaign per sample size: every n's blocks."""
+    per_n = [(risk_jobs(c), partial(fold_risk, c))
+             for c in (SimConfig(n=n, **cfg) for n in n_values)]
+    return ([job for jobs, _ in per_n for job in jobs],
+            lambda blocks: risk_csv(_folds(per_n, blocks)))
+
+
+def _coverage_table(cfg: CoverageConfig) -> tuple:
+    return coverage_jobs(cfg), lambda blocks: fold_coverage(cfg, blocks).csv_text()
 
 
 def _boeing_tables(seed: int, pivot_draws: int) -> tuple[str, str, str]:
@@ -267,8 +287,9 @@ def _cmd_risk(args, argv) -> int:
     seed = _resolve_seed(args)
     loss = _loss_from(args)
     estimators = tuple(args.estimators.split(",")) if args.estimators else DEFAULT_ESTIMATORS
-    text = _risk_table(n_values, eta_grid=etas, loss=loss, replications=reps, master_seed=seed,
-                       estimators=estimators, baseline=args.baseline, threads=args.threads)
+    (text,) = _run_tables([_risk_table(n_values, eta_grid=etas, loss=loss, replications=reps,
+                                       master_seed=seed, estimators=estimators,
+                                       baseline=args.baseline)], args.threads)
     _write_output(args, argv, text,
                   {"command": "risk", "n": n_values, "reps": reps, "etas": etas,
                    "loss": loss.label, "a1": loss.a1, "baseline": args.baseline}, seed)
@@ -299,8 +320,9 @@ def _cmd_coverage(args, argv) -> int:
         sizes = {"outer_reps": args.outer, "gci_draws": args.gci_draws, "boot_k": args.boot_k,
                  "mcmc_n": args.mcmc_n, "mcmc_burnin": args.mcmc_burnin}
     cfg = CoverageConfig(n_grid=tuple(_int_list(args.n)), methods=tuple(args.methods.split(",")),
-                         level=args.level, master_seed=seed, threads=args.threads, **sizes)
-    _write_output(args, argv, coverage_study(cfg).csv_text(),
+                         level=args.level, master_seed=seed, **sizes)
+    (text,) = _run_tables([_coverage_table(cfg)], args.threads)
+    _write_output(args, argv, text,
                   {"command": "coverage", "outer": cfg.outer_reps, "n": list(cfg.n_grid),
                    "methods": list(cfg.methods), "level": args.level}, seed)
     return 0
@@ -364,22 +386,21 @@ def _cmd_reproduce(args, argv) -> int:
     scale = _SCALES[scale_name]
 
     etas = _eta_grid(0.0, 5.0, scale["eta_step"])
-    risk = partial(_risk_table, eta_grid=etas, replications=scale["reps"], threads=1)
+    risk = partial(_risk_table, eta_grid=etas, replications=scale["reps"])
     cov_cfg = CoverageConfig(n_grid=scale["coverage_n"], methods=COVERAGE_METHODS, level=0.95,
-                             master_seed=seed + 30, threads=args.threads, **scale["coverage"])
-    # the Boeing tables, the coverage blocks, then the risk tables and the
-    # restricted-MLE improvement relative to the MLE.  This is not longest
-    # first: at desk scale coverage block 0 (about 0.1 s) outweighs the
-    # Boeing tables (about 0.04 s), but moving the blocks ahead of them made
-    # no difference that 48 alternated pairs of runs on 2 vCPUs at two
+                             master_seed=seed + 30, **scale["coverage"])
+    # the Boeing tables (one job), the coverage blocks, then the risk and
+    # restricted-MLE blocks.  Not longest first: coverage block 0 (about 0.1 s
+    # at desk scale) outweighs the Boeing job (0.04 s), but moving it ahead
+    # made no difference that 48 alternated pairs of runs on 2 vCPUs at two
     # workers could resolve (see BENCH_one_chain.json)
-    jobs = [partial(_boeing_tables, seed, scale["pivot_draws"]), *coverage_jobs(cov_cfg),
-            partial(risk, scale["risk_n"], loss=Loss.squared_error(), master_seed=seed + 10),
-            partial(risk, scale["risk_n"], loss=Loss.linex(-3.0), master_seed=seed + 10),
-            partial(risk, scale["rmle_n"], loss=Loss.squared_error(), master_seed=seed + 20,
-                    estimators=("mle", "rmle"), baseline="mle")]
-    (point, intervals_csv, intervals_json), *blocks, risk_l1, risk_linex, rmle = \
-        run_jobs(jobs, args.threads)
+    (point, intervals_csv, intervals_json), coverage, risk_l1, risk_linex, rmle = _run_tables(
+        [([partial(_boeing_tables, seed, scale["pivot_draws"])], itemgetter(0)),
+         _coverage_table(cov_cfg),
+         risk(scale["risk_n"], loss=Loss.squared_error(), master_seed=seed + 10),
+         risk(scale["risk_n"], loss=Loss.linex(-3.0), master_seed=seed + 10),
+         risk(scale["rmle_n"], loss=Loss.squared_error(), master_seed=seed + 20,
+              estimators=("mle", "rmle"), baseline="mle")], args.threads)
 
     files = [(tables / "point_estimates_boeing.csv", point),
              (tables / "intervals_boeing.csv", intervals_csv),
@@ -387,7 +408,7 @@ def _cmd_reproduce(args, argv) -> int:
              (tables / "risk_rri_l1.csv", risk_l1),
              (tables / "risk_rri_linex_am3.csv", risk_linex),
              (tables / "rmle_rri_l1.csv", rmle),
-             (tables / "coverage.csv", fold_coverage(cov_cfg, blocks).csv_text()),
+             (tables / "coverage.csv", coverage),
              (out_dir / "DISCREPANCIES.md", _DISCREPANCIES)]
     for path, text in files:  # every check before the first write
         _refuse_non_finite(path.name, text)

@@ -174,7 +174,8 @@ class BzTable:
         vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
         self._x = np.append(x, np.inf)  # x[j + 1] > any x at the last node
         self._x_max = x[-1]
-        self._per_step = (_TABLE_POINTS - 1) / x[-1]
+        self._last = len(x) - 1  # the last node's index, read at every lookup
+        self._per_step = self._last / x[-1]
         self._gap_bits = np.diff(x).min().view(np.uint64)  # the smallest node gap
         self._vals = vals
         self._slopes = np.append(np.diff(vals) / np.diff(x), 0.0)  # flat past the cap
@@ -197,7 +198,7 @@ class BzTable:
     def _lookup(self, x: np.ndarray) -> np.ndarray:
         """r0 at the capped x, an array this lookup owns and overwrites."""
         xj = np.multiply(x, self._per_step, out=...)
-        j = np.fmin(xj, _TABLE_POINTS - 1, out=xj).astype(np.intp)  # NaN -> last
+        j = np.fmin(xj, self._last, out=xj).astype(np.intp)  # NaN -> last
         # np.take buffers `out` in its default mode="raise"; "wrap" writes
         # straight into it and reads any j in [-len, len) as x[j] does
         dx = np.subtract(x, np.take(self._x, j, out=xj, mode="wrap"), out=xj)
@@ -309,19 +310,6 @@ def _bz_rule(lns, wt, r0: BzTable):
     return np.add(lns, r, out=r)[()]
 
 
-def _pitman_rule(lns, wt, c: float, half_ln_med: float):
-    """Clip the additive term c at the eta = 0 conditional-median target
-    t(w) = -median[ln sqrt(V) | W = w, eta = 0] = T(w) - ln(med)/2, with med
-    the median of chi-square(2n - 1), since the conditional law of V is
-    Gamma((2n-1)/2, scale 2/(1 + n w^2/2)): the estimate is capped at
-    ln(S) + t(w) for w > 0 and floored there for w < 0.  Because the
-    conditional median is monotone in eta, the clipped estimator is closer
-    to tau in the generalized Pitman sense for every eta >= 0, whatever
-    bowl-shaped loss is used for the comparison."""
-    clipped = _clip(wt, c, np.subtract(wt.t, half_ln_med, out=...))
-    return np.add(lns, clipped, out=clipped)[()]
-
-
 def _improved_rmle(c: float, c_m0: float) -> VectorFn:
     """improved_rmle, which is improved_mle bit for bit where m0 >= c: for
     W >= 0 the restricted term is c, and for W < 0 both rules take m0 + T(W),
@@ -340,8 +328,14 @@ _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
     "improved_mle": lambda n, loss: partial(_switch_rule, c=_mle_shift(n), c_m0=m0(loss, n)),
     "improved_rmle": lambda n, loss: _improved_rmle(_mle_shift(n), m0(loss, n)),
     "bz": lambda n, loss: partial(_bz_rule, r0=bz_table(n, loss)),
-    "pitman": lambda n, loss: partial(_pitman_rule, c=d0(loss, n),
-                                      half_ln_med=0.5 * _ln_chi2_median(2 * n - 1)),
+    # pitman caps d0 at -median[ln sqrt(V) | W = w, eta = 0] = T(w) - h for
+    # w > 0 and floors it there for w < 0, h = ln(median chi-square(2n - 1))/2,
+    # as V | W = w is Gamma((2n-1)/2, scale 2/(1 + n w^2/2)).  That median is
+    # monotone in eta, so the clip is closer to tau in the generalized Pitman
+    # sense at every eta >= 0 under any bowl-shaped loss.  It is the hard
+    # threshold at m0 = -h, bit for bit: (-h) + T rounds as T - h does.
+    "pitman": lambda n, loss: partial(_switch_rule, c=d0(loss, n),
+                                      c_m0=-0.5 * _ln_chi2_median(2 * n - 1)),
 }
 ESTIMATOR_NAMES = tuple(_BUILDERS)
 
@@ -357,11 +351,8 @@ def rule_identity(name: str, n: int, loss: Loss) -> tuple[object, bool]:
     """(identity, reads W) of the named rule at sample size n under ``loss``,
     from its builder.  Two names with one identity bind one rule function to
     the same constants, so their rows are equal bit for bit; a rule that does
-    not read W gives the same row at every eta.  A builder that returns
-    anything but a partial of a rule is its own identity and reads W."""
+    not read W gives the same row at every eta.  Builders return partials."""
     rule = _BUILDERS[name](n, loss)
-    if not isinstance(rule, partial):
-        return rule, True
     key = (rule.func, rule.args, tuple(sorted(rule.keywords.items())))
     return key, rule.func is not _shift_rule
 

@@ -280,13 +280,13 @@ def _gpc_counts(l, d, l_base, sum_d) -> tuple:
 
 
 def gpc_estimate(est1: str, est2: str, loss: Loss, n: int, eta: float, reps: int,
-                 seed: int, threads: int = 1) -> GpcResult:
+                 seed: int) -> GpcResult:
     """P[L(err1) < L(err2)] + P[tie]/2 by simulation with common random
     numbers; identical estimators give exactly 1/2 with stderr 0.  The
     stderr is that of the mean score, a replication scoring 1, 1/2 or 0."""
     cfg = SimConfig(n=n, eta_grid=(eta,), loss=loss, replications=reps, master_seed=seed,
-                    estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2, threads=threads)
-    counts = np.sum(run_jobs(risk_jobs(cfg, _gpc_counts), threads), axis=0)
+                    estimators=tuple(dict.fromkeys((est1, est2))), baseline=est2)
+    counts = np.sum([job() for job in risk_jobs(cfg, _gpc_counts)], axis=0)
     n_less, n_tie = counts[cfg.estimators.index(est1), :, 0].tolist()
     p = (n_less + 0.5 * n_tie) / reps
     var = (n_less + 0.25 * n_tie) / reps - p * p

@@ -7,6 +7,8 @@ import multiprocessing
 import re
 import time
 from dataclasses import replace
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,21 @@ def four_cpus(monkeypatch):
     """Let ``--threads`` start up to four worker processes whatever this
     machine has, so that the process path runs."""
     monkeypatch.setattr(workers, "_cpus", lambda: 4)
+
+
+@pytest.fixture
+def run_jobs_calls(monkeypatch):
+    """(jobs, workers) of each run_jobs call that the package makes."""
+    calls = []
+
+    def counting(jobs, threads):
+        jobs = list(jobs)
+        calls.append((len(jobs), threads))
+        return workers.run_jobs(jobs, threads)
+
+    for module in (cli, risk, evaluate):
+        monkeypatch.setattr(module, "run_jobs", counting)
+    return calls
 
 
 def run_cli(capsys, *argv):
@@ -248,22 +265,13 @@ class TestRisk:
         assert "unknown estimators ['foo']" in err
         assert "baseline" not in err
 
-    def test_one_pool_for_every_n(self, capsys, monkeypatch, four_cpus):
+    def test_one_pool_for_every_n(self, capsys, four_cpus, run_jobs_calls):
         # every n's blocks go to one run_jobs call, and so to one pool
-        calls = []
-
-        def counting(jobs, threads):
-            jobs = list(jobs)
-            calls.append((len(jobs), threads))
-            return workers.run_jobs(jobs, threads)
-
-        monkeypatch.setattr(cli, "run_jobs", counting)
-        monkeypatch.setattr(risk, "run_jobs", counting)
         argv = ("risk", "--n", "6,8", "--eta-to", "0.5", "--eta-step", "0.5",
                 "--reps", "20000", "--seed", "1")
         code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
         assert code == 0
-        assert calls == [(4, 2)]           # two blocks of 16,384 reps at each n
+        assert run_jobs_calls == [(4, 2)]  # two blocks of 16,384 reps at each n
         assert run_cli(capsys, *argv) == (0, pooled, "")
 
     def test_multiple_n(self, capsys):
@@ -406,7 +414,7 @@ class TestReproduce:
 
     def test_non_finite_field_is_a_numeric_error(self, capsys, tmp_path, monkeypatch):
         def stub(n_values, **cfg):
-            return "n,eta,loss,a1,estimator,risk,stderr,bias,rri\n" + "".join(
+            return [], lambda blocks: "n,eta,loss,a1,estimator,risk,stderr,bias,rri\n" + "".join(
                 f"{n},0.0,l1,,baee,{'nan' if n == 15 else 0.5},0.1,0.0,0.0\n" for n in n_values)
 
         monkeypatch.setattr(cli, "_risk_table", stub)
@@ -420,7 +428,8 @@ class TestReproduce:
 
     def test_non_finite_field_on_stdout_is_a_numeric_error(self, capsys, monkeypatch):
         # the command that prints a table takes the same guard
-        monkeypatch.setattr(cli, "_risk_table", lambda n_values, **cfg: "n,risk\n8,-inf\n")
+        monkeypatch.setattr(cli, "_risk_table",
+                            lambda n_values, **cfg: ([], lambda blocks: "n,risk\n8,-inf\n"))
         code, out, err = run_cli(capsys, "risk", "--n", "8", "--seed", "1")
         assert (code, out) == (4, "")
         assert "stdout, line 2: 8,-inf" in err
@@ -455,18 +464,12 @@ class TestScales:
             return SimResult(n=cfg.n, loss=cfg.loss, replications=cfg.replications,
                              master_seed=cfg.master_seed, baseline=cfg.baseline, cells=())
 
-        def fake_coverage(cfg):
-            seen["coverage"].append(replace(cfg, master_seed=0))
-            return CoverageResult(rows=(), config=cfg)
-
         def fake_coverage_jobs(cfg):
-            # reproduce runs the study's blocks in its own job list
             seen["coverage"].append(replace(cfg, master_seed=0))
             return []
 
         monkeypatch.setattr(cli, "risk_jobs", fake_risk_jobs)
         monkeypatch.setattr(cli, "fold_risk", fake_fold_risk)
-        monkeypatch.setattr(cli, "coverage_study", fake_coverage)
         monkeypatch.setattr(cli, "coverage_jobs", fake_coverage_jobs)
         monkeypatch.setattr(cli, "fold_coverage",
                             lambda cfg, blocks: CoverageResult(rows=(), config=cfg))
@@ -485,6 +488,32 @@ class TestScales:
         assert [c.n for c in seen["risk"]] == [8, 15, 21, 26] * 2
         assert {(c.replications, len(c.eta_grid)) for c in seen["risk"]} == {(70_000, 21)}
         assert seen["coverage"][0].outer_reps == 30_000
+
+
+class TestOneJobList:
+    def test_reproduce_runs_every_block_in_one_call(self, capsys, tmp_path, monkeypatch,
+                                                     run_jobs_calls):
+        # the Boeing tables, two coverage blocks of 512 and 88 replications
+        # at each n, and two risk blocks at each n of three tables
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "reproduce", "--desk-scale", "--seed", "42", "--threads",
+                       "1")[0] == 0
+        assert run_jobs_calls == [(1 + 2 + 3 * 4, 1)]
+
+    def test_coverage_runs_its_blocks_in_one_call(self, capsys, run_jobs_calls):
+        code, _, _ = run_cli(capsys, "coverage", "--n", "10,20", "--outer", "600",
+                             "--methods", "aci,gci", "--seed", "1", "--threads", "2")
+        assert code == 0
+        assert run_jobs_calls == [(2, 2)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_fold_gets_its_own_results_in_order(self, four_cpus, threads):
+        tables = [([partial(abs, -1)], list),
+                  ([partial(abs, -k) for k in (2, 3, 4)], tuple),
+                  ([], list),
+                  ([partial(abs, -5)], itemgetter(0)),
+                  ([partial(abs, -6), partial(abs, -7)], list)]
+        assert cli._run_tables(tables, threads) == [[1], (2, 3, 4), [], 5, [6, 7]]
 
 
 @pytest.mark.parametrize("argv", [

@@ -333,6 +333,20 @@ class TestBzTable:
         x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:]])
         assert np.array_equal(tab.at_x(x), np.interp(x, xp, tab._vals))
 
+    def test_table_reads_its_own_size(self, l1):
+        # a table built at another node count reads all of its nodes once
+        # the module's count is back, also past the module's last node
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimators, "_TABLE_POINTS", 3_200)
+            rng = np.random.default_rng(6)
+            m.setattr(estimators, "_r0_on_nodes",
+                      lambda n, loss, u: rng.normal(0.0, 1.0, len(u) - 1))
+            tab = estimators.BzTable(8, l1)
+        xp = tab._x[:-1]
+        assert len(xp) == 3_200 and estimators._TABLE_POINTS == 800
+        x = np.concatenate([xp, np.nextafter(xp, -np.inf)[1:], [xp[-1] + 1.0, np.nan]])
+        assert np.array_equal(tab.at_x(x), np.interp(x, xp, tab._vals), equal_nan=True)
+
     def test_build_runs_no_adaptive_quadrature(self, l1, monkeypatch):
         calls = []
         adaptive_quad = quadrature.adaptive_quad
@@ -512,7 +526,7 @@ _OUT_OF_PLACE_RULES = {
     "improved_rmle": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"] + wt.t_neg,
                                                                  k["c_m0"] + wt.t),
     "bz": lambda lns, wt, k: lns + _out_of_place_table(k["r0"], wt.w),
-    "pitman": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"], wt.t - k["half_ln_med"]),
+    "pitman": lambda lns, wt, k: lns + _out_of_place_clip(wt, k["c"], k["c_m0"] + wt.t),
 }
 
 
