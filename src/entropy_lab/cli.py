@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import secrets
 import sys
 import time
@@ -105,6 +106,7 @@ def _write_manifest(path: Path, argv: list[str], config: dict, seed: int,
         "master_seed": seed,
         "library_version": __version__,
         "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "timestamp": _timestamp(),
         "outputs": outputs,
     }
@@ -447,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="point estimates on data")
     add_data_args(p)
     p.add_argument("--loss", choices=["l1", "linex", "all"], default="all")
-    p.add_argument("--a1", type=float, help="linex asymmetry (nonzero)")
+    p.add_argument("--a1", type=float, help="linex asymmetry, |a1| >= 1e-3")
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(fn=_cmd_estimate)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Loss, SuffStats, d0, entropy_of_log_sigma, m0
-from .numerics import chi_square_quantile, cumulative_J, digamma, integrate_J, ln_gamma
+from .numerics import chi_square_quantile, cumulative_J, digamma, integrate_J
 
 
 def _shrink_term(w: np.ndarray, n: int) -> np.ndarray:
@@ -107,8 +107,8 @@ def _r0_closed_form(n: int, loss: Loss, J: Callable[[float, int], np.ndarray]):
 
     def log_root_mgf(a1: float):
         b = a + 0.5 * a1
-        return (0.5 * a1 * math.log(4.0) + ln_gamma(b) + np.log(J(b, 0))
-                - (ln_gamma(a) + np.log(J(a, 0))))
+        return (0.5 * a1 * math.log(4.0) + math.lgamma(b) + np.log(J(b, 0))
+                - (math.lgamma(a) + np.log(J(a, 0))))
 
     # J(b, 0) underflows from b near 1,074; Loss.shift refuses a non-finite moment
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError
 from .model import SuffStats, TwoSampleData, suff_stats
-from .numerics import chi_square_quantile, std_normal_quantile
+from .numerics import chi_square_quantile
 from .numerics.rng import RngStream
 
 
@@ -121,9 +121,15 @@ def _result(method: str, level: float, st: SuffStats, offsets,
 
 def aci_offsets(n: int, level: float) -> tuple[float, float, float]:
     """The asymptotic interval's offsets -ln(2n)/2 -/+ h, h = z / (2 sqrt(n)),
-    the same for every replication."""
+    the same for every replication; z is the normal quantile at (1 + level)/2,
+    a DomainError where that rounds to 1."""
+    from statistics import NormalDist  # imports decimal, which only aci needs
+
+    p = 0.5 * (1.0 + level)
+    if not p < 1.0:
+        raise DomainError(f"aci needs (1 + level)/2 below 1, got level {level!r}")
     center = -0.5 * math.log(2.0 * n)
-    half = std_normal_quantile(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
+    half = NormalDist().inv_cdf(p) / (2.0 * math.sqrt(n))
     return center - half, center + half, 2.0 * half
 
 

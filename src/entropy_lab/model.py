@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DomainError
-from .numerics import digamma, ln_gamma, trigamma
+from .numerics import digamma, trigamma
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -139,8 +139,10 @@ class Loss:
     """Location-invariant loss on the estimation error t = estimate - tau.
 
     Squared error: L(t) = t^2.  Linex(a1): L(t) = exp(a1 t) - a1 t - 1 with
-    a1 != 0; positive a1 penalizes overestimation more.  Both are strictly
-    convex with L(0) = 0.
+    |a1| >= 1e-3; positive a1 penalizes overestimation more.  Both are
+    strictly convex with L(0) = 0.  Below |a1| = 1e-3 the shift constants'
+    ln Gamma difference cancels against a1, and linex/(a1^2/2) is squared
+    error to within about |a1| E|t|^3 / 3.
     """
 
     kind: str
@@ -151,8 +153,8 @@ class Loss:
             if self.a1 is not None:
                 raise DomainError("squared error loss takes no a1 parameter")
         elif self.kind == LINEX:
-            if self.a1 is None or self.a1 == 0.0 or not math.isfinite(self.a1):
-                raise DomainError(f"linex loss needs nonzero finite a1, got {self.a1!r}")
+            if self.a1 is None or not 1e-3 <= abs(self.a1) < math.inf:
+                raise DomainError(f"linex loss needs a finite a1 with |a1| >= 1e-3, got {self.a1!r}")
         else:
             raise DomainError(f"unknown loss kind {self.kind!r}")
 
@@ -184,7 +186,10 @@ class Loss:
         and a shift that overflows is a DomainError too."""
         if self.kind == LINEX and shape + 0.5 * self.a1 <= 0.0:
             raise DomainError(f"linex shift needs shape + a1/2 > 0 (shape={shape}, a1={self.a1})")
-        c = -mean_log_root() if self.kind == SQUARED_ERROR else -log_root_mgf(self.a1) / self.a1
+        try:
+            c = -mean_log_root() if self.kind == SQUARED_ERROR else -log_root_mgf(self.a1) / self.a1
+        except OverflowError:  # from math.lgamma
+            c = math.inf
         if not np.isfinite(c).all():
             raise DomainError(f"{self.label} shift is not finite (shape={shape}, a1={self.a1})")
         return c
@@ -222,7 +227,7 @@ def _gamma_mean_log_root(shape: float) -> float:
 def _gamma_log_root_mgf(shape: float, a: float) -> float:
     """ln E[U^(a/2)] for U ~ Gamma(shape, scale 2), where
     E[U^(a/2)] = 2^(a/2) Gamma(shape + a/2) / Gamma(shape)."""
-    return 0.5 * a * math.log(2.0) + ln_gamma(shape + 0.5 * a) - ln_gamma(shape)
+    return 0.5 * a * math.log(2.0) + math.lgamma(shape + 0.5 * a) - math.lgamma(shape)
 
 
 def _gamma_shift(loss: Loss, n: int, shape: float) -> float:

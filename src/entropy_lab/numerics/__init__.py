@@ -1,5 +1,7 @@
-"""Self-contained numerics: special functions, quadrature and
-deterministic random streams."""
+"""Numerics that numpy and the standard library lack: special functions,
+quadrature and deterministic random streams.  ln Gamma is ``math.lgamma``
+and the normal quantile ``statistics.NormalDist.inv_cdf``, each called
+where it is needed."""
 
 from .quadrature import adaptive_quad, cumulative_J, integrate_J
 from .rng import RngStream
@@ -7,8 +9,6 @@ from .special import (
     chi_square_cdf,
     chi_square_quantile,
     digamma,
-    ln_gamma,
-    std_normal_quantile,
     student_t_cdf,
     trigamma,
 )
@@ -21,8 +21,6 @@ __all__ = [
     "cumulative_J",
     "digamma",
     "integrate_J",
-    "ln_gamma",
-    "std_normal_quantile",
     "student_t_cdf",
     "trigamma",
 ]

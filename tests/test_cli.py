@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import multiprocessing
+import platform
 import re
 import time
 from dataclasses import replace
@@ -155,6 +156,7 @@ class TestEstimate:
         manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out)]
         assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
 
 
 class TestCi:
@@ -694,6 +696,12 @@ _ADVERSARIAL_INPUTS = [
     *_scale_cases(),
     *(pytest.param(("estimate", "--dataset", "boeing", "--loss", "linex", f"--a1={a1}"),
                    4, "linex shift", id=f"estimate-a1-{a1}") for a1 in ("1e308", "-1e308")),
+    # below |a1| = 1e-3 the shift constants' ln Gamma difference cancels
+    *(pytest.param(("estimate", "--dataset", "boeing", "--loss", "linex", f"--a1={a1}"),
+                   4, "|a1| >= 1e-3", id=f"estimate-a1-{a1}") for a1 in ("1e-300", "1e-12")),
+    # (1 + level)/2 rounds to 1, where the normal quantile is infinite
+    pytest.param(("ci", "--method", "aci", "--dataset", "boeing",
+                  "--level", "0.9999999999999999"), 4, "below 1", id="ci-aci-level-p-one"),
     *(pytest.param((cmd, *flags, "--csv", f"FIELD{field}"), 3, "non-finite values",
                    id=f"{cmd}-csv-{field}")
       for cmd, flags in (("estimate", ()), ("ci", ("--method", "hpd", "--seed", "1")))

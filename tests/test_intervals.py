@@ -22,7 +22,7 @@ from entropy_lab.intervals import (
     hpd_offsets,
     run_variance_chains,
 )
-from entropy_lab.numerics import chi_square_cdf, chi_square_quantile, std_normal_quantile
+from entropy_lab.numerics import chi_square_cdf, chi_square_quantile
 from entropy_lab.numerics.rng import RngStream
 
 
@@ -436,11 +436,25 @@ class TestOffsets:
 
     @pytest.mark.parametrize("n, level", [(2, 0.5), (6, 0.95), (40, 0.9)])
     def test_aci_offsets_are_exact(self, n, level):
-        h = std_normal_quantile(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
-        assert h == pytest.approx(stats.norm.ppf(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n)),
-                                  rel=1e-12)
+        lower, upper, length = aci_offsets(n, level)
+        h = stats.norm.ppf(0.5 * (1.0 + level)) / (2.0 * math.sqrt(n))
+        assert 0.5 * length == pytest.approx(h, rel=1e-15)
         center = -0.5 * math.log(2.0 * n)
-        assert aci_offsets(n, level) == (center - h, center + h, 2.0 * h)
+        assert (lower, upper) == (center - 0.5 * length, center + 0.5 * length)
+
+    def test_aci_half_width_over_the_level_range(self):
+        # z at p = (1 + level)/2 over the levels aci reads, and near 1, where
+        # 1 - p is exact and the quantile keeps its digits; n = 4 makes the
+        # scaling by 2 sqrt(n) exact
+        levels = np.concatenate([np.linspace(0.0, 0.999, 2001), [1.0 - 6.4e-14, 1.0 - 2e-8]])
+        z = np.array([aci_offsets(4, float(v))[2] * 2.0 for v in levels])
+        assert np.abs(z - stats.norm.ppf(0.5 * (1.0 + levels))).max() <= 2e-15
+
+    def test_aci_offsets_refuse_a_level_whose_p_rounds_to_one(self):
+        # (1 + level)/2 rounds to 1 from level = 1 - 2^-53; one ulp below, z is finite
+        with pytest.raises(DomainError, match="below 1"):
+            aci_offsets(6, 0.9999999999999999)
+        assert all(map(math.isfinite, aci_offsets(6, 0.9999999999999998)))
 
     @pytest.mark.parametrize("level", [0.95, 0.9])
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])

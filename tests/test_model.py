@@ -97,6 +97,12 @@ class TestLoss:
         with pytest.raises(DomainError):
             el.Loss.linex(0.0)
 
+    @pytest.mark.parametrize("a1", [1e-300, -1e-12, 9.99e-4, -9.99e-4, math.inf, math.nan])
+    def test_linex_refuses_a1_below_the_shift_constants_resolution(self, a1):
+        with pytest.raises(DomainError, match=r"\|a1\| >= 1e-3"):
+            el.Loss.linex(a1)
+        assert el.Loss.linex(math.copysign(1e-3, a1)).a1 == math.copysign(1e-3, a1)
+
     @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-3.0),
                                       el.Loss.linex(2.0)])
     def test_derivative_strictly_increasing(self, loss):
@@ -125,7 +131,8 @@ class TestLoss:
         with pytest.raises(DomainError, match="shape \\+ a1/2 > 0"):
             shift(el.Loss.linex(-12.0))
         assert math.isfinite(shift(el.Loss.linex(-9.0)))
-        # and it overflows at a1 = 1e308: no -inf or nan shift comes back
+        # and it overflows at a1 = 1e308 (math.lgamma raises OverflowError):
+        # no -inf or nan shift comes back
         with pytest.raises(DomainError, match="not finite"):
             shift(el.Loss.linex(1e308))
 
@@ -176,6 +183,23 @@ class TestShiftConstants:
     def test_linex_domain_guard(self):
         with pytest.raises(DomainError):
             el.d0(el.Loss.linex(-12.0), 6)  # n - 1 + a1/2 <= 0
+
+    @pytest.mark.parametrize("a1", [1e-3, -1e-3])
+    def test_shift_constants_at_the_smallest_a1(self, a1):
+        # d0 and m0 divide ln Gamma(s + h) - ln Gamma(s), h = a1/2, which
+        # cancels, by a1; the oracle divides its Taylor series
+        # sum_k h^k psi^(k-1)(s) / k! by h term by term, so nothing cancels
+        # (within 4.4e-16 of 40-digit mpmath on this grid)
+        def want(shape):
+            h = 0.5 * a1
+            series = sum(h ** (k - 1) * float(special.polygamma(k - 1, shape)) / math.factorial(k)
+                         for k in range(1, 13))
+            return -0.5 * (math.log(2.0) + series)
+
+        for n in [*range(2, 61), 100, 300, 1000]:
+            loss = el.Loss.linex(a1)
+            assert el.d0(loss, n) == pytest.approx(want(n - 1.0), rel=0, abs=1e-8)
+            assert el.m0(loss, n) == pytest.approx(want(n - 0.5), rel=0, abs=1e-8)
 
     def test_entropy_identity(self):
         for tau in (-1.0, 0.0, 4.7):

@@ -16,39 +16,10 @@ from entropy_lab.numerics import (
     cumulative_J,
     digamma,
     integrate_J,
-    ln_gamma,
-    std_normal_quantile,
     student_t_cdf,
     trigamma,
 )
 from entropy_lab.numerics.special import _gamma_pq
-
-
-class TestLnGamma:
-    def test_integer_factorials(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-
-    def test_half_integer(self):
-        # frozen from a 30-digit evaluation
-        assert ln_gamma(3.5) == pytest.approx(1.2009736023470743, abs=1e-13)
-
-    def test_against_scipy_grid(self):
-        for x in np.concatenate([np.linspace(0.05, 2, 40), np.geomspace(2, 1e6, 60)]):
-            mine = ln_gamma(float(x))
-            ref = float(special.gammaln(x))
-            assert mine == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-    def test_reflection_identity(self):
-        for x in np.linspace(0.05, 0.95, 19):
-            lhs = ln_gamma(float(x)) + ln_gamma(float(1.0 - x))
-            rhs = math.log(math.pi / math.sin(math.pi * x))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            ln_gamma(bad)
 
 
 class TestDigammaTrigamma:
@@ -155,7 +126,7 @@ class TestArraySpecialFunctions:
         for bad in (-1e-300, math.nan):
             with pytest.raises(DomainError):
                 _gamma_pq(2.0, np.append(good, bad), "PQ")
-        for df in (0.0, -3.0):
+        for df in (0.0, -3.0, 1e306):     # ln Gamma(df/2 + 1) overflows at 1e306
             with pytest.raises(DomainError):
                 chi_square_cdf(df, good)
             with pytest.raises(DomainError):
@@ -169,32 +140,6 @@ class TestArraySpecialFunctions:
 
 
 class TestNormalAndQuantiles:
-    def test_quantile_value(self):
-        assert std_normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-10)
-
-    def test_quantile_roundtrip(self):
-        for p in (1e-10, 1e-4, 0.025, 0.31, 0.5, 0.69, 0.975, 1 - 1e-4, 1 - 1e-10):
-            assert stats.norm.cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
-
-    def test_quantile_over_the_aci_range(self):
-        # aci reads z at p = (1 + level)/2; there the quantile is within
-        # 8.9e-16 of scipy (its docstring states the bounds further out)
-        p = 0.5 * (1.0 + np.linspace(0.0, 0.999, 2001))
-        got = np.array([std_normal_quantile(float(v)) for v in p])
-        assert np.abs(got - stats.norm.ppf(p)).max() <= 2e-15
-
-    @pytest.mark.parametrize("p", [1.0 - 3.2e-14, 1.0 - 1e-8])
-    def test_quantile_keeps_its_digits_near_one(self, p):
-        # refined against the upper tail 1 - p, which p -> 1 leaves exact;
-        # against p itself the steps stalled 8.4e-9 off at 1 - 3.2e-14
-        assert std_normal_quantile(p) == pytest.approx(stats.norm.ppf(p), rel=0, abs=5e-15)
-        assert std_normal_quantile(p) == -std_normal_quantile(1.0 - p)
-
-    def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(DomainError):
-                std_normal_quantile(p)
-
     def test_chi_square_quantile(self):
         assert chi_square_quantile(10, 0.975) == pytest.approx(20.483177350807388, abs=1e-6)
         assert chi_square_quantile(10, 0.025) == pytest.approx(3.2469727802368413, abs=1e-8)

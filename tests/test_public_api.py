@@ -1,6 +1,9 @@
 """The names the package exports, and the one runtime dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entropy_lab as el
@@ -26,7 +29,8 @@ def test_public_surface():
                  "BracketError", "bz_r0_defining", "conditional_median", "ierd_check"):
         assert not hasattr(el, gone)
     for gone in ("f_cdf", "kolmogorov_sf", "find_root", "EULER_GAMMA", "reg_inc_beta",
-                 "reg_lower_gamma", "reg_upper_gamma", "std_normal_cdf"):
+                 "reg_lower_gamma", "reg_upper_gamma", "std_normal_cdf",
+                 "ln_gamma", "std_normal_quantile"):
         assert not hasattr(numerics, gone)
     for gone in ("median_ln_v_eta0", "window_mass_ratio"):
         assert not hasattr(estimators, gone)
@@ -46,3 +50,14 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), path
+
+
+def test_import_leaves_statistics_and_multiprocessing_for_the_runs_that_need_them():
+    # statistics (which imports decimal and fractions) serves only aci, and
+    # multiprocessing only a pool of more than one worker
+    env = {**os.environ, "PYTHONPATH": str(Path(el.__file__).parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, entropy_lab.cli; print(sorted(m for m in "
+         "('statistics', 'decimal', 'fractions', 'multiprocessing') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
