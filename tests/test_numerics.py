@@ -1,6 +1,7 @@
 """Special functions, quadrature, and random streams."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ class TestArraySpecialFunctions:
 
 
 class TestNormalAndQuantiles:
+    # the normal quantile aci reads is the standard library's; these pin the
+    # digits the aci cells rely on from it
+    def test_quantile_value(self):
+        assert NormalDist().inv_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-10)
+
+    def test_quantile_over_the_aci_range(self):
+        # aci reads z at p = (1 + level)/2
+        p = 0.5 * (1.0 + np.linspace(0.0, 0.999, 2001))
+        got = np.array([NormalDist().inv_cdf(float(v)) for v in p])
+        assert np.abs(got - stats.norm.ppf(p)).max() <= 2e-15
+
+    @pytest.mark.parametrize("p", [1.0 - 3.2e-14, 1.0 - 1e-8])
+    def test_quantile_keeps_its_digits_near_one(self, p):
+        # the upper tail 1 - p, which p -> 1 leaves exact, sets the digits
+        z = NormalDist().inv_cdf
+        assert z(p) == pytest.approx(stats.norm.ppf(p), rel=0, abs=5e-15)
+        assert z(p) == -z(1.0 - p)
+
     def test_chi_square_quantile(self):
         assert chi_square_quantile(10, 0.975) == pytest.approx(20.483177350807388, abs=1e-6)
         assert chi_square_quantile(10, 0.025) == pytest.approx(3.2469727802368413, abs=1e-8)
