@@ -137,47 +137,38 @@ def bz_r0(absw: float, n: int, loss: Loss) -> float:
     return float(_r0_closed_form(n, loss, lambda a, k: integrate_J(a, y, k)))
 
 
-_TABLE_POINTS, _TABLE_Y_CAP = 800, 1600.0
+_TABLE_STEP, _TABLE_Y_CAP = 2.0**-7, 1600.0
 
 
 class BzTable:
     """Dense lookup table for r0(|w|), for vectorized Monte Carlo use.
 
-    The grid has ``_TABLE_POINTS`` nodes uniform in x = ln(1 + n w^2) out to
-    ``_TABLE_Y_CAP``, where r0 has saturated at d0 to well below Monte Carlo
-    resolution; larger |w| clamp to the last node.  The node values are the
-    closed form of :func:`bz_r0` on kernel integrals from one cumulative
-    quadrature pass over the grid.  Linear interpolation error, measured at
-    grid midpoints, grows with n: about 4e-7 at n = 3, 1.2e-6 at n = 8 and
-    5.4e-6 at n = 26, far below Monte Carlo standard errors (about 3e-4).
+    The nodes are x_j = j * ``_TABLE_STEP`` in x = ln(1 + n w^2), out to the
+    first node at or past ln(1 + ``_TABLE_Y_CAP``), where r0 has saturated
+    at d0 to well below Monte Carlo resolution; larger |w| clamp to the last
+    node.  The node values are the closed form of :func:`bz_r0` on kernel
+    integrals from one cumulative quadrature pass over the grid.  Linear
+    interpolation error, measured at grid midpoints, grows with n: about
+    3.0e-7 at n = 3, 8.7e-7 at n = 8 and 3.8e-6 at n = 26, far below Monte
+    Carlo standard errors (about 3e-4).
 
-    Because the nodes are uniform in x, a lookup finds its interval by
-    direct index, j = floor(x / step); there is no binary search.  It
-    gathers the node x[j] once and forms dx = x - x[j], the offset the
-    value needs anyway.  Where 0 <= dx < the smallest node gap, j is the
-    interval: x >= x[j], and rounding is monotone, so x >= x[j + 1] would
-    give dx >= the rounded gap x[j + 1] - x[j].  Only elsewhere, where
-    x * per_step rounded across a node, or for x < 0 or NaN, does the
-    exact bracket (:meth:`_bracket`) read x[j] and x[j + 1] and move j
-    by one.  With the slopes precomputed as ``np.interp`` forms them, the
-    value is ``np.interp``'s bit for bit.  ``absw`` is read only through
-    its square, so a signed w gives r0(|w|).  A lookup writes into two
-    float rows, one index row and one mask row of its own and never into
-    its argument.
+    A lookup takes its interval by direct index, j = floor(x / step): the
+    step is a power of two, so x / step is exact, its floor is np.interp's
+    interval for every x >= 0, and dx = x - x_j is exact (Sterbenz).  With
+    the slopes precomputed as np.interp forms them, the value is np.interp's
+    bit for bit.  A table reads its own step and last node.  ``absw`` is read
+    only through its square, so a signed w gives r0(|w|).  A lookup writes
+    into two float rows and one index row of its own, never its argument.
     """
 
     def __init__(self, n: int, loss: Loss):
         self.n = n
-        self.loss = loss
-        x = np.linspace(0.0, math.log1p(_TABLE_Y_CAP), _TABLE_POINTS)
-        y = np.expm1(x)
-        vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
-        self._x = np.append(x, np.inf)  # x[j + 1] > any x at the last node
+        self._last = math.ceil(math.log1p(_TABLE_Y_CAP) / _TABLE_STEP)  # read at every lookup
+        self._per_step = 1.0 / _TABLE_STEP
+        self._x = x = np.arange(self._last + 1) * _TABLE_STEP
         self._x_max = x[-1]
-        self._last = len(x) - 1  # the last node's index, read at every lookup
-        self._per_step = self._last / x[-1]
-        self._gap_bits = np.diff(x).min().view(np.uint64)  # the smallest node gap
-        self._vals = vals
+        y = np.expm1(x)
+        self._vals = vals = np.concatenate(([m0(loss, n)], _r0_on_nodes(n, loss, np.sqrt(y))))
         self._slopes = np.append(np.diff(vals) / np.diff(x), 0.0)  # flat past the cap
         self.absw_grid = np.sqrt(y / n)
 
@@ -185,7 +176,7 @@ class BzTable:
         return self._row(absw)[()]
 
     def at_x(self, x: np.ndarray) -> np.ndarray:
-        """r0 at x = ln(1 + n w^2): ``np.interp(x, nodes, values)``."""
+        """r0 at x = ln(1 + n w^2) >= 0: ``np.interp(x, nodes, values)``."""
         return self._lookup(np.minimum(x, self._x_max, out=...))[()]
 
     def _row(self, absw: np.ndarray) -> np.ndarray:
@@ -200,43 +191,18 @@ class BzTable:
         xj = np.multiply(x, self._per_step, out=...)
         j = np.fmin(xj, self._last, out=xj).astype(np.intp)  # NaN -> last
         # np.take buffers `out` in its default mode="raise"; "wrap" writes
-        # straight into it and reads any j in [-len, len) as x[j] does
+        # straight into it, and j is in [0, last] for every x >= 0 or NaN
         dx = np.subtract(x, np.take(self._x, j, out=xj, mode="wrap"), out=xj)
-        # as unsigned integers the floats in [0, gap) are the bit patterns
-        # below the gap's, and a negative dx or a NaN compares above it
-        off = np.greater_equal(dx.view(np.uint64), self._gap_bits)
-        if off.any():  # x * per_step may have rounded across a node
-            self._bracket(x, j, dx, np.flatnonzero(off))
         slope = np.take(self._slopes, j, out=x, mode="wrap")
         np.multiply(slope, dx, out=dx)
         return np.add(dx, np.take(self._vals, j, out=x, mode="wrap"), out=dx)
 
-    def _bracket(self, x: np.ndarray, j: np.ndarray, dx: np.ndarray, k: np.ndarray) -> None:
-        """The exact bracket at the positions k: moves j[k] by one where
-        x[k] lies below node j or at or above node j + 1, and forms dx[k]
-        at the moved node."""
-        xk, jk = x[k], j[k]
-        above = np.take(self._x[1:], jk, mode="wrap") <= xk
-        below = np.take(self._x, jk, mode="wrap") > xk
-        jk -= below
-        jk += above
-        j[k] = jk
-        dx[k] = xk - np.take(self._x, jk, mode="wrap")
 
-
-_TABLE_CACHE: dict[tuple[int, Loss], BzTable] = {}
-
-
+@cache
 def bz_table(n: int, loss: Loss) -> BzTable:
     """The table at (n, loss), built on first use and cached for the life of
-    the process.  The package runs its jobs one at a time in each worker
-    process, so no two threads share the cache; two that missed at once
-    would each build the same table."""
-    key = (n, loss)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _TABLE_CACHE[key] = BzTable(n, loss)
-    return tab
+    the process; two threads that missed at once would each build it."""
+    return BzTable(n, loss)
 
 
 # ---------------------------------------------------------------------------

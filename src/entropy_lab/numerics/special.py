@@ -115,12 +115,17 @@ def _as_output(v: np.ndarray, x):
     return v.item() if np.ndim(x) == 0 else v
 
 
+def _in_range(alx: np.ndarray, x: np.ndarray, lg: float) -> np.ndarray:
+    """Where :func:`_gamma_front` forms its factors apart: a ln x, x and ln Gamma(a) in range."""
+    return (np.abs(alx) < 1400.0) & (x < 1400.0) & (lg < 1400.0)
+
+
 def _gamma_front(a: float, x: np.ndarray) -> np.ndarray:
     """x^a e^(-x) / Gamma(a), x > 0: in range, the square roots of the three
     factors apart, then squared; exp(a ln x - x - ln Gamma(a)) loses |exponent| ulps."""
     lg = math.lgamma(a)
     alx = a * np.log(x)
-    ok = (np.abs(alx) < 1400.0) & (x < 1400.0) & (lg < 1400.0)
+    ok = _in_range(alx, x, lg)
     front = np.exp(np.where(ok, 0.0, alx - x - lg))
     front[ok] = (np.power(x[ok], 0.5 * a) * np.exp(-0.5 * x[ok]) * math.exp(-0.5 * lg)) ** 2
     return front
@@ -129,7 +134,7 @@ def _gamma_front(a: float, x: np.ndarray) -> np.ndarray:
 def _gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     # sum_k x^k / (a (a+1) ... (a+k)); a converged element adds zeros
     term = total = np.full_like(x, 1.0 / a)
-    for k in range(1, _GAMMAINC_ITMAX):
+    for k in range(1, _GAMMAINC_ITMAX + int(16.0 * math.sqrt(a))):
         term = term * x / (a + k)
         total = total + term
         live = np.abs(term) >= np.abs(total) * _GAMMAINC_EPS
@@ -145,7 +150,7 @@ def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     c = np.full_like(x, 1.0 / _TINY)
     d = h = 1.0 / b
     live = True
-    for i in range(1, _GAMMAINC_ITMAX):
+    for i in range(1, _GAMMAINC_ITMAX + int(16.0 * math.sqrt(a))):
         an = -i * (i - a)
         b = b + 2.0
         d = an * d + b
@@ -192,17 +197,24 @@ def chi_square_quantile(df: float, p):
     deep = floor < 1e-300           # the root is floor; the density could overflow
     g = np.where(~deep & (g < hi), g, 0.5 * (lo + hi))
     live = ~deep
+    lg = math.lgamma(a)
     for _ in range(_GAMMAINC_ITMAX):
         pg, qg = _gamma_pq(a, g, "chi_square_quantile")
         err = np.where(upper, tail - qg, pg - tail)          # increasing in g
         lo = np.where(err < 0.0, g, lo)
         hi = np.where(err > 0.0, g, hi)
         # an underflowed density sends the step out of the bracket
-        step = err / np.maximum(np.exp((a - 1.0) * np.log(g) - g - math.lgamma(a)), _TINY)
+        lng = np.log(g)
+        dens = np.maximum(np.exp((a - 1.0) * lng - g - lg), _TINY)
+        # P and Q carry _gamma_front's error, a few ulps in range and else
+        # about as many as its exponent's terms are large; a step within it is noise
+        ulps = np.where(_in_range(a * lng, g, lg), 0.0, np.abs(a * lng) + g + abs(lg))
+        step, noise = err / dens, _GAMMAINC_EPS * ulps * tail / dens
         newton = g - step
         inside = (newton >= lo) & (newton <= hi)
         g = np.where(live, np.where(inside, newton, 0.5 * (lo + hi)), g)
-        live = live & ~(inside & (np.abs(step) <= 1e-14 * newton)) & (hi - lo > 4e-16 * hi)
+        stop = np.abs(step) <= np.maximum(1e-14 * newton, noise)
+        live = live & ~(inside & stop) & (hi - lo > 4e-16 * hi)
         if not live.any():
             return _as_output(2.0 * np.where(deep, floor, g), p)
     raise NumericError(f"chi_square_quantile failed to converge (df={df})")

@@ -711,6 +711,13 @@ _ADVERSARIAL_INPUTS = [
                  id="estimate-n-1100"),
     pytest.param(("risk", "--n", "1100", "--reps", "10", "--seed", "1", "--eta-to", "0"), 4,
                  "l1 shift is not finite", id="risk-n-1100"),
+    # the chi-square quantile at df = 2n - 2 = 15,998 (gci, boot) and pitman's
+    # median at 2n - 1 = 7,699, where the incomplete gamma sums need about
+    # 8.5 sqrt(df/2) terms and P's front carries about 1e-12 relative error
+    *(pytest.param(("ci", "--method", m, "--seed", "1", "--csv", "LONG8000"), 0, "",
+                   id=f"ci-{m}-n-8000") for m in ("gci", "boot-p", "boot-t")),
+    pytest.param(("risk", "--n", "3850", "--estimators", "baee,pitman", "--reps", "2000",
+                  "--seed", "1", "--eta-to", "0"), 0, "", id="risk-pitman-n-3850"),
     # an eta grid is counted before it is formed: a step of 5e-324 makes the
     # count infinite, and 1e-9 over the default [0, 5] makes it 5,000,000,001
     *(pytest.param(("risk", "--n", "8", "--reps", "100", "--seed", "1", "--eta-step", step), 2,

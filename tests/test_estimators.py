@@ -11,12 +11,7 @@ from scipy import integrate, special, stats
 import entropy_lab as el
 from entropy_lab import estimators
 from entropy_lab.errors import DomainError
-from entropy_lab.estimators import (
-    _TABLE_CACHE,
-    WTerms,
-    bz_table,
-    resolve_estimator,
-)
+from entropy_lab.estimators import WTerms, bz_table, resolve_estimator
 from entropy_lab.model import SuffStats
 from entropy_lab.numerics import quadrature
 from references import bz_r0_defining, conditional_median, window_mass_ratio
@@ -272,16 +267,18 @@ class TestBzTable:
             assert np.max(np.abs(tab(mid) - exact)) <= 1e-5
 
     @pytest.mark.parametrize("n,loss", [(2, el.Loss.squared_error()), (8, el.Loss.linex(-3.0)),
-                                        (26, el.Loss.linex(1.0))])
+                                        (26, el.Loss.linex(1.0)),
+                                        *((n, el.Loss.squared_error()) for n in (8, 26)),
+                                        *((n, el.Loss.linex(-1.0)) for n in (2, 8, 26))])
     def test_lookup_is_np_interp_bit_for_bit(self, n, loss):
         tab = bz_table(n, loss)
-        xp, fp = np.linspace(0.0, math.log1p(1600.0), 800), tab._vals
-        assert np.array_equal(tab._x[:-1], xp)
+        xp, fp = tab._x, tab._vals
         rng = np.random.default_rng(n)
-        # the nodes, each node 1 ulp either side, random points, and past the cap
+        # the nodes, each node 1 ulp either side, random points, past the cap and NaN
         x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:],
-                            rng.uniform(0.0, xp[-1], 100_000), xp[-1] + np.array([1e-9, 1.0, 1e3])])
-        assert np.array_equal(tab.at_x(x), np.interp(x, xp, fp))
+                            rng.uniform(0.0, xp[-1], 100_000),
+                            xp[-1] + np.array([1e-9, 1.0, 1e3]), [np.nan]])
+        assert np.array_equal(tab.at_x(x), np.interp(x, xp, fp), equal_nan=True)
         w = np.concatenate([[0.0, -0.0, 1e3, -1e6], rng.normal(0.0, 1.0, 100_000)])
         assert np.array_equal(tab(w), np.interp(np.log1p(n * np.square(w)), xp, fp))
         assert np.array_equal(tab(-w), tab(w))
@@ -291,36 +288,23 @@ class TestBzTable:
         assert one == np.interp(np.log1p(n * 0.09), xp, fp)
         assert np.isnan(tab.at_x(np.array([np.nan]))).all()
 
-    @pytest.mark.parametrize("n", [2, 8, 26])
-    @pytest.mark.parametrize("loss", [el.Loss.squared_error(), el.Loss.linex(-1.0)],
-                             ids=["l1", "linex-1"])
-    def test_fast_bracket_and_fallback_are_np_interp(self, monkeypatch, n, loss):
-        # the nodes, each node 1 ulp either side, the cap and NaN: a lookup
-        # takes the fallback bracket at some of them and the fast one at the
-        # rest, and each gives np.interp's bits
-        tab = bz_table(n, loss)
-        xp, fp = tab._x[:-1], tab._vals
-        x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:],
-                            [tab._x_max, np.nan]])
-        bracket, taken = estimators.BzTable._bracket, []
-
-        def counted(self, x, j, dx, k):
-            taken.append(k.copy())
-            return bracket(self, x, j, dx, k)
-
-        monkeypatch.setattr(estimators.BzTable, "_bracket", counted)
-        got = tab.at_x(x)
-        (k,) = taken
-        slow = np.zeros(len(x), dtype=bool)
-        slow[k] = True
-        # NaN and some points 1 ulp below a node take the fallback; every
-        # node, every point 1 ulp above one and the cap take the fast path
-        assert slow[-1] and 0 < slow[len(xp):-1].sum() and not slow[:2 * len(xp)].any()
-        assert not slow[-2]
-        want = np.interp(x, xp, fp)
-        for part in (slow, ~slow):
-            assert got[part].tobytes() == want[part].tobytes()
-            assert tab.at_x(x[part]).tobytes() == want[part].tobytes()
+    @pytest.mark.parametrize("step", [2.0**-7, 2.0**-11], ids=["default", "2^-11"])
+    def test_direct_index_is_exact(self, l1, step):
+        # the nodes are j * step with step a power of two, so x / step is
+        # exact and its floor is the interval: each node indexes itself and
+        # the float just below it the node below, with no correction
+        assert estimators._TABLE_STEP == 2.0**-7
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimators, "_TABLE_STEP", step)
+            tab = estimators.BzTable(8, l1)
+        xp = tab._x
+        assert np.array_equal(xp, np.arange(len(xp)) * step)
+        assert xp[-2] < math.log1p(1600.0) <= xp[-1]
+        j = np.arange(len(xp))
+        index = lambda x: np.fmin(x * tab._per_step, tab._last).astype(np.intp)
+        assert np.array_equal(index(xp), j)
+        assert np.array_equal(index(np.nextafter(xp, -np.inf)[1:]), j[:-1])
+        assert index(np.array(np.nan)) == tab._last
 
     def test_lookup_is_np_interp_for_rough_node_values(self, l1, monkeypatch):
         # r0 varies so slowly that a lookup one node off rounds to the same
@@ -329,21 +313,21 @@ class TestBzTable:
         monkeypatch.setattr(estimators, "_r0_on_nodes",
                             lambda n, loss, u: rng.normal(0.0, 1.0, len(u) - 1))
         tab = estimators.BzTable(8, l1)
-        xp = np.linspace(0.0, math.log1p(1600.0), 800)
+        xp = tab._x
         x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:]])
         assert np.array_equal(tab.at_x(x), np.interp(x, xp, tab._vals))
 
     def test_table_reads_its_own_size(self, l1):
-        # a table built at another node count reads all of its nodes once
-        # the module's count is back, also past the module's last node
+        # a table built at another step reads all of its nodes once the
+        # module's step is back, also past the module's last node
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(estimators, "_TABLE_POINTS", 3_200)
+            m.setattr(estimators, "_TABLE_STEP", 2.0**-11)
             rng = np.random.default_rng(6)
             m.setattr(estimators, "_r0_on_nodes",
                       lambda n, loss, u: rng.normal(0.0, 1.0, len(u) - 1))
             tab = estimators.BzTable(8, l1)
-        xp = tab._x[:-1]
-        assert len(xp) == 3_200 and estimators._TABLE_POINTS == 800
+        xp = tab._x
+        assert len(xp) == 15_112 and estimators._TABLE_STEP == 2.0**-7
         x = np.concatenate([xp, np.nextafter(xp, -np.inf)[1:], [xp[-1] + 1.0, np.nan]])
         assert np.array_equal(tab.at_x(x), np.interp(x, xp, tab._vals), equal_nan=True)
 
@@ -473,9 +457,9 @@ class TestScalarVectorAgreement:
     def test_estimate_all_builds_no_table(self, linex_m3):
         st = el.suff_stats(el.TwoSampleData([1.0, 4.0, 2.5, 7.0, 3.0, 9.5, 2.0],
                                             [2.0, 6.0, 3.5, 8.0, 5.0, 9.0, 4.0]))
-        before = dict(_TABLE_CACHE)
+        before = bz_table.cache_info().currsize
         bz = next(r.value for r in el.estimate_all(st, linex_m3) if r.kind == "bz")
-        assert _TABLE_CACHE == before
+        assert bz_table.cache_info().currsize == before
         assert bz == el.estimate("bz", st, linex_m3)
 
     def test_unknown_name(self, l1):
@@ -496,14 +480,7 @@ def _out_of_place_clip(wt, phi, bound):
 
 
 def _out_of_place_lookup(tab, x):
-    x = np.minimum(x, tab._x_max)
-    j = np.fmin(x * tab._per_step, len(tab._vals) - 1).astype(np.intp)
-    xj = tab._x[j]
-    below, above = xj > x, tab._x[1:][j] <= x
-    if below.any() or above.any():
-        j = j - below + above
-        xj = tab._x[j]
-    return tab._slopes[j] * (x - xj) + tab._vals[j]
+    return np.interp(np.minimum(x, tab._x_max), tab._x, tab._vals)
 
 
 def _out_of_place_table(tab, absw):

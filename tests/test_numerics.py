@@ -166,6 +166,14 @@ class TestNormalAndQuantiles:
         for df in (1, 4, 11, 30):
             assert chi_square_cdf(df, chi_square_quantile(df, p)) == pytest.approx(p, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [7_700, 16_000, 100_000, 1_000_000])
+    def test_chi_square_quantile_at_large_df(self, df):
+        # near x = a the incomplete gamma sums need about 8.5 sqrt(a) terms,
+        # and P's front loses about a ln x ulps, so Newton stops at that error
+        p = np.array([1e-10, 0.025, 0.5, 0.975, 1.0 - 1e-10])
+        ref = stats.chi2.ppf(p, df)
+        assert (np.abs(chi_square_quantile(df, p) - ref) <= 1e-11 * ref).all()
+
     def test_t_cdf(self):
         for df in (3, 10, 25):
             for t in (-2.5, -0.4, 0.0, 1.7):
