@@ -176,8 +176,9 @@ class BzTable:
         return self._row(absw)[()]
 
     def at_x(self, x: np.ndarray) -> np.ndarray:
-        """r0 at x = ln(1 + n w^2) >= 0: ``np.interp(x, nodes, values)``."""
-        return self._lookup(np.minimum(x, self._x_max, out=...))[()]
+        """r0 at x = ln(1 + n w^2): ``np.interp(x, nodes, values)``, node 0's below 0."""
+        x = np.maximum(x, 0.0, out=...)
+        return self._lookup(np.minimum(x, self._x_max, out=x))[()]
 
     def _row(self, absw: np.ndarray) -> np.ndarray:
         """r0(|absw|) in a new array, a 0-d array for a number."""

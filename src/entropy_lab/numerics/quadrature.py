@@ -1,19 +1,20 @@
-"""Adaptive Gauss-Kronrod quadrature and the log-weighted kernel integrals
-used by the shrinkage solvers.
+"""Gauss-Kronrod quadrature and the log-weighted kernel integrals used by
+the shrinkage solvers.
 
-The kernel integral is
+One engine, :func:`_cumulative`, integrates a nonnegative f from the first
+node of an ascending grid to every node: GK15 on all intervals at once, and
+panel doubling where the relative error bound fails.  The kernel integral is
 
     J_k(a, y) = int_0^y t^(-1/2) (2 + t)^(-a) [ln(2 + t)]^k dt,   k in {0, 1}.
 
 The endpoint singularity t^(-1/2) is removed exactly by substituting
 t = u^2, which turns the integrand into 2 (2 + u^2)^(-a) [ln(2 + u^2)]^k on
-[0, sqrt(y)].  :func:`cumulative_J` gives J at every node of a grid in u
-from one vectorized Gauss-Kronrod pass over the consecutive intervals.
+[0, sqrt(y)].  :func:`cumulative_J` gives J at every node of a grid in u,
+and :func:`adaptive_quad` is the engine on one interval.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable
 
@@ -43,52 +44,8 @@ _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-
-ABS_TOL = 1e-12
 REL_TOL = 1e-10
 MAX_SUBDIVISIONS = 200
-
-
-def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    ik = half * float(fx @ _WEIGHTS_K)
-    ig = half * float(fx @ _WEIGHTS_G)
-    return ik, abs(ik - ig)
-
-
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Integral of f over the finite interval [a, b].
-
-    f must accept an ndarray of abscissae and return the integrand values.
-    The |K15 - G7| panel discrepancy is used as a conservative error bound;
-    the worst panel is bisected until the summed bound meets the tolerance.
-    """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("adaptive_quad requires finite endpoints")
-    ik, err = _gk_panel(f, a, b)
-    heap = [(-err, a, b, ik, err)]
-    total, total_err = ik, err
-    for _ in range(MAX_SUBDIVISIONS):
-        if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
-            return total
-        _, pa, pb, pik, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        il, el = _gk_panel(f, pa, pm)
-        ir, er = _gk_panel(f, pm, pb)
-        total += il + ir - pik
-        total_err += el + er - perr
-        heapq.heappush(heap, (-el, pa, pm, il, el))
-        heapq.heappush(heap, (-er, pm, pb, ir, er))
-    if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
-        return total
-    raise NumericError(
-        f"adaptive_quad: error {total_err:.3e} above tolerance after "
-        f"{MAX_SUBDIVISIONS} subdivisions (value {total:.6e})")
 
 
 def _kernel(a: float, log_power: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -124,24 +81,18 @@ def _check_log_power(log_power: int) -> None:
         raise DomainError(f"log_power must be 0 or 1, got {log_power!r}")
 
 
-def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
-    """J_k(a, u_i^2) at every node of the ascending array u, u[0] = 0.
+def _cumulative(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """The integral of f >= 0 from u[0] to every node of the ascending array u.
 
     The K15 rule runs on all intervals [u_i, u_(i+1)] at once and a cumsum
-    gives J.  The summed |K15 - G7| bound up to each node must be at most
-    REL_TOL times J there; error control is relative only, so it holds
-    however small J is.  While it fails, every interval up to the last
-    failing node whose own bound exceeds REL_TOL / 2 times its own integral
-    is split into twice as many equal panels; an interval that would need
-    more than MAX_SUBDIVISIONS + 1 panels raises NumericError.
+    gives the integrals.  The summed |K15 - G7| bound up to each node must be
+    at most REL_TOL times the integral there; error control is relative
+    only, so it holds however small the integral is.  While it fails, every
+    interval up to the last failing node whose own bound exceeds REL_TOL / 2
+    times its own integral is split into twice as many equal panels; an
+    interval that would need more than MAX_SUBDIVISIONS + 1 panels raises
+    NumericError.
     """
-    _check_log_power(log_power)
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or len(u) == 0 or u[0] != 0.0:
-        raise DomainError("cumulative_J needs a 1-d array of nodes starting at 0")
-    if not (np.isfinite(u[-1]) and (np.diff(u) >= 0.0).all()):
-        raise DomainError("cumulative_J needs finite ascending nodes")
-    g = _kernel(float(a), log_power)
     lo, hi = u[:-1], u[1:]
     panels = np.ones(len(lo), dtype=np.int64)
     ik = np.zeros(len(lo))
@@ -149,10 +100,10 @@ def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
     todo = np.arange(len(lo))
     while True:
         if len(todo):
-            ik[todo], err[todo] = _gk_intervals(g, lo[todo], hi[todo], panels[todo])
+            ik[todo], err[todo] = _gk_intervals(f, lo[todo], hi[todo], panels[todo])
         J = np.concatenate(([0.0], np.cumsum(ik)))
         if not math.isfinite(J[-1]):
-            raise NumericError(f"cumulative_J: integrand not finite on the nodes (a={a})")
+            raise NumericError("quadrature: integrand not finite on the nodes")
         failing = np.flatnonzero(np.cumsum(err) > REL_TOL * J[1:])
         if len(failing) == 0:
             return J
@@ -165,15 +116,36 @@ def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
         if panels[todo].max() > MAX_SUBDIVISIONS + 1:
             i = int(failing[0])
             raise NumericError(
-                f"cumulative_J: error {np.sum(err[:i + 1]):.3e} above tolerance at "
+                f"quadrature: error {np.sum(err[:i + 1]):.3e} above tolerance at "
                 f"u = {u[i + 1]:.6g} after {MAX_SUBDIVISIONS} subdivisions "
                 f"(value {J[i + 1]:.6e})")
+
+
+def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integral over finite a <= b of f >= 0, which maps an ndarray of
+    abscissae to its values, by :func:`_cumulative`: the tolerance is
+    REL_TOL relative to the integral, with no absolute floor."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise DomainError(f"adaptive_quad needs finite a <= b, got [{a!r}, {b!r}]")
+    return float(_cumulative(f, np.array([a, b]))[-1])
+
+
+def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
+    """J_k(a, u_i^2) at every node of the ascending array u, u[0] = 0, from
+    one :func:`_cumulative` pass over the nodes."""
+    _check_log_power(log_power)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or len(u) == 0 or u[0] != 0.0:
+        raise DomainError("cumulative_J needs a 1-d array of nodes starting at 0")
+    if not (np.isfinite(u[-1]) and (np.diff(u) >= 0.0).all()):
+        raise DomainError("cumulative_J needs finite ascending nodes")
+    return _cumulative(_kernel(float(a), log_power), u)
 
 
 def integrate_J(a: float, y: float, log_power: int) -> float:
     """J_k(a, y) with k = log_power, for finite y >= 0."""
     _check_log_power(log_power)
-    a = float(a)
     y = float(y)
     if not 0.0 <= y < math.inf:
         raise DomainError(f"integrate_J needs finite y >= 0, got {y!r}")

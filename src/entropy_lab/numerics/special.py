@@ -16,6 +16,7 @@ except where a docstring states a measured bound of its own.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral
 
 import numpy as np
@@ -203,9 +204,10 @@ def chi_square_quantile(df: float, p):
         err = np.where(upper, tail - qg, pg - tail)          # increasing in g
         lo = np.where(err < 0.0, g, lo)
         hi = np.where(err > 0.0, g, hi)
-        # an underflowed density sends the step out of the bracket
+        # an underflowed density sends the step out of the bracket; a floor above
+        # the least normal double shortens steps where the density is near 1e-302
         lng = np.log(g)
-        dens = np.maximum(np.exp((a - 1.0) * lng - g - lg), _TINY)
+        dens = np.maximum(np.exp((a - 1.0) * lng - g - lg), sys.float_info.min)
         # P and Q carry _gamma_front's error, a few ulps in range and else
         # about as many as its exponent's terms are large; a step within it is noise
         ulps = np.where(_in_range(a * lng, g, lg), 0.0, np.abs(a * lng) + g + abs(lg))

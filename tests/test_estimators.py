@@ -274,10 +274,11 @@ class TestBzTable:
         tab = bz_table(n, loss)
         xp, fp = tab._x, tab._vals
         rng = np.random.default_rng(n)
-        # the nodes, each node 1 ulp either side, random points, past the cap and NaN
+        # the nodes, each node 1 ulp either side, random points, past the cap,
+        # below 0 (np.interp reads node 0 there) and NaN
         x = np.concatenate([xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf)[1:],
                             rng.uniform(0.0, xp[-1], 100_000),
-                            xp[-1] + np.array([1e-9, 1.0, 1e3]), [np.nan]])
+                            xp[-1] + np.array([1e-9, 1.0, 1e3]), [-1e-3, -0.5, -np.inf, np.nan]])
         assert np.array_equal(tab.at_x(x), np.interp(x, xp, fp), equal_nan=True)
         w = np.concatenate([[0.0, -0.0, 1e3, -1e6], rng.normal(0.0, 1.0, 100_000)])
         assert np.array_equal(tab(w), np.interp(np.log1p(n * np.square(w)), xp, fp))

@@ -174,6 +174,13 @@ class TestNormalAndQuantiles:
         ref = stats.chi2.ppf(p, df)
         assert (np.abs(chi_square_quantile(df, p) - ref) <= 1e-11 * ref).all()
 
+    @pytest.mark.parametrize("df", [2e6, 5e6, 1e7])
+    def test_chi_square_quantile_far_lower_tail_at_large_df(self, df):
+        # the density there is near 1e-302; a Newton step that floors it
+        # at 1e-300 is about 30 times too short and runs out of iterations
+        ref = stats.chi2.ppf(1e-300, df)
+        assert chi_square_quantile(df, 1e-300) == pytest.approx(ref, rel=1e-13)
+
     def test_t_cdf(self):
         for df in (3, 10, 25):
             for t in (-2.5, -0.4, 0.0, 1.7):
@@ -215,6 +222,20 @@ def _j_oracle(a, y, k):
 class TestQuadrature:
     def test_adaptive_quad_sine(self):
         assert adaptive_quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a,u,k", [(5.5, 2.0, 0), (5.5, 2.0, 1), (999.5, 3.0, 1),
+                                       (1.5, 10.0, 0)])
+    def test_adaptive_quad_is_the_cumulative_engine(self, a, u, k):
+        got = adaptive_quad(quadrature._kernel(a, k), 0.0, u)
+        assert got == cumulative_J(a, np.array([0.0, u]), k)[-1]
+        assert type(got) is float
+
+    def test_adaptive_quad_ends(self):
+        assert adaptive_quad(np.exp, 1.5, 1.5) == 0.0
+        for a, b in ((1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                     (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                adaptive_quad(np.exp, a, b)
 
     def test_j_empty_interval(self):
         assert integrate_J(5.5, 0.0, 0) == 0.0
