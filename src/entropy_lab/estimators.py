@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .model import Loss, SuffStats, d0, entropy_of_log_sigma, m0
+from .model import Loss, SuffStats, d0, entropy_of_log_sigma, m0, mle_shift
 from .numerics import chi_square_quantile, cumulative_J, digamma, integrate_J
 
 
@@ -221,10 +221,6 @@ def _ln_chi2_median(df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mle_shift(n: int) -> float:
-    return -0.5 * math.log(2.0 * n)
-
-
 def _clip(wt: WTerms, phi, bound: np.ndarray) -> np.ndarray:
     """phi capped at ``bound`` where W > 0 and floored there where W < 0;
     W = 0 keeps phi.  A floor is a negated cap, max(phi, b) =
@@ -289,11 +285,11 @@ def _improved_rmle(c: float, c_m0: float) -> VectorFn:
 _BUILDERS: dict[str, Callable[[int, Loss], VectorFn]] = {
     "baee": lambda n, loss: partial(_shift_rule, c=d0(loss, n)),
     "umvue": lambda n, loss: partial(_shift_rule, c=d0(Loss.squared_error(), n)),
-    "mle": lambda n, loss: partial(_shift_rule, c=_mle_shift(n)),
-    "rmle": lambda n, loss: partial(_rmle_rule, c=_mle_shift(n)),
+    "mle": lambda n, loss: partial(_shift_rule, c=mle_shift(n)),
+    "rmle": lambda n, loss: partial(_rmle_rule, c=mle_shift(n)),
     "stein": lambda n, loss: partial(_switch_rule, c=d0(loss, n), c_m0=m0(loss, n)),
-    "improved_mle": lambda n, loss: partial(_switch_rule, c=_mle_shift(n), c_m0=m0(loss, n)),
-    "improved_rmle": lambda n, loss: _improved_rmle(_mle_shift(n), m0(loss, n)),
+    "improved_mle": lambda n, loss: partial(_switch_rule, c=mle_shift(n), c_m0=m0(loss, n)),
+    "improved_rmle": lambda n, loss: _improved_rmle(mle_shift(n), m0(loss, n)),
     "bz": lambda n, loss: partial(_bz_rule, r0=bz_table(n, loss)),
     # pitman caps d0 at -median[ln sqrt(V) | W = w, eta = 0] = T(w) - h for
     # w > 0 and floors it there for w < 0, h = ln(median chi-square(2n - 1))/2,

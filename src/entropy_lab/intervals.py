@@ -30,14 +30,13 @@ ln(sigma) = ln S + ln(u)/2 - ln(2)/2, hpd's offsets are the Chen & Shao
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericError
-from .model import SuffStats, TwoSampleData, suff_stats
+from .errors import DomainError, NumericError
+from .model import SuffStats, TwoSampleData, mle_shift, suff_stats
 from .numerics import chi_square_quantile
 from .numerics.rng import RngStream
 
@@ -128,7 +127,7 @@ def aci_offsets(n: int, level: float) -> tuple[float, float, float]:
     p = 0.5 * (1.0 + level)
     if not p < 1.0:
         raise DomainError(f"aci needs (1 + level)/2 below 1, got level {level!r}")
-    center = -0.5 * math.log(2.0 * n)
+    center = mle_shift(n)
     half = NormalDist().inv_cdf(p) / (2.0 * math.sqrt(n))
     return center - half, center + half, 2.0 * half
 
@@ -138,7 +137,7 @@ def aci(data: TwoSampleData, level: float = 0.95) -> IntervalResult:
     level = _check_level(level)
     st = suff_stats(data)
     return _result("aci", level, st, aci_offsets(st.n, level),
-                   {"center": math.log(st.s) - 0.5 * math.log(2.0 * st.n)})
+                   {"center": math.log(st.s) + mle_shift(st.n)})
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def boot_offsets(n: int, level: float, K: int, b: int, gen: np.random.Generator)
     studentized coverage matches the exact pivot.
     """
     lower, upper, length = gci_offsets(n, level, K, b, gen)
-    two_eta_hat = -math.log(2.0 * n)
+    two_eta_hat = 2.0 * mle_shift(n)
     return (two_eta_hat - upper, two_eta_hat - lower, length), (lower, upper, length)
 
 
@@ -278,9 +277,9 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
     :func:`chen_shao_hpd` would read from the sorted trace.  Draws are
     stored chain-major; a level bounds the buffer at 2r + FOLD_DRAWS per
     chain, and a full buffer is sorted along its rows and cut back to its
-    2r tail draws.  A batch of one chain steps on floats
-    (:func:`_one_chain`) and sorts its whole trace once for a level: the
-    same values.
+    2r tail draws.  A batch of one chain with no level, hpd_mcmc's
+    time-ordered trace, steps on floats (:func:`_one_chain`): the same
+    values.
     """
     half_ss0 = 0.5 * np.atleast_1d(np.asarray(ss1, dtype=float) + np.asarray(ss2, dtype=float))
     B = len(half_ss0)
@@ -290,19 +289,15 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
         sd = prop_sd * half_ss0
     else:
         sd = np.full(B, float(cfg.proposal_sd))
-        with np.errstate(over="ignore"):    # inf on tiny data; an inf sd only rejects
+        with np.errstate(over="ignore", divide="ignore"):   # inf on tiny data; it only rejects
             prop_sd = sd / half_ss0
     M = cfg.N - cfg.N0
     r = M if cfg.level is None else M - _window_offset(M, cfg.level)
     log_u, shape1 = np.log(u), (n - 1) + 1.0
-    if B == 1:
+    if B == 1 and cfg.level is None:
         draws, accepted, scale = _one_chain(u.item(), log_u.item(), np.asarray(shape1).item(),
                                             prop_sd.item(), cfg, gen)
-        theta = np.array(draws)[:, None]
-        if cfg.level is not None:
-            theta.sort(axis=0)
-            theta = (theta[:r], theta[M - r:])
-        return theta, np.array([accepted / M]), sd * scale
+        return np.array(draws)[:, None], np.array([accepted / M]), sd * scale
     trace = np.empty((B, min(M, 2 * r + FOLD_DRAWS)))
     filled = 0
 
@@ -343,8 +338,8 @@ def run_variance_chains(x1bar: np.ndarray, x2bar: np.ndarray,
 
 def _one_chain(u: float, log_u: float, shape1: float, sd: float,
                cfg: McmcConfig, gen: np.random.Generator) -> tuple[list, int, float]:
-    """The steps of :func:`run_variance_chains` for a batch of one chain, on
-    Python floats; returns the M post-burn-in draws of ln(u)/2 in time
+    """The steps of :func:`run_variance_chains` for one chain with no level,
+    on Python floats; returns the M post-burn-in draws of ln(u)/2 in time
     order, the post-burn-in accept count and the adaptation's factor on the
     proposal sd (1.0 without an adaptation window).  A step draws the
     size-1 draws' variates in their order, takes numpy's log (``math.log``
@@ -395,8 +390,9 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
              cfg: McmcConfig = McmcConfig()) -> IntervalResult:
     """Highest-posterior-density interval for tau from a random-walk chain
     on the marginal posterior of sigma^2.  The chain's whole trace gives
-    the ESS, so ``cfg.level`` must be None; its proposal scale reads S^2,
-    so data whose S^2 underflows are refused."""
+    the ESS, so ``cfg.level`` must be None; no datum enters the chain, so
+    it takes all data :func:`suff_stats` takes, those whose S^2 underflows
+    too."""
     level = _check_level(level)
     if cfg.N - cfg.N0 < 1000:
         raise DomainError(f"need at least 1000 post-burn-in draws, got {cfg.N - cfg.N0}")
@@ -404,8 +400,6 @@ def hpd_mcmc(data: TwoSampleData, level: float = 0.95,
         raise DomainError("hpd_mcmc reads the whole trace: McmcConfig.level must be None, "
                           f"got {cfg.level!r}")
     st = suff_stats(data)
-    if st.s2 < sys.float_info.min:
-        raise DataError("samples too small: pooled sum of squares underflows")
     theta, acc, prop_sd = run_variance_chains(
         np.array([st.mean1]), np.array([st.mean2]), np.array([st.s2]), np.zeros(1), st.n, cfg,
         RngStream(cfg.seed, 0).generator)

@@ -249,6 +249,11 @@ def m0(loss: Loss, n: int) -> float:
     return _gamma_shift(loss, n, 0.5 * (2.0 * n - 1.0))
 
 
+def mle_shift(n: int) -> float:
+    """Shift constant of the MLE ln(sigma_hat) = ln(S) - ln(2n)/2."""
+    return -0.5 * math.log(2.0 * n)
+
+
 def closed_form_bias_baee(loss: Loss, n: int) -> float:
     """Exact bias of ln(S) + d0: :func:`closed_form_bias_shift` at c = d0,
     zero under squared error."""

@@ -10,11 +10,12 @@ panel doubling where the relative error bound fails.  The kernel integral is
 The endpoint singularity t^(-1/2) is removed exactly by substituting
 t = u^2, which turns the integrand into 2 (2 + u^2)^(-a) [ln(2 + u^2)]^k on
 [0, sqrt(y)].  :func:`cumulative_J` gives J at every node of a grid in u,
-and :func:`adaptive_quad` is the engine on one interval.
+and :func:`integrate_J` at one y, by the one-interval :func:`adaptive_quad`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -123,12 +124,16 @@ def _cumulative(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndar
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Integral over finite a <= b of f >= 0, which maps an ndarray of
-    abscissae to its values, by :func:`_cumulative`: the tolerance is
-    REL_TOL relative to the integral, with no absolute floor."""
+    abscissae to its values, by :func:`_cumulative` over [a, b] cut at each
+    a + 10^k, k = 0, 1, ..., below b, so that a long interval cannot hide
+    mass concentrated near a from the first error estimate: the tolerance
+    is REL_TOL relative to the integral, with no absolute floor."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"adaptive_quad needs finite a <= b, got [{a!r}, {b!r}]")
-    return float(_cumulative(f, np.array([a, b]))[-1])
+    decades = (a + 10.0 ** k for k in range(309))      # 10.0 ** 309 overflows
+    cuts = [a, *itertools.takewhile(lambda c: c < b, decades), b]
+    return float(_cumulative(f, np.array(cuts))[-1])
 
 
 def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
@@ -144,16 +149,10 @@ def cumulative_J(a: float, u: np.ndarray, log_power: int) -> np.ndarray:
 
 
 def integrate_J(a: float, y: float, log_power: int) -> float:
-    """J_k(a, y) with k = log_power, for finite y >= 0."""
+    """J_k(a, y) with k = log_power, for finite y >= 0: :func:`adaptive_quad`
+    over u in [0, sqrt(y)]."""
     _check_log_power(log_power)
     y = float(y)
     if not 0.0 <= y < math.inf:
         raise DomainError(f"integrate_J needs finite y >= 0, got {y!r}")
-    if y == 0.0:
-        return 0.0
-    # pre-split geometrically so a huge upper limit cannot hide the mass
-    # concentrated near u = 0 from the first error estimate
-    upper = math.sqrt(y)
-    decades = [10.0 ** k for k in range(int(math.log10(upper)) + 2)]
-    cuts = [0.0, *(s for s in decades if s < upper), upper]
-    return float(cumulative_J(a, np.array(cuts), log_power)[-1])
+    return adaptive_quad(_kernel(float(a), log_power), 0.0, math.sqrt(y))

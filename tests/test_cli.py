@@ -624,42 +624,55 @@ def test_estimate_across_data_scales(capsys, tmp_path, exponent, want):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method, want", [("aci", 0), ("gci", 0), ("boot-p", 0), ("boot-t", 0),
-                                          ("hpd", 3)])
+                                          ("hpd", 0)])
 def test_ci_on_data_whose_sum_of_squares_underflows(capsys, tmp_path, method, want):
-    # aci, gci and boot read n and ln S; hpd's proposal scale reads S^2
-    # itself, which underflows
+    # aci, gci and boot read n and ln S; the hpd chain reads no datum
     code, out, err = run_cli(capsys, "ci", "--method", method, "--seed", "1",
                              "--csv", _scaled_csv(tmp_path / "tiny.csv", -200))
     assert code == want
-    if want:
-        assert "underflows" in err
-    else:
-        assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
+    assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
 
 
 # data scales from 1e-150 down: the hpd chain steps u = sigma^2 / (S^2/2),
-# whatever the scale, so only S^2 itself bounds it; below about 1e-154 S^2
-# underflows, and each such scale is a data error
+# whatever the scale, so it runs on every scale, below about 1e-154 too,
+# where S^2 underflows
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("exponent", range(-150, -161, -1))
 def test_hpd_across_small_data_scales(capsys, tmp_path, exponent):
     code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
                              "--csv", _scaled_csv(tmp_path / "tiny.csv", exponent))
-    assert code == (0 if exponent >= -154 else 3)
-    if code:
-        assert "pooled sum of squares underflows" in err and out == ""
-    else:
-        result = json.loads(out)
-        assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
+    assert code == 0
+    result = json.loads(out)
+    assert all(math.isfinite(result[k]) for k in ("lower", "upper", "length"))
+
+
+# where S^2 underflows the hpd chain takes the unit-scale chain's steps: its
+# draws, acceptance and ESS keep every bit, and only ln S moves the endpoints
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [-155, -200, -300])
+def test_hpd_shifts_by_log_scale_where_ss0_underflows(capsys, tmp_path, exponent):
+    runs = []
+    for e in (0, exponent):
+        code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
+                                 "--csv", _scaled_csv(tmp_path / f"scaled{e}.csv", e))
+        assert code == 0 and err == ""
+        runs.append(json.loads(out))
+    unit, scaled = runs
+    for k in ("lower", "upper"):
+        assert scaled[k] == pytest.approx(unit[k] + exponent * math.log(10.0), rel=1e-12)
+    assert scaled["length"] == unit["length"]
+    for k in ("acceptance_rate", "ess", "draws"):
+        assert scaled["diagnostics"][k] == unit["diagnostics"][k]
 
 
 # a proposal sd is given in sigma^2 units and the chain divides it by S^2/2:
-# on tiny data it overflows to inf, whose proposals all fail, so the chain
+# on tiny data it overflows to inf, or divides by 0 to inf where S^2
+# underflows; inf's proposals all fail, so the chain
 # never moves and its one-point trace is refused with exit 4; the default sd
 # scales with the data and gives a finite interval with no warning
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sd", [None, "1e10", "1e300"])
-@pytest.mark.parametrize("exponent", [-150, -153, -153.5])
+@pytest.mark.parametrize("exponent", [-150, -153, -153.5, -200])
 def test_hpd_proposal_sd_on_tiny_data(capsys, tmp_path, exponent, sd):
     code, out, err = run_cli(capsys, "ci", "--method", "hpd", "--seed", "1",
                              "--csv", _scaled_csv(tmp_path / "tiny.csv", exponent),
@@ -678,18 +691,16 @@ def test_hpd_proposal_sd_on_tiny_data(capsys, tmp_path, exponent, sd):
 # linex asymmetry at the float range's end, and bz past the sample sizes its
 # kernel integral reaches.  Each case exits 0 printing only
 # finite numbers, or exits with its documented code and message and prints
-# nothing.  aci, gci and boot read ln S; hpd reads S^2, which underflows
-# from about 1e-154 down; from about 1e154 up S^2 overflows for every method.
+# nothing.  aci, gci and boot read ln S, and the hpd chain reads no datum,
+# so every small scale runs; from about 1e154 up S^2 overflows for every
+# method.
 def _scale_cases():
     for e in (-300, -250, -200, -150, 150, 200, 250, 300):
         big = (3, "pooled sum of squares overflows") if e > 154 else (0, "")
         yield pytest.param(("estimate", "--csv", f"SCALED{e}"), *big, id=f"estimate-1e{e}")
         for m in ("aci", "gci", "boot-p", "boot-t", "hpd"):
-            want = big
-            if e < -154 and m == "hpd":
-                want = (3, "pooled sum of squares underflows")
             yield pytest.param(("ci", "--method", m, "--seed", "1", "--csv", f"SCALED{e}"),
-                               *want, id=f"ci-{m}-1e{e}")
+                               *big, id=f"ci-{m}-1e{e}")
 
 
 _ADVERSARIAL_INPUTS = [

@@ -659,10 +659,11 @@ class TestStepKernel:
 
 
 class TestOneChain:
-    """A batch of one chain steps on Python floats.  Against the lockstep
-    kernel, ``_mh_update`` on 1-element arrays with size-1 draws into
-    buffers, driven from the same stream, its trace (or tails), acceptance
-    and proposal sd must agree bit for bit."""
+    """A batch of one chain with no level steps on Python floats, and with
+    a level runs the lockstep kernel.  Against the kernel's steps,
+    ``_mh_update`` on 1-element arrays with size-1 draws into buffers,
+    driven from the same stream, its trace (or tails), acceptance and
+    proposal sd must agree bit for bit."""
 
     @staticmethod
     def _reference(ss0, n, cfg, gen):
@@ -713,7 +714,11 @@ class TestOneChain:
     @pytest.mark.parametrize("level", [None, 0.95, 0.5])
     @pytest.mark.parametrize("data, sd", [("boeing", None), ("boeing", 50.0), ("boeing", 1e6),
                                           ("1e-153", None), ("1e-153", 50.0), ("1", None)])
-    def test_float_steps_match_the_kernel(self, data, sd, level):
+    def test_float_steps_match_the_kernel(self, monkeypatch, data, sd, level):
+        if level is not None:
+            def refuse(*args):
+                raise AssertionError("a chain run at a level stepped on floats")
+            monkeypatch.setattr(intervals, "_one_chain", refuse)
         st = self._stats(data)
         ss0 = np.array([st.s2])
         default_sd = 2.4 * (0.5 * st.s2) / ((st.n - 1) * math.sqrt(st.n))

@@ -226,9 +226,18 @@ class TestQuadrature:
     @pytest.mark.parametrize("a,u,k", [(5.5, 2.0, 0), (5.5, 2.0, 1), (999.5, 3.0, 1),
                                        (1.5, 10.0, 0)])
     def test_adaptive_quad_is_the_cumulative_engine(self, a, u, k):
+        # adaptive_quad cuts [0, u] at each decade 10^k below u
         got = adaptive_quad(quadrature._kernel(a, k), 0.0, u)
-        assert got == cumulative_J(a, np.array([0.0, u]), k)[-1]
+        cuts = [0.0, *(c for c in (1.0, 10.0, 100.0) if c < u), u]
+        assert got == cumulative_J(a, np.array(cuts), k)[-1]
         assert type(got) is float
+
+    @pytest.mark.parametrize("b", [10.0, 1000.0, 1e6])
+    def test_adaptive_quad_on_a_long_interval(self, b):
+        # J_0(3/2, y) = sqrt(y / (2 + y)), y = b^2: the mass sits near u = 0,
+        # which the decade cuts keep in view however long [0, b] is
+        got = adaptive_quad(quadrature._kernel(1.5, 0), 0.0, b)
+        assert got == pytest.approx(b / math.sqrt(2.0 + b * b), rel=1e-12)
 
     def test_adaptive_quad_ends(self):
         assert adaptive_quad(np.exp, 1.5, 1.5) == 0.0
